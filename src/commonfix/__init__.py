@@ -50,6 +50,7 @@ from .scheme import (
     TraceRecord,
     WeightSchedule,
     distance_to_fixset,
+    i_images,
     make_schedule,
     run,
     step,
@@ -121,6 +122,7 @@ __all__ = [
     "distance_to_fixset",
     "estimate_intermediate_defect",
     "family_collapse_diagnostic",
+    "i_images",
     "in_set",
     "iterate_growth_bounds",
     "l1_norm",

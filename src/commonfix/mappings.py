@@ -149,20 +149,20 @@ def _check_factor(alpha: float) -> float:
 
 
 def apply_t_alpha(alpha: float, v: L1Vector) -> L1Vector:
-    """One application of T_a to a vector of the unit ball.
+    """One application of T_a to a vector of the unit ball: the first
+    power, since a**1 == a exactly.
 
     :raises DomainViolation: ``||v||_1 > 1``.
     """
-    alpha = _check_factor(alpha)
-    if l1_norm(v) > 1.0:
-        raise DomainViolation(f"||v||_1 = {l1_norm(v)!r} exceeds the unit ball")
-    head = alpha * math.sqrt(abs(v.first))
-    return L1Vector((0.0, head) + tuple(alpha * c for c in v.coords[1:]))
+    return power_t_alpha(alpha, 1, v)
 
 
 def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
     """The k-th power of T_a in closed form: k zeros, then a^k times
     (sqrt(|x_1|), x_2, x_3, ...).
+
+    The k zeros are not stored: the entries of x_2, x_3, ... move k places
+    right, so the cost is independent of k.
 
     :raises DomainViolation: ``||v||_1 > 1``.
     """
@@ -173,7 +173,13 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
         raise DomainViolation(f"||v||_1 = {l1_norm(v)!r} exceeds the unit ball")
     ak = alpha**k
     head = ak * math.sqrt(abs(v.first))
-    return L1Vector((0.0,) * k + (head,) + tuple(ak * c for c in v.coords[1:]))
+    # x_1, stored first when it is not +0.0, gives way to the head at k.
+    rest = 1 if v.indices[:1] == (0,) else 0
+    return L1Vector.from_sparse(
+        [k] + [i + k for i in v.indices[rest:]],
+        [head] + [ak * c for c in v.values[rest:]],
+        k + max(len(v), 1),
+    )
 
 
 def iterate_difference_formula(

@@ -35,7 +35,6 @@ from .mappings import FixedSetDescriptor, Mapping, nth_power
 from .space import (
     WEIGHT_TOL,
     AdmissibleSet,
-    L1Vector,
     ProductPoint,
     convex_combine,
     in_set,
@@ -247,18 +246,27 @@ def _validate_config(cfg: IterationConfig) -> AdmissibleSet:
     return domain
 
 
+def i_images(x: ProductPoint, n: int, cfg: IterationConfig) -> list[ProductPoint]:
+    """The points I_i^n(x) for the members of ``cfg.i_family``, in order."""
+    return [nth_power(im, n, x) for im in cfg.i_family]
+
+
 def step(
-    x: ProductPoint, n: int, cfg: IterationConfig
+    x: ProductPoint,
+    n: int,
+    cfg: IterationConfig,
+    images: Sequence[ProductPoint],
 ) -> tuple[ProductPoint, ProductPoint]:
     """One iteration step at index n >= 1.  Returns (x_{n+1}, y_n).
 
+    ``images`` are the points I_i^n(x_n), as :func:`i_images` gives them.
     Intermediates are never clamped: if y_n or x_{n+1} leaves the common
     admissible set, the configuration is broken and ``DomainViolation``
     is raised.
     """
     domain = cfg.t_family[0].domain
     bw = cfg.beta.weights_at(n)
-    i_points = [x] + [nth_power(im, n, x) for im in cfg.i_family]
+    i_points = [x, *images]
     y = convex_combine(bw, i_points)
     if not in_set(y, domain):
         raise DomainViolation(f"auxiliary point left the admissible set at step {n}")
@@ -276,17 +284,18 @@ def step_with_errors(
     cfg: IterationConfig,
     u_n: ProductPoint,
     v_n: ProductPoint,
+    images: Sequence[ProductPoint],
 ) -> tuple[ProductPoint, ProductPoint]:
     """One perturbed step: each stage takes one extra weighted point,
     u_n for the x-stage and v_n for the y-stage.  Schedules must carry
-    m + 2 weights."""
+    m + 2 weights.  ``images`` is as for :func:`step`."""
     domain = cfg.t_family[0].domain
     if not (in_set(u_n, domain) and in_set(v_n, domain)):
         raise DomainViolation(
             f"perturbation points must stay inside the admissible set (step {n})"
         )
     bw = cfg.beta.weights_at(n)
-    i_points = [x] + [nth_power(im, n, x) for im in cfg.i_family] + [v_n]
+    i_points = [x, *images, v_n]
     y = convex_combine(bw, i_points)
     if not in_set(y, domain):
         raise DomainViolation(f"auxiliary point left the admissible set at step {n}")
@@ -343,17 +352,16 @@ def run(cfg: IterationConfig) -> Trace:
     records: list[TraceRecord] = []
     terminated = "max_steps"
     for n in range(1, cfg.max_steps + 1):
+        images = i_images(x, n, cfg)
         if cfg.error_sequences is not None:
             u_fn, v_fn = cfg.error_sequences
-            x_next, y = step_with_errors(x, n, cfg, u_fn(n), v_fn(n))
+            x_next, y = step_with_errors(x, n, cfg, u_fn(n), v_fn(n), images)
         else:
-            x_next, y = step(x, n, cfg)
+            x_next, y = step(x, n, cfg, images)
         t_defects = tuple(
             product_norm(x - nth_power(tm, n, x)) for tm in cfg.t_family
         )
-        i_defects = tuple(
-            product_norm(x - nth_power(im, n, x)) for im in cfg.i_family
-        )
+        i_defects = tuple(product_norm(x - ix) for ix in images)
         records.append(
             TraceRecord(
                 n=n,

@@ -1,13 +1,22 @@
 """Ambient space for the iteration: R x l1, with finite-support vectors.
 
 The state of every iteration in this package is a pair (scalar, vector)
-where the vector lives in l1 and is stored as a finite coordinate prefix;
-all coordinates past the stored prefix are zero.  The product norm is
+where the vector lives in l1.  A vector is stored sparsely: the sorted
+indices of its coordinates that are not +0.0, their values, and a stored
+dense length; every other coordinate up to that length, and every
+coordinate past it, is +0.0.  The product norm is
 
     ||(s, v)|| = |s| + ||v||_1
 
 which makes R x l1 a Banach space and keeps every norm computation exact
 up to ordinary float rounding (sums of absolute values, no squares).
+
+Arithmetic visits the stored entries only, yet returns the floats that a
+loop over the zero-padded dense coordinates gives: an entry stored on one
+side is combined with +0.0 from the other, and the skipped positions, +0.0
+against +0.0, give +0.0 there too.  ``len()`` and :func:`point_to_json`
+keep the dense length, trailing zeros and signed zeros, so the wire form
+lists every coordinate.
 
 Trailing zeros in a stored vector are representational only: appending or
 trimming them never changes a norm, an arithmetic result, or membership in
@@ -18,8 +27,10 @@ an admissible set.  Equality between vectors is mathematical, so
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import compress, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import LengthMismatch, WeightSumViolation
 
@@ -27,68 +38,90 @@ from .errors import LengthMismatch, WeightSumViolation
 WEIGHT_TOL = 1e-12
 
 
-def _trim(coords: tuple[float, ...]) -> tuple[float, ...]:
-    n = len(coords)
-    while n > 0 and coords[n - 1] == 0.0:
-        n -= 1
-    return coords[:n]
-
-
 @dataclass(frozen=True, eq=False)
 class L1Vector:
-    """A finite-support vector in l1, stored as a coordinate prefix.
+    """A finite-support vector in l1, stored sparsely.
 
-    Coordinates are 1-based in the mathematical reading: ``coords[0]`` is
-    the first coordinate x_1.  Instances are immutable; every operation
-    returns a new vector.
+    ``indices`` are the sorted 0-based positions of the coordinates that
+    are not +0.0 and ``values`` their values; ``len()`` is the stored
+    dense length.  Coordinates are 1-based in the mathematical reading:
+    position 0 is the first coordinate x_1.  Instances are immutable;
+    every operation returns a new vector.
     """
 
-    coords: tuple[float, ...]
+    indices: tuple[int, ...]
+    values: tuple[float, ...]
+    length: int
 
     def __init__(self, coords: Iterable[float] = ()) -> None:
-        object.__setattr__(self, "coords", tuple(float(c) for c in coords))
+        values = [float(c) for c in coords]
+        _store(self, range(len(values)), values, len(values))
+
+    @classmethod
+    def from_sparse(
+        cls, indices: Sequence[int], values: Sequence[float], length: int
+    ) -> "L1Vector":
+        """Build from entries at sorted ``indices`` below ``length``;
+        entries equal to +0.0 are dropped."""
+        v = object.__new__(cls)
+        _store(v, indices, values, length)
+        return v
+
+    @property
+    def coords(self) -> tuple[float, ...]:
+        """The dense coordinates, zero-filled up to ``len()``."""
+        dense = [0.0] * self.length
+        for i, c in zip(self.indices, self.values):
+            dense[i] = c
+        return tuple(dense)
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return self.length
 
     def __getitem__(self, i: int) -> float:
         return self.coords[i]
 
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.coords)
+
     @property
     def first(self) -> float:
         """The first coordinate x_1, or 0.0 for an empty prefix."""
-        return self.coords[0] if self.coords else 0.0
+        return self.values[0] if self.indices and self.indices[0] == 0 else 0.0
 
     def trim(self) -> "L1Vector":
         """Drop trailing zero coordinates.  Mathematically a no-op."""
-        return L1Vector(_trim(self.coords))
+        n = len(self.values)
+        while n > 0 and self.values[n - 1] == 0.0:
+            n -= 1
+        return L1Vector.from_sparse(
+            self.indices[:n], self.values[:n], self.indices[n - 1] + 1 if n else 0
+        )
 
-    def padded(self, length: int) -> tuple[float, ...]:
-        """Coordinates zero-padded on the right to ``length``."""
-        if length <= len(self.coords):
-            return self.coords
-        return self.coords + (0.0,) * (length - len(self.coords))
+    def _nonzero(self) -> tuple[tuple[int, float], ...]:
+        return tuple((i, c) for i, c in zip(self.indices, self.values) if c != 0.0)
 
-    # Value equality ignores trailing zeros.
+    # Value equality ignores trailing zeros and the sign of zero.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, L1Vector):
             return NotImplemented
-        return _trim(self.coords) == _trim(other.coords)
+        return self._nonzero() == other._nonzero()
 
     def __hash__(self) -> int:
-        return hash(_trim(self.coords))
+        return hash(self._nonzero())
 
     def __add__(self, other: "L1Vector") -> "L1Vector":
-        n = max(len(self), len(other))
-        a, b = self.padded(n), other.padded(n)
-        return L1Vector(x + y for x, y in zip(a, b))
+        return _pointwise(operator.add, self, other)
 
     def __sub__(self, other: "L1Vector") -> "L1Vector":
-        n = max(len(self), len(other))
-        a, b = self.padded(n), other.padded(n)
-        return L1Vector(x - y for x, y in zip(a, b))
+        return _pointwise(operator.sub, self, other)
 
     def __mul__(self, t: float) -> "L1Vector":
+        if 0.0 < t < math.inf:
+            return L1Vector.from_sparse(
+                self.indices, [t * c for c in self.values], self.length
+            )
+        # t * (+0.0) is not +0.0 here, so every coordinate is computed.
         return L1Vector(t * c for c in self.coords)
 
     __rmul__ = __mul__
@@ -97,7 +130,48 @@ class L1Vector:
         return f"L1Vector({list(self.coords)!r})"
 
 
-ZERO_VECTOR = L1Vector(())
+def _store(
+    v: L1Vector, indices: Iterable[int], values: Sequence[float], length: int
+) -> None:
+    """Set the fields of a new vector, keeping the entries that are not
+    +0.0, the one value left implicit."""
+    if 0.0 in values:
+        keep = [c != 0.0 or math.copysign(1.0, c) < 0.0 for c in values]
+        indices, values = compress(indices, keep), compress(values, keep)
+    object.__setattr__(v, "indices", tuple(indices))
+    object.__setattr__(v, "values", tuple(values))
+    object.__setattr__(v, "length", length)
+
+
+def _pointwise(
+    op: Callable[[float, float], float], a: L1Vector, b: L1Vector
+) -> L1Vector:
+    """Coordinatewise ``op`` over the union of stored entries, merged by
+    index.  A coordinate stored on one side only meets +0.0 on the other,
+    exactly as in the zero-padded dense loop."""
+    ai, av, bi, bv = a.indices, a.values, b.indices, b.values
+    indices: list[int] = []
+    values: list[float] = []
+    i = j = 0
+    while i < len(ai) and j < len(bi):
+        if ai[i] == bi[j]:
+            indices.append(ai[i])
+            values.append(op(av[i], bv[j]))
+            i += 1
+            j += 1
+        elif ai[i] < bi[j]:
+            indices.append(ai[i])
+            values.append(op(av[i], 0.0))
+            i += 1
+        else:
+            indices.append(bi[j])
+            values.append(op(0.0, bv[j]))
+            j += 1
+    indices += ai[i:]
+    values += map(op, av[i:], repeat(0.0))
+    indices += bi[j:]
+    values += map(op, repeat(0.0), bv[j:])
+    return L1Vector.from_sparse(indices, values, max(a.length, b.length))
 
 
 @dataclass(frozen=True)
@@ -128,9 +202,6 @@ class ProductPoint:
         return f"ProductPoint({self.scalar!r}, {list(self.vec.coords)!r})"
 
 
-ORIGIN = ProductPoint(0.0, ())
-
-
 @dataclass(frozen=True)
 class AdmissibleSet:
     """A product set [a, b] x {v : ||v||_1 <= r}.
@@ -154,8 +225,11 @@ class AdmissibleSet:
 
 
 def l1_norm(v: L1Vector | Sequence[float]) -> float:
-    """The l1 norm, a plain sum of absolute values in input order."""
-    coords = v.coords if isinstance(v, L1Vector) else v
+    """The l1 norm, a plain sum of absolute values in input order.
+
+    Only stored entries are summed: skipped terms are abs(+0.0), which
+    leave the running total unchanged."""
+    coords = v.values if isinstance(v, L1Vector) else v
     total = 0.0
     for c in coords:
         total += abs(c)
@@ -192,15 +266,22 @@ def convex_combine(
         raise WeightSumViolation(
             f"weights sum to {total!r}, off by more than {WEIGHT_TOL}"
         )
+    # Each coordinate accumulates from +0.0 in point order, as in the dense
+    # loop.  A sum started at +0.0 never becomes -0.0, so the skipped terms
+    # w * (+0.0) cannot change it.  A left fold of ``acc + p.vec * w`` gives
+    # the same bits but is slower, since it builds two vectors per point.
     scalar = 0.0
-    length = max(len(p.vec) for p in points)
-    acc = [0.0] * length
+    acc: dict[int, float] = {}
+    get = acc.get
     for w, p in zip(weights, points):
         scalar += w * p.scalar
-        coords = p.vec.coords
-        for j in range(len(coords)):
-            acc[j] += w * coords[j]
-    return ProductPoint(scalar, L1Vector(acc))
+        for j, c in zip(p.vec.indices, p.vec.values):
+            acc[j] = get(j, 0.0) + w * c
+    indices = sorted(acc)
+    vec = L1Vector.from_sparse(
+        indices, [acc[j] for j in indices], max(len(p.vec) for p in points)
+    )
+    return ProductPoint(scalar, vec)
 
 
 def in_set(p: ProductPoint, k: AdmissibleSet) -> bool:

@@ -104,6 +104,16 @@ class TestClosedPower:
         v = L1Vector((0.3, -0.1, 0.05))
         assert power_t_alpha(0.6, 1, v) == apply_t_alpha(0.6, v)
 
+    @pytest.mark.parametrize("coords", [(), (0.25, 0.0, -0.5, 0.0, 0.125)])
+    def test_huge_power_stores_no_shift_zeros(self, coords):
+        """The k leading zeros of T_a^k are implicit: only sizes are checked."""
+        k = 10**6
+        alpha = 1.0 - 1e-7  # alpha**k is about 0.905, far from underflow
+        v = L1Vector(coords)
+        out = power_t_alpha(alpha, k, v)
+        assert len(out) == k + max(len(v), 1)
+        assert len(out.indices) <= sum(1 for c in coords if c != 0.0)
+
     @pytest.mark.parametrize("k", [0, -1, 2.0, "3"])
     def test_power_must_be_positive_integer(self, k):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from commonfix import scheme
 from commonfix.errors import (
     DomainViolation,
     InfeasibleSchedule,
@@ -16,12 +17,14 @@ from commonfix.mappings import (
     make_identity,
     make_s,
     make_s_f,
+    nth_power,
     power_t_alpha,
 )
 from commonfix.scheme import (
     IterationConfig,
     WeightSchedule,
     distance_to_fixset,
+    i_images,
     make_schedule,
     read_trace_csv,
     reference_point,
@@ -139,28 +142,28 @@ class TestMakeSchedule:
 class TestStep:
     def test_hand_computed_first_step(self):
         cfg = _pair_config()
-        x_next, y = step(cfg.x0, 1, cfg)
+        x_next, y = step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
         # identity partner and equal weights leave y = x exactly
         assert y.scalar == 0.0 and y.vec == L1Vector((1.0,))
         assert x_next.vec == L1Vector((0.5, 0.25))
 
     def test_second_step_uses_squared_power(self):
         cfg = _pair_config()
-        x2, _ = step(cfg.x0, 1, cfg)
-        x3, _ = step(x2, 2, cfg)
+        x2, _ = step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
+        x3, _ = step(x2, 2, cfg, i_images(x2, 2, cfg))
         expected_vec = 0.5 * x2.vec + 0.5 * power_t_alpha(0.5, 2, x2.vec)
         assert l1_norm(x3.vec - expected_vec) == 0.0
 
     def test_scalar_factor_preserved_exactly(self):
         cfg = _pair_config(x0=ProductPoint(0.7, (0.3,)))
-        x_next, y = step(cfg.x0, 1, cfg)
+        x_next, y = step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
         assert y.scalar == 0.7 and x_next.scalar == 0.7
 
     def test_escaping_iterate_raises_rather_than_clamps(self):
         # alpha = 0.9 breaks ball invariance at (1/4, 3/4)
         cfg = _pair_config(factor=0.9, x0=ProductPoint(0.0, (0.25, 0.75)))
         with pytest.raises(DomainViolation, match="step 1"):
-            step(cfg.x0, 1, cfg)
+            step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
 
 
 class TestStepWithErrors:
@@ -179,7 +182,7 @@ class TestStepWithErrors:
         bad = ProductPoint(2.0, ())
         cfg = self._cfg(bad, bad)
         with pytest.raises(DomainViolation, match="perturbation"):
-            step_with_errors(cfg.x0, 1, cfg, bad, bad)
+            step_with_errors(cfg.x0, 1, cfg, bad, bad, i_images(cfg.x0, 1, cfg))
 
     def test_error_terms_absorbed_when_equal_to_iterate(self):
         """With u_n = v_n = x_n and the error weight folded back into the
@@ -201,14 +204,16 @@ class TestStepWithErrors:
             error_sequences=(lambda n: x, lambda n: x),
         )
         cfg2 = _pair_config(x0=x)
-        perturbed, _ = step_with_errors(x, 2, cfg3, x, x)
-        plain, _ = step(x, 2, cfg2)
+        perturbed, _ = step_with_errors(x, 2, cfg3, x, x, i_images(x, 2, cfg3))
+        plain, _ = step(x, 2, cfg2, i_images(x, 2, cfg2))
         assert product_norm(perturbed - plain) <= 1e-14
 
     def test_pull_toward_perturbation_point(self):
         origin = ProductPoint(0.0, ())
         cfg = self._cfg(origin, origin)
-        x_next, _ = step_with_errors(cfg.x0, 1, cfg, origin, origin)
+        x_next, _ = step_with_errors(
+            cfg.x0, 1, cfg, origin, origin, i_images(cfg.x0, 1, cfg)
+        )
         # one third of the mass sits on the origin, so the norm must drop
         assert product_norm(x_next) < product_norm(cfg.x0)
 
@@ -301,6 +306,48 @@ class TestRun:
             product_norm(trace.final - trace.records[-1].x)
             == trace.records[-1].step_norm
         )
+
+    def _two_member_config(self, perturbed):
+        thirds = make_schedule(
+            "constant", 2, BOUNDS, includes_error_term=perturbed
+        )
+
+        def probe(n):
+            return ProductPoint(0.3, (0.1,))
+
+        return IterationConfig(
+            t_family=(make_s(0.5), make_s(0.3)),
+            i_family=(make_identity(), make_identity()),
+            alpha=thirds,
+            beta=thirds,
+            x0=ProductPoint(0.7, (0.5, 0.5)),
+            tol=1e-300,
+            max_steps=12,
+            error_sequences=(probe, probe) if perturbed else None,
+        )
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_each_power_is_evaluated_once_per_step(self, monkeypatch, perturbed):
+        """I_i^n(x_n) serves both y_n and the defects, T_i^n is taken at
+        y_n and at x_n: 3m power evaluations per step."""
+        calls = []
+
+        def counted(mapping, k, p):
+            calls.append(k)
+            return nth_power(mapping, k, p)
+
+        monkeypatch.setattr(scheme, "nth_power", counted)
+        trace = run(self._two_member_config(perturbed))
+        assert len(calls) == 6 * len(trace.records)
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_run_never_expands_the_dense_coordinates(self, monkeypatch, perturbed):
+        def dense(self):
+            raise AssertionError("dense expansion of an iteration state")
+
+        monkeypatch.setattr(L1Vector, "coords", property(dense))
+        trace = run(self._two_member_config(perturbed))
+        assert len(trace.records) == 12
 
     def test_identity_partner_has_zero_defects(self):
         trace = run(_pair_config(tol=1e-4))

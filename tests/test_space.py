@@ -1,12 +1,16 @@
 """Tests for the ambient space R x l1: norms, combinations, membership."""
 
+import json
 import math
+import struct
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from commonfix.errors import LengthMismatch, WeightSumViolation
+from commonfix.mappings import power_t_alpha
 from commonfix.space import (
     AdmissibleSet,
     L1Vector,
@@ -67,6 +71,12 @@ class TestVectorValueSemantics:
         b = L1Vector((0.5,))
         assert (a + b) == L1Vector((1.5, 2.0))
         assert (a - b) == L1Vector((0.5, 2.0))
+
+    def test_vectors_are_immutable(self):
+        v = L1Vector((1.0, 0.0, -2.0))
+        with pytest.raises(FrozenInstanceError):
+            v.values = (5.0,)
+        assert v.indices == (0, 2) and v.values == (1.0, -2.0) and len(v) == 3
 
     def test_operations_return_new_values(self):
         v = L1Vector((1.0,))
@@ -238,3 +248,122 @@ class TestJsonRoundTrip:
     def test_bad_shapes_rejected(self, bad):
         with pytest.raises(ValueError):
             point_from_json(bad)
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: the sparse vector must reproduce these loops bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _pad(a, n):
+    return tuple(a) + (0.0,) * (n - len(a))
+
+
+def _dense_add(a, b):
+    n = max(len(a), len(b))
+    return tuple(x + y for x, y in zip(_pad(a, n), _pad(b, n)))
+
+
+def _dense_sub(a, b):
+    n = max(len(a), len(b))
+    return tuple(x - y for x, y in zip(_pad(a, n), _pad(b, n)))
+
+
+def _dense_mul(a, t):
+    return tuple(t * c for c in a)
+
+
+def _dense_norm(a):
+    total = 0.0
+    for c in a:
+        total += abs(c)
+    return total
+
+
+def _dense_combine(weights, vecs):
+    acc = [0.0] * max(len(v) for v in vecs)
+    for w, v in zip(weights, vecs):
+        for j in range(len(v)):
+            acc[j] += w * v[j]
+    return tuple(acc)
+
+
+def _dense_power_t_alpha(alpha, k, a):
+    ak = alpha**k
+    head = ak * math.sqrt(abs(a[0] if a else 0.0))
+    return (0.0,) * k + (head,) + tuple(ak * c for c in a[1:])
+
+
+def _bits(coords):
+    return [struct.pack("d", c) for c in coords]
+
+
+def _assert_same(vec, dense):
+    assert len(vec) == len(dense)
+    assert _bits(vec.coords) == _bits(dense)
+
+
+# Leading, interior and trailing zeros of both signs, tiny values whose
+# products underflow, and ordinary coordinates.
+_oracle_coord = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+_dense = st.lists(_oracle_coord, max_size=10).map(tuple)
+_dense_ball = st.lists(
+    st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.12, 0.12)), max_size=8
+).map(tuple)
+
+
+class TestDenseOracle:
+    @given(_dense, _dense)
+    def test_add_and_sub(self, a, b):
+        _assert_same(L1Vector(a) + L1Vector(b), _dense_add(a, b))
+        _assert_same(L1Vector(a) - L1Vector(b), _dense_sub(a, b))
+
+    @given(
+        _dense,
+        st.one_of(
+            st.just(0.0), st.just(-0.0), st.floats(allow_nan=False), st.floats(-3.0, 3.0)
+        ),
+    )
+    def test_scalar_multiple(self, a, t):
+        _assert_same(L1Vector(a) * t, _dense_mul(a, t))
+        _assert_same(t * L1Vector(a), _dense_mul(a, t))
+
+    @given(_dense)
+    def test_norm(self, a):
+        assert _bits([l1_norm(L1Vector(a))]) == _bits([_dense_norm(a)])
+
+    @given(
+        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=4),
+        st.data(),
+    )
+    def test_convex_combine(self, raw, data):
+        total = math.fsum(raw)
+        weights = [w / total for w in raw]
+        vecs = [data.draw(_dense) for _ in weights]
+        pts = [ProductPoint(data.draw(scalars), v) for v in vecs]
+        _assert_same(convex_combine(weights, pts).vec, _dense_combine(weights, vecs))
+
+    @given(_dense_ball, st.floats(0.01, 0.99), st.integers(1, 40))
+    def test_power_t_alpha(self, a, alpha, k):
+        _assert_same(
+            power_t_alpha(alpha, k, L1Vector(a)), _dense_power_t_alpha(alpha, k, a)
+        )
+
+    @given(scalars, _dense)
+    def test_wire_form(self, s, a):
+        blob = point_to_json(ProductPoint(s, a))
+        assert _bits(blob["vec"]) == _bits(a)
+        assert json.dumps(blob) == json.dumps({"scalar": s, "vec": list(a)})
+
+    @given(_dense, _dense)
+    def test_equality_and_hash_ignore_trailing_and_signed_zeros(self, a, b):
+        n = max(len(a), len(b))
+        equal = _pad(a, n) == _pad(b, n)
+        assert (L1Vector(a) == L1Vector(b)) == equal
+        if equal:
+            assert hash(L1Vector(a)) == hash(L1Vector(b))
