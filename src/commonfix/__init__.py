@@ -36,6 +36,7 @@ from .mappings import (
     apply_s_f,
     apply_t_alpha,
     estimate_intermediate_defect,
+    estimate_intermediate_defects,
     make_identity,
     make_s,
     make_s_f,
@@ -121,6 +122,7 @@ __all__ = [
     "convex_combine",
     "distance_to_fixset",
     "estimate_intermediate_defect",
+    "estimate_intermediate_defects",
     "family_collapse_diagnostic",
     "i_images",
     "in_set",

@@ -47,7 +47,7 @@ from .errors import CommonFixError, ParseError, ValidationError
 from .mappings import (
     FixedSetDescriptor,
     Mapping,
-    estimate_intermediate_defect,
+    estimate_intermediate_defects,
     make_identity,
     mapping_from_json,
     oscillator_defect_envelope,
@@ -150,6 +150,11 @@ class ExperimentConfig:
 
 def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
+
+
+def _is_int(value) -> bool:
+    """JSON integers only: ``true`` and ``false`` parse to bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _build_families(
@@ -427,13 +432,13 @@ def _build_defects(raw: dict, violations: list[str]) -> DefectSpec | None:
     powers_raw = raw.get("powers", [1, 5, 10, 20])
     if isinstance(powers_raw, dict):
         lo, hi = powers_raw.get("min"), powers_raw.get("max")
-        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
+        if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
             violations.append(f"'powers' range needs integers 1 <= min <= max, got {powers_raw!r}")
             powers = ()
         else:
             powers = tuple(range(lo, hi + 1))
     elif isinstance(powers_raw, list) and powers_raw:
-        if all(isinstance(p, int) and p >= 1 for p in powers_raw):
+        if all(_is_int(p) and p >= 1 for p in powers_raw):
             powers = tuple(powers_raw)
         else:
             violations.append(f"'powers' must be positive integers, got {powers_raw!r}")
@@ -734,12 +739,12 @@ def _counterexample_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
 def _defect_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
     spec = cfg.defects
     interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
+    estimates = estimate_intermediate_defects(
+        lambda x: apply_f_kappa(spec.kappa, x), interval, spec.powers, spec.grid_size
+    )
     rows = []
     ok = True
-    for n in spec.powers:
-        est = estimate_intermediate_defect(
-            lambda x: apply_f_kappa(spec.kappa, x), interval, n, spec.grid_size
-        )
+    for n, est in zip(spec.powers, estimates):
         env = oscillator_defect_envelope(spec.kappa, n)
         within = est <= env + ENVELOPE_TOL
         ok = ok and within

@@ -124,15 +124,13 @@ class Mapping:
     ``apply`` evaluates one application.  ``closed_power``, when present,
     evaluates the k-th power directly and is preferred by ``nth_power``;
     for the operators in this module it is exact up to rounding and avoids
-    compounding per-step error.  ``i_partner`` optionally names the
-    comparison map of the profile inequality; ``None`` means the identity.
+    compounding per-step error.
     """
 
     apply: Callable[[ProductPoint], ProductPoint]
     domain: AdmissibleSet
     profile: TotalAsymptoticProfile
     closed_power: Callable[[int, ProductPoint], ProductPoint] | None = None
-    i_partner: "Mapping | None" = None
     fixed_set: FixedSetDescriptor | None = None
     name: str = ""
 
@@ -299,23 +297,60 @@ def estimate_intermediate_defect(
 
         sigma_n = max(0, sup_{x,y} (|f^n(x) - f^n(y)| - |x - y|)).
 
-    This routine evaluates the supremum over all pairs of a uniform grid of
-    ``grid_size`` points, which bounds the true sigma_n from below.  It is
-    an estimate, not a certificate: a finer grid can only raise it.
+    The supremum is taken over all pairs of a uniform grid of ``grid_size``
+    points, which bounds the true sigma_n from below.  It is an estimate,
+    not a certificate: a finer grid can only raise it.
+
+    No pair is formed.  The grid is sorted, so for i < j with u = f^n(x)
+
+        |u_i - u_j| - |x_i - x_j| = max(P_i - P_j, Q_j - Q_i),
+
+    where P = u + x and Q = u - x.  The supremum over pairs is then a
+    running maximum of P and a running minimum of Q, O(grid_size) in time
+    and memory; see :func:`estimate_intermediate_defects`.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"power must be a positive integer, got {n!r}")
+    return estimate_intermediate_defects(f, interval, [n], grid_size)[0]
+
+
+def estimate_intermediate_defects(
+    f: Callable[[float], float],
+    interval: tuple[float, float],
+    powers: Sequence[int],
+    grid_size: int,
+) -> list[float]:
+    """Grid lower estimates of the defects of several powers of f.
+
+    Returns one :func:`estimate_intermediate_defect` value per entry of
+    ``powers``, in the given order, duplicates included.  The grid orbit
+    is walked once, up to ``max(powers)``, with one call of ``f`` per
+    point per pass: ``grid_size * max(powers)`` evaluations in all.
+    """
+    powers = list(powers)
+    for n in powers:
+        if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"power must be a positive integer, got {n!r}")
     if not (isinstance(grid_size, int) and grid_size >= 2):
         raise ValueError(f"grid size must be at least 2, got {grid_size!r}")
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"degenerate interval [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_size)
-    fn = np.array([float(v) for v in xs])
-    for _ in range(n):
-        fn = np.array([f(float(v)) for v in fn])
-    gap = np.abs(fn[:, None] - fn[None, :]) - np.abs(xs[:, None] - xs[None, :])
-    return max(0.0, float(gap.max()))
+    found: dict[int, float] = {}
+    orbit = xs.tolist()
+    for k in range(1, max(powers, default=0) + 1):
+        orbit = [float(f(v)) for v in orbit]
+        if k in powers:
+            found[k] = _sorted_grid_defect(xs, np.array(orbit))
+    return [found[n] for n in powers]
+
+
+def _sorted_grid_defect(xs: np.ndarray, u: np.ndarray) -> float:
+    """max(0, max_{i<j} (|u_i - u_j| - (x_j - x_i))) for nondecreasing xs."""
+    p = u + xs
+    q = u - xs
+    down = np.maximum.accumulate(p)[:-1] - p[1:]
+    up = q[1:] - np.minimum.accumulate(q)[:-1]
+    return max(0.0, float(down.max()), float(up.max()))
 
 
 @functools.lru_cache(maxsize=None)

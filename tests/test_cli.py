@@ -158,6 +158,24 @@ class TestMainExitCodes:
         assert code == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "powers", [[True, 2], {"min": True, "max": 2}, {"min": 1, "max": True}]
+    )
+    def test_boolean_defect_powers_exit_2(self, tmp_path, capsys, powers):
+        payload = {
+            "name": "def",
+            "mode": "defect_profile",
+            "kappa": 0.5,
+            "powers": powers,
+            "grid_size": 11,
+            "output_dir": str(tmp_path / "out"),
+        }
+        code = cli.main([write_config(tmp_path, payload)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config validation failed" in err and "'powers'" in err
+        assert not (tmp_path / "out" / "def_defects.csv").exists()
+
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
         payload = run_config(tmp_path)
         # valid config whose iterate escapes the ball: alpha = 0.9 breaks

@@ -17,6 +17,7 @@ from commonfix.mappings import (
     apply_s,
     apply_t_alpha,
     estimate_intermediate_defect,
+    estimate_intermediate_defects,
     identity_profile,
     iterate_difference_formula,
     make_identity,
@@ -306,6 +307,125 @@ class TestDefectEstimator:
             DEFECT_GRID_SIZE,
         )
         assert a == direct
+
+
+def _pair_matrix_defect(f, interval, n, grid_size):
+    """The O(G^2) reference: re-iterate the grid n times, scan every pair."""
+    xs = np.linspace(*interval, grid_size)
+    fn = np.array([float(v) for v in xs])
+    for _ in range(n):
+        fn = np.array([f(float(v)) for v in fn])
+    gap = np.abs(fn[:, None] - fn[None, :]) - np.abs(xs[:, None] - xs[None, :])
+    return max(0.0, float(gap.max())), fn, xs
+
+
+def _clipped(poly, lo, hi):
+    return lambda x: min(hi, max(lo, poly(x)))
+
+
+_scalar_maps = st.one_of(
+    st.builds(
+        lambda a, b: (lambda x: a * x + b),
+        st.floats(-2.0, 2.0),
+        st.floats(-1.0, 1.0),
+    ),
+    st.builds(
+        lambda c0, c1, c2, c3: _clipped(
+            lambda x: c0 + x * (c1 + x * (c2 + x * c3)), -3.0, 3.0
+        ),
+        st.floats(-1.0, 1.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+    ),
+    st.builds(
+        lambda kappa: (lambda x: apply_f_kappa(kappa, x)),
+        st.floats(0.05, 0.95),
+    ),
+)
+
+
+class TestDefectPrefixScan:
+    """The O(G) prefix scan against the O(G^2) pair matrix it replaced."""
+
+    @given(
+        f=_scalar_maps,
+        lo=st.floats(-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH - 1e-3),
+        width=st.floats(1e-3, 2.0 * OSCILLATOR_HALF_WIDTH),
+        powers=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        grid_size=st.integers(2, 64),
+    )
+    def test_matches_pair_matrix(self, f, lo, width, powers, grid_size):
+        # inside [-1/pi, 1/pi], so the oscillator never leaves its domain
+        hi = min(lo + width, OSCILLATOR_HALF_WIDTH)
+        got = estimate_intermediate_defects(f, (lo, hi), powers, grid_size)
+        assert len(got) == len(powers)
+        for n, est in zip(powers, got):
+            ref, fn, xs = _pair_matrix_defect(f, (lo, hi), n, grid_size)
+            scale = float(np.abs(fn).max() + np.abs(xs).max())
+            assert abs(est - ref) <= 8 * np.finfo(float).eps * scale
+
+    def test_powers_in_given_order_with_duplicates(self):
+        f = lambda x: apply_f_kappa(0.5, x)
+        interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
+        many = estimate_intermediate_defects(f, interval, [5, 1, 5], 301)
+        single = [estimate_intermediate_defect(f, interval, n, 301) for n in (5, 1, 5)]
+        assert [v.hex() for v in many] == [v.hex() for v in single]
+        assert many[0] != many[1]
+
+    def test_evaluates_grid_times_max_power(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0.5 * x
+
+        estimate_intermediate_defects(f, (0.0, 1.0), [2, 7, 3], 11)
+        assert len(calls) == 11 * 7
+        assert estimate_intermediate_defects(f, (0.0, 1.0), [], 11) == []
+
+    @pytest.mark.parametrize("powers", [[True], [2, False], [0], [1.0]])
+    def test_rejects_non_integer_powers(self, powers):
+        with pytest.raises(ValueError):
+            estimate_intermediate_defects(lambda x: x, (0.0, 1.0), powers, 11)
+
+    def test_single_power_rejects_bool(self):
+        with pytest.raises(ValueError):
+            estimate_intermediate_defect(lambda x: x, (0.0, 1.0), True, 11)
+
+    def test_defect_grid_table_frozen(self):
+        # kappa = 0.5, G = 3001, n = 1..20, as the O(G^2) pair scan gave them
+        reference = (
+            0.09213056519777091,
+            0.06977634102257982,
+            0.03820560528941487,
+            0.016799160745432598,
+            0.006197733212614204,
+            0.0023714716556128275,
+            0.0006652709472340885,
+            0.0001638621238991781,
+        ) + (0.0,) * 12
+        got = estimate_intermediate_defects(
+            lambda x: apply_f_kappa(0.5, x),
+            (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH),
+            range(1, 21),
+            3001,
+        )
+        assert len(got) == 20
+        for est, ref in zip(got, reference):
+            assert abs(est - ref) <= 1e-9 * abs(ref) + 1e-14
+
+    def test_grid_beyond_pair_matrix_reach(self):
+        # a pair matrix at G = 100,001 would take 80 GB
+        got = estimate_intermediate_defects(
+            lambda x: apply_f_kappa(0.5, x),
+            (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH),
+            [1, 2, 3],
+            100_001,
+        )
+        assert len(got) == 3
+        for n, est in zip((1, 2, 3), got):
+            assert 0.0 < est <= oscillator_defect_envelope(0.5, n)
 
 
 class TestProfiles:
