@@ -40,7 +40,6 @@ from .mappings import (
     make_identity,
     make_s,
     make_s_f,
-    make_t_alpha,
     mapping_from_json,
     nth_power,
     power_t_alpha,
@@ -55,7 +54,6 @@ from .scheme import (
     make_schedule,
     run,
     step,
-    step_with_errors,
     write_trace_csv,
 )
 from .space import (
@@ -132,7 +130,6 @@ __all__ = [
     "make_s",
     "make_s_f",
     "make_schedule",
-    "make_t_alpha",
     "mapping_from_json",
     "nth_power",
     "point_from_json",
@@ -141,7 +138,6 @@ __all__ = [
     "product_norm",
     "run",
     "step",
-    "step_with_errors",
     "witness_non_asymptotic",
     "write_trace_csv",
 ]

@@ -40,43 +40,60 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import CommonFixError, ParseError, ValidationError
 from .mappings import (
+    OSCILLATOR_HALF_WIDTH,
     FixedSetDescriptor,
     Mapping,
+    apply_f_kappa,
+    check_factor,
+    check_grid_size,
+    check_power,
     estimate_intermediate_defects,
     make_identity,
     mapping_from_json,
     oscillator_defect_envelope,
-    apply_f_kappa,
-    OSCILLATOR_HALF_WIDTH,
 )
 from .sampling import sample_pair
 from .scheme import (
     IterationConfig,
+    check_in_domain,
+    check_max_steps,
+    check_tol,
+    common_domain,
     distance_to_fixset,
     make_schedule,
     run,
+    write_csv,
     write_states_jsonl,
     write_trace_csv,
 )
 from .space import (
     ProductPoint,
-    in_set,
+    check_int,
+    check_positive,
+    json_flag,
+    json_int,
+    json_number,
+    json_numbers,
     l1_norm,
     point_from_json,
     point_to_json,
     product_norm,
 )
 from .verifier import (
+    antipodal_norm,
     antipodal_pair_counterexample,
+    check_horizon,
     check_iterate_difference_identity,
     check_root_gap_chain,
     check_total_inequality,
     witness_non_asymptotic,
+    witness_start,
 )
 
 MODES = (
@@ -88,8 +105,6 @@ MODES = (
     "defect_profile",
 )
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_STEPS = 10000
 DEFAULT_BOUNDS = (0.05, 0.95)
 DEFAULT_SAMPLES = 500
 DEFAULT_POWERS = (1, 25)
@@ -101,7 +116,8 @@ COUNTEREXAMPLE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class CertifySpec:
-    specs: tuple[dict, ...]
+    # each mapping with its factor alpha when it is s or t_alpha, else None
+    maps: tuple[tuple[Mapping, float | None], ...]
     samples: int
     power_min: int
     power_max: int
@@ -146,312 +162,219 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
+# Parsing checks the JSON type of each value with the space.json_* helpers
+# and leaves every range check to the library function that owns it.
+
+# What a check raises for a bad value; OverflowError is from huge float powers.
+_CONFIG_ERRORS = (CommonFixError, ValueError, TypeError, OverflowError)
+
+
+class _Violations(list):
+    """The violations found so far, each prefixed with its field path."""
+
+    def read(self, path: str, check: Callable, *args):
+        """``check(*args)``, or None once its error is recorded under ``path``."""
+        try:
+            return check(*args)
+        except _CONFIG_ERRORS as exc:
+            self.append(f"'{path}': {exc}")
+            return None
 
 
 def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _is_int(value) -> bool:
-    """JSON integers only: ``true`` and ``false`` parse to bool, an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _power_range(lo, hi) -> tuple[int, int]:
+    lo = check_power(lo)
+    return lo, check_int(hi, lo, "max power")
 
 
-def _build_families(
-    raw: dict, violations: list[str]
-) -> tuple[tuple[Mapping, ...], tuple[Mapping, ...]]:
+def _iteration(
+    raw: dict, with_errors: bool, violations: _Violations
+) -> IterationConfig | None:
     t_specs = raw.get("t_family")
     if not isinstance(t_specs, list) or not t_specs:
-        violations.append("'t_family' must be a non-empty list of mapping specs")
-        return (), ()
-    t_family: list[Mapping] = []
-    for idx, spec in enumerate(t_specs):
-        try:
-            t_family.append(mapping_from_json(spec))
-        except (ValueError, TypeError) as exc:
-            violations.append(f"t_family[{idx}]: {exc}")
-    if len(t_family) != len(t_specs):
-        return (), ()
-    domain = t_family[0].domain
-    for idx, mp in enumerate(t_family[1:], start=1):
-        if mp.domain != domain:
-            violations.append(
-                f"t_family[{idx}] domain differs from t_family[0]"
-            )
+        violations.append(f"'t_family': expected a non-empty list, got {t_specs!r}")
+        return None
+    m = len(t_specs)
+    t_family = [
+        violations.read(f"t_family[{i}]", mapping_from_json, spec)
+        for i, spec in enumerate(t_specs)
+    ]
+    domain = None
+    if None not in t_family:
+        domain = violations.read("t_family", common_domain, t_family)
     i_specs = raw.get("i_family")
     if i_specs is None:
-        i_specs = [{"kind": "identity"}] * len(t_specs)
-    if not isinstance(i_specs, list) or len(i_specs) != len(t_specs):
-        violations.append(
-            "'i_family' must be a list of the same length as 't_family'"
-        )
-        return tuple(t_family), ()
-    i_family: list[Mapping] = []
-    for idx, spec in enumerate(i_specs):
-        try:
-            if isinstance(spec, dict) and spec.get("kind") == "identity":
-                # identity partners inherit the common domain
-                i_family.append(make_identity(domain))
-            else:
-                mp = mapping_from_json(spec)
-                if mp.domain != domain:
-                    violations.append(
-                        f"i_family[{idx}] domain differs from the family domain"
-                    )
-                i_family.append(mp)
-        except (ValueError, TypeError) as exc:
-            violations.append(f"i_family[{idx}]: {exc}")
-    return tuple(t_family), tuple(i_family)
-
-
-def _build_schedule(
-    raw: dict | None,
-    label: str,
-    m: int,
-    with_errors: bool,
-    violations: list[str],
-):
-    raw = raw if raw is not None else {}
-    if not isinstance(raw, dict):
-        violations.append(f"'{label}' must be an object")
+        i_specs = [{"kind": "identity"}] * m
+    if not isinstance(i_specs, list) or len(i_specs) != m:
+        violations.append(f"'i_family': expected a list of {m} mappings, got {i_specs!r}")
+        i_specs = []
+    i_family = [
+        # identity partners take the domain of the family
+        make_identity(domain)
+        if isinstance(spec, dict) and spec.get("kind") == "identity"
+        else violations.read(f"i_family[{i}]", mapping_from_json, spec)
+        for i, spec in enumerate(i_specs)
+    ]
+    if domain is not None and None not in i_family:
+        violations.read("i_family", common_domain, t_family + i_family)
+    alpha = _schedule(raw, "alpha_schedule", m, with_errors, violations)
+    beta = _schedule(raw, "beta_schedule", m, with_errors, violations)
+    tol = raw.get("tol", IterationConfig.tol)
+    tol = violations.read("tol", lambda v: check_tol(json_number(v)), tol)
+    max_steps = raw.get("max_steps", IterationConfig.max_steps)
+    max_steps = violations.read("max_steps", check_max_steps, max_steps)
+    fixed_set = raw.get("fixed_set")
+    if fixed_set is not None:
+        fixed_set = violations.read("fixed_set", _fixed_set, fixed_set)
+    elif None not in t_family:
+        # the fixed set every member describes alike, if there is one
+        described = {mp.fixed_set for mp in t_family}
+        fixed_set = described.pop() if len(described) == 1 else None
+    keys = ("x0", "error_u", "error_v") if with_errors else ("x0",)
+    points = [violations.read(key, point_from_json, raw.get(key)) for key in keys]
+    for key, p in zip(keys, points):
+        if domain is not None and p is not None:
+            violations.read(key, check_in_domain, p, domain, "point")
+    if violations:
         return None
-    kind = raw.get("kind", "constant")
-    bounds = raw.get("bounds", list(DEFAULT_BOUNDS))
-    if (
-        not isinstance(bounds, list)
-        or len(bounds) != 2
-        or not all(isinstance(b, (int, float)) for b in bounds)
-    ):
-        violations.append(f"'{label}.bounds' must be a pair of numbers")
-        return None
-    try:
-        return make_schedule(
-            kind,
-            m,
-            (float(bounds[0]), float(bounds[1])),
-            weights=raw.get("weights"),
-            includes_error_term=with_errors,
-        )
-    except CommonFixError as exc:
-        violations.append(f"'{label}': {exc}")
-        return None
-
-
-def _build_fixed_set(
-    raw, t_family: tuple[Mapping, ...], violations: list[str]
-) -> FixedSetDescriptor | None:
-    if raw is None:
-        descriptors = [mp.fixed_set for mp in t_family]
-        if descriptors and all(d is not None for d in descriptors):
-            first = descriptors[0]
-            if all(d == first for d in descriptors):
-                return first
-        return None
-    if not isinstance(raw, dict) or "kind" not in raw:
-        violations.append("'fixed_set' must be an object with a 'kind'")
-        return None
-    try:
-        if raw["kind"] == "scalar_line":
-            interval = raw.get("interval")
-            return FixedSetDescriptor(
-                "scalar_line", interval=(float(interval[0]), float(interval[1]))
-            )
-        if raw["kind"] == "single_point":
-            return FixedSetDescriptor(
-                "single_point", point=point_from_json(raw.get("point"))
-            )
-        violations.append(f"unknown fixed_set kind {raw['kind']!r}")
-    except (ValueError, TypeError, IndexError) as exc:
-        violations.append(f"'fixed_set': {exc}")
-    return None
-
-
-def _build_iteration(
-    raw: dict, with_errors: bool, violations: list[str]
-) -> IterationConfig | None:
-    t_family, i_family = _build_families(raw, violations)
-    if not t_family or not i_family:
-        return None
-    m = len(t_family)
-    alpha = _build_schedule(
-        raw.get("alpha_schedule"), "alpha_schedule", m, with_errors, violations
-    )
-    beta = _build_schedule(
-        raw.get("beta_schedule"), "beta_schedule", m, with_errors, violations
-    )
-    try:
-        x0 = point_from_json(raw.get("x0"))
-    except (ValueError, TypeError) as exc:
-        violations.append(f"'x0': {exc}")
-        x0 = None
-    tol = raw.get("tol", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or not tol > 0.0:
-        violations.append(f"'tol' must be a positive number, got {tol!r}")
-    max_steps = raw.get("max_steps", DEFAULT_MAX_STEPS)
-    if not isinstance(max_steps, int) or max_steps < 1:
-        violations.append(f"'max_steps' must be a positive integer, got {max_steps!r}")
-    fixed_set = _build_fixed_set(raw.get("fixed_set"), t_family, violations)
-    domain = t_family[0].domain
-    if x0 is not None and not in_set(x0, domain):
-        violations.append("'x0' lies outside the common admissible set")
-
-    error_sequences = None
-    if with_errors:
-        points = []
-        for key in ("error_u", "error_v"):
-            try:
-                pt = point_from_json(raw.get(key))
-                if not in_set(pt, domain):
-                    violations.append(f"'{key}' lies outside the common admissible set")
-                points.append(pt)
-            except (ValueError, TypeError) as exc:
-                violations.append(f"'{key}': {exc}")
-        if len(points) == 2:
-            u_pt, v_pt = points
-            error_sequences = (lambda n: u_pt, lambda n: v_pt)
-
-    if violations or alpha is None or beta is None or x0 is None:
-        return None
-    if with_errors and error_sequences is None:
-        return None
+    x0, *errors = points
     return IterationConfig(
-        t_family=t_family,
-        i_family=i_family,
+        t_family=tuple(t_family),
+        i_family=tuple(i_family),
         alpha=alpha,
         beta=beta,
         x0=x0,
         max_steps=max_steps,
-        tol=float(tol),
+        tol=tol,
         fixed_set=fixed_set,
-        error_sequences=error_sequences,
+        error_sequences=(
+            (lambda n: errors[0], lambda n: errors[1]) if with_errors else None
+        ),
     )
 
 
-def _build_certify(raw: dict, violations: list[str]) -> CertifySpec | None:
-    specs = raw.get("mappings", raw.get("mapping"))
-    if specs is None:
-        violations.append("certify mode needs 'mapping' or 'mappings'")
+def _schedule(raw: dict, key: str, m: int, with_errors: bool, violations: _Violations):
+    spec = raw.get(key)
+    if spec is None:
+        spec = {}
+    if not isinstance(spec, dict):
+        violations.append(f"'{key}': expected an object, got {spec!r}")
         return None
-    specs = _as_list(specs)
-    for idx, spec in enumerate(specs):
-        try:
-            mapping_from_json(spec)
-        except (ValueError, TypeError) as exc:
-            violations.append(f"mappings[{idx}]: {exc}")
+    count = len(violations)
+    bounds = spec.get("bounds", list(DEFAULT_BOUNDS))
+    bounds = violations.read(f"{key}.bounds", json_numbers, bounds)
+    weights = spec.get("weights")
+    if weights is not None:
+        weights = violations.read(f"{key}.weights", json_numbers, weights)
+    if len(violations) > count:
+        return None
+    return violations.read(
+        key,
+        lambda: make_schedule(
+            spec.get("kind", "constant"),
+            m,
+            bounds,
+            weights=weights,
+            includes_error_term=with_errors,
+        ),
+    )
+
+
+def _fixed_set(spec) -> FixedSetDescriptor:
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected an object with a 'kind', got {spec!r}")
+    interval, point = spec.get("interval"), spec.get("point")
+    return FixedSetDescriptor(
+        spec.get("kind"),
+        interval=None if interval is None else tuple(json_numbers(interval, "interval")),
+        point=None if point is None else point_from_json(point),
+    )
+
+
+def _certify(raw: dict, violations: _Violations) -> CertifySpec | None:
+    key = "mappings" if "mappings" in raw else "mapping"
+    specs = raw.get(key)
+    if specs is None or specs == []:
+        violations.append(f"'{key}': expected a mapping or a non-empty list of them")
+        specs = []
+    maps = []
+    for i, spec in enumerate(_as_list(specs)):
+        path = f"{key}[{i}]" if isinstance(specs, list) else key
+        mapping = violations.read(path, mapping_from_json, spec)
+        if mapping is not None:
+            # s and t_alpha also get the exact identities of T_a
+            shift = spec["alpha"] if spec["kind"] in ("s", "t_alpha") else None
+            maps.append((mapping, shift))
     samples = raw.get("samples", DEFAULT_SAMPLES)
-    if not isinstance(samples, int) or samples < 1:
-        violations.append(f"'samples' must be a positive integer, got {samples!r}")
+    samples = violations.read("samples", check_int, samples, 1, "samples")
     powers = raw.get("powers", list(DEFAULT_POWERS))
-    if (
-        not isinstance(powers, list)
-        or len(powers) != 2
-        or not all(isinstance(p, int) for p in powers)
-        or not 1 <= powers[0] <= powers[1]
-    ):
-        violations.append(f"'powers' must be [min, max] with 1 <= min <= max, got {powers!r}")
-        powers = list(DEFAULT_POWERS)
-    full = bool(raw.get("full_checks", False))
+    if isinstance(powers, list) and len(powers) == 2:
+        powers = violations.read("powers", _power_range, *powers)
+    else:
+        violations.append(f"'powers': expected [min, max], got {powers!r}")
+    full = violations.read("full_checks", json_flag, raw.get("full_checks", False))
     if violations:
         return None
-    return CertifySpec(tuple(specs), samples, powers[0], powers[1], full)
+    return CertifySpec(tuple(maps), samples, powers[0], powers[1], full)
 
 
-def _build_witness(raw: dict, violations: list[str]) -> WitnessSpec | None:
-    alphas = _as_list(raw.get("alpha", []))
-    ks = _as_list(raw.get("k", []))
-    if not alphas:
-        violations.append("witness mode needs 'alpha' (number or list)")
-    if not ks:
-        violations.append("witness mode needs 'k' (integer or list)")
-    for a in alphas:
-        if not isinstance(a, (int, float)) or not 0.0 < a < 1.0:
-            violations.append(f"witness alpha {a!r} must lie in (0, 1)")
-    for k in ks:
-        if not isinstance(k, int) or k < 1:
-            violations.append(f"witness power {k!r} must be a positive integer")
-    lam_k = raw.get("lambda_k")
-    if not isinstance(lam_k, (int, float)) or not lam_k > 0.0:
-        violations.append(f"'lambda_k' must be a positive number, got {lam_k!r}")
+def _witness(raw: dict, violations: _Violations) -> WitnessSpec | None:
+    count = len(violations)
+    fields = {}
+    for key, json_type in (("alpha", json_number), ("k", json_int)):
+        values = _as_list(raw.get(key))
+        if not values:
+            violations.append(f"'{key}': expected a value or a non-empty list")
+        fields[key] = [violations.read(key, json_type, v) for v in values]
+    lam_k = violations.read("lambda_k", json_number, raw.get("lambda_k"))
     x0 = raw.get("x0")
     if x0 is not None:
-        if not isinstance(x0, (int, float)) or not x0 > 0.0:
-            violations.append(f"witness 'x0' must be a positive number, got {x0!r}")
-        elif isinstance(lam_k, (int, float)) and lam_k > 0.0:
-            for a in alphas:
-                for k in ks:
-                    if not (isinstance(a, (int, float)) and 0.0 < a < 1.0):
-                        continue
-                    if not (isinstance(k, int) and k >= 1):
-                        continue
-                    bound = 4.0 * a ** (2 * k) / (9.0 * (1.0 + lam_k) ** 2)
-                    if not x0 < bound:
-                        violations.append(
-                            f"witness 'x0'={x0!r} not below the bound {bound!r}"
-                            f" for alpha={a!r}, k={k}"
-                        )
+        x0 = violations.read("x0", json_number, x0)
+    if len(violations) > count:
+        return None
+    for a in fields["alpha"]:
+        for k in fields["k"]:
+            violations.read(f"alpha={a!r}, k={k}", witness_start, a, k, lam_k, x0)
     if violations:
         return None
-    return WitnessSpec(
-        tuple(float(a) for a in alphas),
-        tuple(int(k) for k in ks),
-        float(lam_k),
-        None if x0 is None else float(x0),
-    )
+    return WitnessSpec(tuple(fields["alpha"]), tuple(fields["k"]), lam_k, x0)
 
 
-def _build_counterexample(raw: dict, violations: list[str]) -> CounterexampleSpec | None:
+def _counterexample(raw: dict, violations: _Violations) -> CounterexampleSpec | None:
     x = None
     if "x" in raw:
-        try:
-            x = point_from_json(raw["x"])
-        except (ValueError, TypeError) as exc:
-            violations.append(f"'x': {exc}")
+        x = violations.read("x", point_from_json, raw["x"])
+        if x is not None:
+            violations.read("x", antipodal_norm, x)
     elif "norm" in raw:
-        d = raw["norm"]
-        if not isinstance(d, (int, float)) or not d > 0.0:
-            violations.append(f"'norm' must be a positive number, got {d!r}")
-        else:
-            x = ProductPoint(float(d), ())
+        x = violations.read(
+            "norm", lambda v: ProductPoint(check_positive(json_number(v), "norm")), raw["norm"]
+        )
     else:
-        violations.append("counterexample mode needs 'x' (a point) or 'norm'")
-    if x is not None and not product_norm(x) > 0.0:
-        violations.append("counterexample point must have positive norm")
-        x = None
-    horizon = raw.get("horizon", DEFAULT_HORIZON)
-    if not isinstance(horizon, int) or horizon < 1:
-        violations.append(f"'horizon' must be a positive integer, got {horizon!r}")
-    if violations or x is None:
+        violations.append("'x': counterexample mode needs 'x' (a point) or 'norm'")
+    horizon = violations.read("horizon", check_horizon, raw.get("horizon", DEFAULT_HORIZON))
+    if violations:
         return None
     return CounterexampleSpec(x, horizon)
 
 
-def _build_defects(raw: dict, violations: list[str]) -> DefectSpec | None:
-    kappa = raw.get("kappa")
-    if not isinstance(kappa, (int, float)) or not 0.0 < kappa < 1.0:
-        violations.append(f"'kappa' must lie in (0, 1), got {kappa!r}")
-    powers_raw = raw.get("powers", [1, 5, 10, 20])
-    if isinstance(powers_raw, dict):
-        lo, hi = powers_raw.get("min"), powers_raw.get("max")
-        if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
-            violations.append(f"'powers' range needs integers 1 <= min <= max, got {powers_raw!r}")
-            powers = ()
-        else:
-            powers = tuple(range(lo, hi + 1))
-    elif isinstance(powers_raw, list) and powers_raw:
-        if all(_is_int(p) and p >= 1 for p in powers_raw):
-            powers = tuple(powers_raw)
-        else:
-            violations.append(f"'powers' must be positive integers, got {powers_raw!r}")
-            powers = ()
+def _defects(raw: dict, violations: _Violations) -> DefectSpec | None:
+    kappa = violations.read("kappa", lambda v: check_factor(json_number(v)), raw.get("kappa"))
+    powers = raw.get("powers", [1, 5, 10, 20])
+    if isinstance(powers, dict):
+        lo_hi = violations.read("powers", _power_range, powers.get("min"), powers.get("max"))
+        powers = () if lo_hi is None else tuple(range(lo_hi[0], lo_hi[1] + 1))
+    elif isinstance(powers, list) and powers:
+        powers = tuple(violations.read("powers", check_power, n) for n in powers)
     else:
-        violations.append(f"'powers' must be a non-empty list or a range object, got {powers_raw!r}")
-        powers = ()
-    grid = raw.get("grid_size", DEFAULT_GRID)
-    if not isinstance(grid, int) or grid < 2:
-        violations.append(f"'grid_size' must be an integer >= 2, got {grid!r}")
-    if violations or not powers:
+        violations.append(f"'powers': expected a non-empty list or {{min, max}}: {powers!r}")
+    grid = violations.read("grid_size", check_grid_size, raw.get("grid_size", DEFAULT_GRID))
+    if violations:
         return None
-    return DefectSpec(float(kappa), powers, grid)
+    return DefectSpec(kappa, powers, grid)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -473,35 +396,30 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValidationError([f"top level must be a JSON object, got {type(raw).__name__}"])
 
-    violations: list[str] = []
+    violations = _Violations()
     name = raw.get("name", path.stem)
-    if not isinstance(name, str) or not name:
-        violations.append(f"'name' must be a non-empty string, got {name!r}")
-        name = path.stem
+    output_dir = raw.get("output_dir", ".")
+    for key, value in (("name", name), ("output_dir", output_dir)):
+        if not isinstance(value, str) or not value:
+            violations.append(f"'{key}': expected a non-empty string, got {value!r}")
     mode = raw.get("mode")
     if mode not in MODES:
-        violations.append(f"'mode' must be one of {list(MODES)}, got {mode!r}")
+        violations.append(f"'mode': expected one of {list(MODES)}, got {mode!r}")
         raise ValidationError(violations)
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        violations.append(f"'seed' must be a nonnegative integer, got {seed!r}")
-        seed = 0
-    output_dir = raw.get("output_dir", ".")
-    if not isinstance(output_dir, str) or not output_dir:
-        violations.append(f"'output_dir' must be a non-empty string, got {output_dir!r}")
-        output_dir = "."
+    seed = violations.read("seed", check_int, raw.get("seed", 0), 0, "seed")
+    dump_states = violations.read("dump_states", json_flag, raw.get("dump_states", False))
 
     iteration = certify = witness = counterexample = defects = None
     if mode in ("run", "run_with_errors"):
-        iteration = _build_iteration(raw, mode == "run_with_errors", violations)
+        iteration = _iteration(raw, mode == "run_with_errors", violations)
     elif mode == "certify":
-        certify = _build_certify(raw, violations)
+        certify = _certify(raw, violations)
     elif mode == "witness":
-        witness = _build_witness(raw, violations)
+        witness = _witness(raw, violations)
     elif mode == "counterexample":
-        counterexample = _build_counterexample(raw, violations)
+        counterexample = _counterexample(raw, violations)
     elif mode == "defect_profile":
-        defects = _build_defects(raw, violations)
+        defects = _defects(raw, violations)
 
     if violations:
         raise ValidationError(violations)
@@ -510,7 +428,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         mode=mode,
         seed=seed,
         output_dir=output_dir,
-        dump_states=bool(raw.get("dump_states", False)),
+        dump_states=dump_states,
         iteration=iteration,
         certify=certify,
         witness=witness,
@@ -526,21 +444,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _log(quiet: bool, message: str) -> None:
@@ -584,9 +487,7 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool) -> i
     rng = np.random.default_rng(seed)
     all_rows: list[dict] = []
     samples_dump: list[dict] = []
-    for spec_json in spec.specs:
-        mapping = mapping_from_json(spec_json)
-        kind = spec_json.get("kind")
+    for mapping, shift in spec.maps:
         for sample_idx in range(spec.samples):
             x, y = sample_pair(rng, mapping.domain)
             if spec.full_checks:
@@ -602,10 +503,9 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool) -> i
                 batch = [
                     check_total_inequality(mapping, None, mapping.profile, x, y, n)
                 ]
-                if kind in ("s", "t_alpha"):
-                    alpha = float(spec_json["alpha"])
+                if shift is not None:
                     batch.append(
-                        check_iterate_difference_identity(alpha, n, x.vec, y.vec)
+                        check_iterate_difference_identity(shift, n, x.vec, y.vec)
                     )
                     batch.extend(check_root_gap_chain(x.vec, y.vec))
                 for check in batch:
@@ -688,7 +588,7 @@ def _witness_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
                     res.exceeds,
                 ]
             )
-    _write_csv(out / f"{cfg.name}_witness.csv", header, rows)
+    write_csv(out / f"{cfg.name}_witness.csv", header, rows)
     _write_json(
         out / f"{cfg.name}_summary.json",
         {
@@ -716,7 +616,7 @@ def _counterexample_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         rows_out.append(
             [row.n, row.combined_norm, expected, deviation, row.difference_norm]
         )
-    _write_csv(
+    write_csv(
         out / f"{cfg.name}_counterexample.csv",
         ["n", "combined_norm", "expected_combined", "deviation", "difference_norm"],
         rows_out,
@@ -749,7 +649,7 @@ def _defect_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         within = est <= env + ENVELOPE_TOL
         ok = ok and within
         rows.append([n, est, env, within])
-    _write_csv(
+    write_csv(
         out / f"{cfg.name}_defects.csv",
         ["n", "estimate", "envelope", "within_envelope"],
         rows,

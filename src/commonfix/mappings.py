@@ -36,6 +36,7 @@ stay at or below 4/5.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -48,7 +49,9 @@ from .space import (
     AdmissibleSet,
     L1Vector,
     ProductPoint,
+    check_int,
     in_set,
+    json_number,
     l1_norm,
 )
 
@@ -140,10 +143,21 @@ class Mapping:
 # ---------------------------------------------------------------------------
 
 
-def _check_factor(alpha: float) -> float:
+def check_factor(alpha: float) -> float:
+    """``alpha`` as a float if it lies in (0, 1); else ValueError."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"contraction factor must lie in (0, 1), got {alpha!r}")
     return float(alpha)
+
+
+def check_power(k: int) -> int:
+    """``k`` if it is a positive integer (never bool); else ValueError."""
+    return check_int(k, 1, "power")
+
+
+def check_grid_size(grid_size: int) -> int:
+    """``grid_size`` if it is an integer of at least 2; else ValueError."""
+    return check_int(grid_size, 2, "grid size")
 
 
 def apply_t_alpha(alpha: float, v: L1Vector) -> L1Vector:
@@ -164,9 +178,8 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
 
     :raises DomainViolation: ``||v||_1 > 1``.
     """
-    alpha = _check_factor(alpha)
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"power must be a positive integer, got {k!r}")
+    alpha = check_factor(alpha)
+    check_power(k)
     if l1_norm(v) > 1.0:
         raise DomainViolation(f"||v||_1 = {l1_norm(v)!r} exceeds the unit ball")
     ak = alpha**k
@@ -187,7 +200,7 @@ def iterate_difference_formula(
 
         a^k * (||x - y||_1 + |sqrt(|x_1|) - sqrt(|y_1|)| - |x_1 - y_1|).
     """
-    alpha = _check_factor(alpha)
+    alpha = check_factor(alpha)
     ak = alpha**k
     root_gap = abs(math.sqrt(abs(x.first)) - math.sqrt(abs(y.first)))
     return ak * (l1_norm(x - y) + root_gap - abs(x.first - y.first))
@@ -224,7 +237,7 @@ def apply_f_kappa(kappa: float, x: float) -> float:
 
     :raises DomainViolation: ``|x| > 1/pi``.
     """
-    kappa = _check_factor(kappa)
+    kappa = check_factor(kappa)
     if abs(x) > OSCILLATOR_HALF_WIDTH:
         raise DomainViolation(f"|{x!r}| exceeds 1/pi")
     if x == 0.0:
@@ -273,8 +286,7 @@ def nth_power(mapping: Mapping, k: int, p: ProductPoint) -> ProductPoint:
 
     :raises DomainViolation: ``p`` is outside the mapping's domain.
     """
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"power must be a positive integer, got {k!r}")
+    check_power(k)
     if not in_set(p, mapping.domain):
         raise DomainViolation(f"{p!r} outside the domain of {mapping.name or mapping!r}")
     if mapping.closed_power is not None:
@@ -325,12 +337,8 @@ def estimate_intermediate_defects(
     is walked once, up to ``max(powers)``, with one call of ``f`` per
     point per pass: ``grid_size * max(powers)`` evaluations in all.
     """
-    powers = list(powers)
-    for n in powers:
-        if isinstance(n, bool) or not (isinstance(n, int) and n >= 1):
-            raise ValueError(f"power must be a positive integer, got {n!r}")
-    if not (isinstance(grid_size, int) and grid_size >= 2):
-        raise ValueError(f"grid size must be at least 2, got {grid_size!r}")
+    powers = [check_power(n) for n in powers]
+    check_grid_size(grid_size)
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"degenerate interval [{lo}, {hi}]")
@@ -395,7 +403,7 @@ def _root_relaxation_phi(t: float) -> float:
 def shift_root_profile(alpha: float) -> TotalAsymptoticProfile:
     """Profile of T_a and its product embeddings: mu_n = a^n, lam_n = 0,
     phi(t) = t + sqrt(t)."""
-    alpha = _check_factor(alpha)
+    alpha = check_factor(alpha)
     return TotalAsymptoticProfile(
         mu=lambda n: alpha**n,
         lam=lambda n: 0.0,
@@ -418,8 +426,8 @@ def oscillator_product_profile(kappa: float, alpha: float) -> TotalAsymptoticPro
     """Profile of S_f: the vector factor contributes mu_n = a^n with
     phi(t) = t + sqrt(t); the scalar factor contributes the additive term
     lam_n set to the grid defect estimate of f_k^n."""
-    kappa = _check_factor(kappa)
-    alpha = _check_factor(alpha)
+    kappa = check_factor(kappa)
+    alpha = check_factor(alpha)
     return TotalAsymptoticProfile(
         mu=lambda n: alpha**n,
         lam=lambda n: oscillator_defect(kappa, n),
@@ -443,7 +451,7 @@ def make_s(alpha: float) -> Mapping:
 
     Its fixed points are exactly the scalar segment {(x, 0) : x in [0, 1]}.
     """
-    alpha = _check_factor(alpha)
+    alpha = check_factor(alpha)
     return Mapping(
         apply=lambda p: apply_s(alpha, p),
         domain=UNIT_DOMAIN,
@@ -454,24 +462,6 @@ def make_s(alpha: float) -> Mapping:
     )
 
 
-def make_t_alpha(alpha: float) -> Mapping:
-    """T_a acting on the vector factor of [0, 1] x B1, scalar untouched.
-
-    Iteration state in this package is always a product point, so the raw
-    vector operator enters the zoo through this embedding; it coincides
-    with :func:`make_s` except for its reported name.
-    """
-    alpha = _check_factor(alpha)
-    return Mapping(
-        apply=lambda p: apply_s(alpha, p),
-        domain=UNIT_DOMAIN,
-        profile=shift_root_profile(alpha),
-        closed_power=lambda k, p: power_s(alpha, k, p),
-        fixed_set=FixedSetDescriptor("scalar_line", interval=(0.0, 1.0)),
-        name=f"t_alpha({alpha})",
-    )
-
-
 def make_s_f(kappa: float, alpha: float) -> Mapping:
     """S_f(x, v) = (f_k(x), T_a(v)) on [-1/pi, 1/pi] x B1.
 
@@ -479,8 +469,8 @@ def make_s_f(kappa: float, alpha: float) -> Mapping:
     observed to approach it, and the fixed-set descriptor records it as
     the reference point.
     """
-    kappa = _check_factor(kappa)
-    alpha = _check_factor(alpha)
+    kappa = check_factor(kappa)
+    alpha = check_factor(alpha)
     return Mapping(
         apply=lambda p: apply_s_f(kappa, alpha, p),
         domain=OSCILLATOR_DOMAIN,
@@ -493,7 +483,10 @@ def make_s_f(kappa: float, alpha: float) -> Mapping:
 
 _KINDS: dict[str, Callable[..., Mapping]] = {
     "identity": lambda spec: make_identity(),
-    "t_alpha": lambda spec: make_t_alpha(_required(spec, "alpha")),
+    # T_a on the vector factor is S under another name.
+    "t_alpha": lambda spec: dataclasses.replace(
+        make_s(a := _required(spec, "alpha")), name=f"t_alpha({a})"
+    ),
     "s": lambda spec: make_s(_required(spec, "alpha")),
     "s_f": lambda spec: make_s_f(_required(spec, "kappa"), _required(spec, "alpha")),
 }
@@ -502,7 +495,7 @@ _KINDS: dict[str, Callable[..., Mapping]] = {
 def _required(spec: dict, key: str) -> float:
     if key not in spec:
         raise ValueError(f"mapping kind {spec.get('kind')!r} needs field {key!r}")
-    return float(spec[key])
+    return json_number(spec[key], key)
 
 
 def mapping_from_json(spec: dict) -> Mapping:
@@ -510,7 +503,8 @@ def mapping_from_json(spec: dict) -> Mapping:
 
     Kinds: ``identity``, ``t_alpha``, ``s``, ``s_f``.
 
-    :raises ValueError: unknown kind or missing parameter.
+    :raises ValueError: unknown kind, or a parameter that is missing, not a
+        finite JSON number, or out of range.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"mapping spec must be an object, got {spec!r}")

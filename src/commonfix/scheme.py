@@ -7,9 +7,8 @@ weight schedules alpha and beta, one step at index n computes
     x_{n+1} = alpha_0n * x_n + sum_i alpha_in * T_i^n(y_n)
 
 with the n-th step using the n-th powers of the maps.  Step indices start
-at n = 1, so the supplied start point is x_1.  A variant with one extra
-perturbation term per stage is provided for schedules carrying m + 2
-weights.
+at n = 1, so the supplied start point is x_1.  With schedules carrying
+m + 2 weights, each stage takes one extra perturbation point.
 
 Runs record a full trace: iterates, auxiliary points, step norms,
 displacement defects ||x_n - T_i^n x_n|| and ||x_n - I_i^n x_n||, and
@@ -23,6 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import (
@@ -36,6 +36,8 @@ from .space import (
     WEIGHT_TOL,
     AdmissibleSet,
     ProductPoint,
+    check_int,
+    check_positive,
     convex_combine,
     in_set,
     l1_norm,
@@ -102,12 +104,15 @@ def make_schedule(
     a callable is spot-checked at the first few steps and further
     validated at every use.
 
-    :raises InfeasibleSchedule: bad bounds, or a weight outside them.
+    :raises InfeasibleSchedule: bounds not a pair with 0 < lo < hi < 1, or
+        a weight outside them.
     :raises WeightSumViolation: custom weights break the simplex constraint.
     :raises LengthMismatch: custom weights list has the wrong slot count.
     """
     if not (isinstance(m, int) and m >= 1):
         raise InfeasibleSchedule(f"family size must be a positive integer, got {m!r}")
+    if len(bounds) != 2:
+        raise InfeasibleSchedule(f"bounds must be a pair (lo, hi), got {bounds!r}")
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0.0 < lo < hi < 1.0:
         raise InfeasibleSchedule(
@@ -206,18 +211,38 @@ class Trace:
     config: IterationConfig
 
 
-def _common_domain(cfg: IterationConfig) -> AdmissibleSet:
-    domains = [mp.domain for mp in cfg.t_family + cfg.i_family]
-    first = domains[0]
-    for d in domains[1:]:
-        if d != first:
+def check_tol(tol: float) -> float:
+    """:raises ValueError: the stopping tolerance is not positive."""
+    return check_positive(tol, "tolerance")
+
+
+def check_max_steps(max_steps: int) -> int:
+    """:raises ValueError: the step budget is not a positive integer."""
+    return check_int(max_steps, 1, "max_steps")
+
+
+def common_domain(family: Sequence[Mapping]) -> AdmissibleSet:
+    """The admissible set shared by every mapping of ``family``.
+
+    :raises DomainViolation: two members have different domains.
+    """
+    first = family[0].domain
+    for mp in family[1:]:
+        if mp.domain != first:
             raise DomainViolation(
-                f"family domains disagree: {first!r} vs {d!r}"
+                f"family domains disagree: {first!r} vs {mp.domain!r}"
             )
     return first
 
 
-def _validate_config(cfg: IterationConfig) -> AdmissibleSet:
+def check_in_domain(p: ProductPoint, domain: AdmissibleSet, what: str) -> None:
+    """:raises DomainViolation: ``p``, described by ``what``, lies outside
+    ``domain``.  Nothing is clamped."""
+    if not in_set(p, domain):
+        raise DomainViolation(f"{what} lies outside the common domain")
+
+
+def _validate_config(cfg: IterationConfig) -> None:
     m = len(cfg.t_family)
     if m == 0 or len(cfg.i_family) != m:
         raise LengthMismatch(
@@ -236,14 +261,10 @@ def _validate_config(cfg: IterationConfig) -> AdmissibleSet:
         cfg.alpha.includes_error_term and cfg.beta.includes_error_term
     ):
         raise LengthMismatch("both schedules need the error slot, not just one")
-    if not cfg.tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {cfg.tol!r}")
-    if not (isinstance(cfg.max_steps, int) and cfg.max_steps >= 1):
-        raise ValueError(f"max_steps must be a positive integer, got {cfg.max_steps!r}")
-    domain = _common_domain(cfg)
-    if not in_set(cfg.x0, domain):
-        raise DomainViolation(f"start point {cfg.x0!r} outside the common domain")
-    return domain
+    check_tol(cfg.tol)
+    check_max_steps(cfg.max_steps)
+    domain = common_domain(cfg.t_family + cfg.i_family)
+    check_in_domain(cfg.x0, domain, "start point")
 
 
 def i_images(x: ProductPoint, n: int, cfg: IterationConfig) -> list[ProductPoint]:
@@ -256,54 +277,29 @@ def step(
     n: int,
     cfg: IterationConfig,
     images: Sequence[ProductPoint],
+    errors: tuple[ProductPoint, ProductPoint] | None = None,
 ) -> tuple[ProductPoint, ProductPoint]:
     """One iteration step at index n >= 1.  Returns (x_{n+1}, y_n).
 
     ``images`` are the points I_i^n(x_n), as :func:`i_images` gives them.
-    Intermediates are never clamped: if y_n or x_{n+1} leaves the common
-    admissible set, the configuration is broken and ``DomainViolation``
-    is raised.
+    ``errors``, when given, is the pair (u_n, v_n) of perturbation points:
+    v_n joins the y-stage and u_n the x-stage as one extra weighted point
+    each, so both schedules must carry m + 2 weights.  Intermediates are
+    never clamped: if y_n or x_{n+1} leaves the common admissible set, the
+    configuration is broken and ``DomainViolation`` is raised.
     """
     domain = cfg.t_family[0].domain
-    bw = cfg.beta.weights_at(n)
-    i_points = [x, *images]
-    y = convex_combine(bw, i_points)
-    if not in_set(y, domain):
-        raise DomainViolation(f"auxiliary point left the admissible set at step {n}")
-    aw = cfg.alpha.weights_at(n)
-    t_points = [x] + [nth_power(tm, n, y) for tm in cfg.t_family]
-    x_next = convex_combine(aw, t_points)
-    if not in_set(x_next, domain):
-        raise DomainViolation(f"iterate left the admissible set at step {n}")
-    return x_next, y
-
-
-def step_with_errors(
-    x: ProductPoint,
-    n: int,
-    cfg: IterationConfig,
-    u_n: ProductPoint,
-    v_n: ProductPoint,
-    images: Sequence[ProductPoint],
-) -> tuple[ProductPoint, ProductPoint]:
-    """One perturbed step: each stage takes one extra weighted point,
-    u_n for the x-stage and v_n for the y-stage.  Schedules must carry
-    m + 2 weights.  ``images`` is as for :func:`step`."""
-    domain = cfg.t_family[0].domain
-    if not (in_set(u_n, domain) and in_set(v_n, domain)):
-        raise DomainViolation(
-            f"perturbation points must stay inside the admissible set (step {n})"
-        )
-    bw = cfg.beta.weights_at(n)
-    i_points = [x, *images, v_n]
-    y = convex_combine(bw, i_points)
-    if not in_set(y, domain):
-        raise DomainViolation(f"auxiliary point left the admissible set at step {n}")
-    aw = cfg.alpha.weights_at(n)
-    t_points = [x] + [nth_power(tm, n, y) for tm in cfg.t_family] + [u_n]
-    x_next = convex_combine(aw, t_points)
-    if not in_set(x_next, domain):
-        raise DomainViolation(f"iterate left the admissible set at step {n}")
+    extra_x = extra_y = ()
+    if errors is not None:
+        u_n, v_n = errors
+        check_in_domain(u_n, domain, f"perturbation point u_{n}")
+        check_in_domain(v_n, domain, f"perturbation point v_{n}")
+        extra_x, extra_y = (u_n,), (v_n,)
+    y = convex_combine(cfg.beta.weights_at(n), [x, *images, *extra_y])
+    check_in_domain(y, domain, f"auxiliary point at step {n}")
+    t_points = [x, *(nth_power(tm, n, y) for tm in cfg.t_family), *extra_x]
+    x_next = convex_combine(cfg.alpha.weights_at(n), t_points)
+    check_in_domain(x_next, domain, f"iterate at step {n}")
     return x_next, y
 
 
@@ -353,11 +349,11 @@ def run(cfg: IterationConfig) -> Trace:
     terminated = "max_steps"
     for n in range(1, cfg.max_steps + 1):
         images = i_images(x, n, cfg)
-        if cfg.error_sequences is not None:
-            u_fn, v_fn = cfg.error_sequences
-            x_next, y = step_with_errors(x, n, cfg, u_fn(n), v_fn(n), images)
-        else:
-            x_next, y = step(x, n, cfg, images)
+        errors = (
+            None if cfg.error_sequences is None
+            else (cfg.error_sequences[0](n), cfg.error_sequences[1](n))
+        )
+        x_next, y = step(x, n, cfg, images, errors)
         t_defects = tuple(
             product_norm(x - nth_power(tm, n, x)) for tm in cfg.t_family
         )
@@ -388,9 +384,23 @@ def run(cfg: IterationConfig) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float | None) -> str:
-    # repr round-trips binary floats exactly; None becomes an empty cell.
-    return "" if x is None else repr(x)
+def _cell(v: object) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write a comma-separated table, one line per row.
+
+    Cells are written unquoted: None as an empty cell, bools as
+    ``true``/``false``, floats by repr (which round-trips them exactly)
+    and everything else by str.
+    """
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -405,15 +415,12 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         + [f"t_defect_{i}" for i in range(1, m + 1)]
         + [f"i_defect_{i}" for i in range(1, m + 1)]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec in trace.records:
-            writer.writerow(
-                [rec.n, _fmt(rec.step_norm), _fmt(rec.dist_to_fixset), _fmt(rec.dist_to_ref)]
-                + [_fmt(d) for d in rec.t_defects]
-                + [_fmt(d) for d in rec.i_defects]
-            )
+    rows = [
+        [rec.n, rec.step_norm, rec.dist_to_fixset, rec.dist_to_ref]
+        + [*rec.t_defects, *rec.i_defects]
+        for rec in trace.records
+    ]
+    write_csv(path, header, rows)
 
 
 def read_trace_csv(path: str) -> list[dict]:

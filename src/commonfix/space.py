@@ -301,10 +301,68 @@ def point_to_json(p: ProductPoint) -> dict:
 
 
 def point_from_json(obj: dict) -> ProductPoint:
-    """Inverse of :func:`point_to_json`.  Raises ``ValueError`` on bad shape."""
+    """Inverse of :func:`point_to_json`.  Raises ``ValueError`` on a bad
+    shape or a coordinate that is not a finite JSON number."""
     if not isinstance(obj, dict) or "scalar" not in obj or "vec" not in obj:
         raise ValueError(f"expected {{'scalar': s, 'vec': [...]}}, got {obj!r}")
-    vec = obj["vec"]
-    if not isinstance(vec, (list, tuple)):
-        raise ValueError(f"'vec' must be a list, got {vec!r}")
-    return ProductPoint(float(obj["scalar"]), L1Vector(float(c) for c in vec))
+    return ProductPoint(
+        json_number(obj["scalar"], "scalar"), L1Vector(json_numbers(obj["vec"], "vec"))
+    )
+
+
+# The json_* helpers are the one place that checks the JSON type of a value.
+# Each returns the value or raises ValueError, naming ``name`` when given.
+# JSON's true and false parse to bool, a subclass of int, so they are
+# neither numbers nor integers here.
+
+
+def _json_type_error(expected: str, value: object, name: str | None) -> ValueError:
+    message = f"expected {expected}, got {value!r}"
+    return ValueError(f"{name}: {message}" if name else message)
+
+
+def json_number(value: object, name: str | None = None) -> float:
+    """A finite JSON number (int or float, never bool) as a float."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise _json_type_error("a finite number", value, name)
+    return float(value)
+
+
+def json_int(value: object, name: str | None = None) -> int:
+    """A JSON integer, never bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _json_type_error("an integer", value, name)
+    return value
+
+
+def json_flag(value: object, name: str | None = None) -> bool:
+    """JSON ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise _json_type_error("true or false", value, name)
+    return value
+
+
+def json_numbers(value: object, name: str | None = None) -> list[float]:
+    """A JSON list of finite numbers, as floats."""
+    if not isinstance(value, list):
+        raise _json_type_error("a list of numbers", value, name)
+    return [json_number(v, f"{name or ''}[{i}]") for i, v in enumerate(value)]
+
+
+def check_int(value: object, minimum: int, what: str) -> int:
+    """``value`` if it is an integer (see :func:`json_int`) >= ``minimum``;
+    else ValueError."""
+    if json_int(value, what) < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value!r}")
+    return value
+
+
+def check_positive(value: float, what: str) -> float:
+    """``value`` if it is above zero (NaN is not); else ValueError."""
+    if not value > 0.0:
+        raise ValueError(f"{what} must be positive, got {value!r}")
+    return value

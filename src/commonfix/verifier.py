@@ -34,13 +34,15 @@ from .errors import MissingConstants, NotAFixedPoint
 from .mappings import (
     Mapping,
     TotalAsymptoticProfile,
+    check_factor,
+    check_power,
     iterate_difference_formula,
     nth_power,
     power_s,
     power_t_alpha,
 )
 from .scheme import IterationConfig, Trace, WeightSchedule
-from .space import L1Vector, ProductPoint, l1_norm, product_norm
+from .space import L1Vector, ProductPoint, check_int, check_positive, l1_norm, product_norm
 
 # Default slack tolerances.
 CHECK_TOL = 1e-12
@@ -319,6 +321,32 @@ class WitnessResult:
     exceeds: bool
 
 
+def witness_start(
+    alpha: float, k: int, lam_k: float, x0: float | None = None
+) -> tuple[float, float]:
+    """The witness start x0, by default half its bound, and the bound
+    4 a^{2k} / (9 (1 + lam_k)^2).
+
+    :raises ValueError: alpha outside (0, 1), k not a positive integer,
+        lam_k not positive, x0 not strictly inside (0, bound), or a bound
+        that rounds to 0, which leaves no admissible x0.
+    """
+    check_factor(alpha)
+    check_power(k)
+    check_positive(lam_k, "slack lambda_k")
+    bound = 4.0 * alpha ** (2 * k) / (9.0 * (1.0 + lam_k) ** 2)
+    if not bound > 0.0:
+        raise ValueError(
+            f"the x0 bound 4 alpha^(2k) / (9 (1 + lambda_k)^2) rounds to 0 at"
+            f" alpha={alpha!r}, k={k}, lambda_k={lam_k!r}"
+        )
+    if x0 is None:
+        x0 = bound / 2.0
+    if not 0.0 < x0 < bound:
+        raise ValueError(f"x0 must lie in (0, {bound!r}), got {x0!r}")
+    return x0, bound
+
+
 def witness_non_asymptotic(
     alpha: float,
     k: int,
@@ -327,21 +355,11 @@ def witness_non_asymptotic(
 ) -> WitnessResult:
     """Construct the witness pair for S at power k against slack lam_k.
 
-    ``x0`` defaults to half the admissible upper bound; an explicit value
-    must lie strictly inside (0, bound).  All norms are evaluated directly
-    through the operator powers, with the analytic ratio alongside.
+    ``x0`` is as for :func:`witness_start`.  All norms are evaluated
+    directly through the operator powers, with the analytic ratio
+    alongside.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"contraction factor must lie in (0, 1), got {alpha!r}")
-    if not (isinstance(k, int) and k >= 1):
-        raise ValueError(f"power must be a positive integer, got {k!r}")
-    if not lam_k > 0.0:
-        raise ValueError(f"slack must be positive, got {lam_k!r}")
-    bound = 4.0 * alpha ** (2 * k) / (9.0 * (1.0 + lam_k) ** 2)
-    if x0 is None:
-        x0 = bound / 2.0
-    if not 0.0 < x0 < bound:
-        raise ValueError(f"x0 must lie in (0, {bound!r}), got {x0!r}")
+    x0, bound = witness_start(alpha, k, lam_k, x0)
     big_x = ProductPoint(0.0, (x0,))
     big_y = ProductPoint(0.0, (x0 / 4.0,))
     separation = product_norm(big_x - big_y)
@@ -373,6 +391,19 @@ def witness_non_asymptotic(
 # ---------------------------------------------------------------------------
 
 
+def check_horizon(horizon: int) -> int:
+    """:raises ValueError: the horizon is not a positive integer."""
+    return check_int(horizon, 1, "horizon")
+
+
+def antipodal_norm(x: ProductPoint) -> float:
+    """The norm d of the antipodal construction's point x.
+
+    :raises ValueError: x is the zero point, so no pair is constructed.
+    """
+    return check_positive(product_norm(x), "the norm of x")
+
+
 @dataclass(frozen=True)
 class CounterexampleRow:
     n: int
@@ -390,10 +421,8 @@ def antipodal_pair_counterexample(
     d = ||x||, while ||x_n - y_n|| stays at 2d.  Norms are computed from
     actual vector arithmetic, not the closed form.
     """
-    if not (isinstance(horizon, int) and horizon >= 1):
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    if not product_norm(x) > 0.0:
-        raise ValueError("the construction needs a nonzero point")
+    check_horizon(horizon)
+    antipodal_norm(x)
     minus_x = x * -1.0
     rows: list[CounterexampleRow] = []
     for n in range(1, horizon + 1):
@@ -416,18 +445,26 @@ def antipodal_pair_counterexample(
 
 @dataclass(frozen=True)
 class RecursionBound:
-    """Coefficients of the distance recursion a_{n+1} <= (1+b_n) a_n + c_n."""
+    """Coefficients of the distance recursion a_{n+1} <= (1+b_n) a_n + c_n.
 
-    b: Callable[[int], float]
-    c: Callable[[int], float]
+    ``coeffs(n)`` computes the pair (b_n, c_n) in one pass over the
+    family profiles; :meth:`b` and :meth:`c` each take one side of it.
+    """
+
+    coeffs: Callable[[int], tuple[float, float]]
     notes: tuple[str, ...] = ()
+
+    def b(self, n: int) -> float:
+        return self.coeffs(n)[0]
+
+    def c(self, n: int) -> float:
+        return self.coeffs(n)[1]
 
     def partial_sums(self, horizon: int) -> tuple[float, float]:
         """(sum of b_n, sum of c_n) for n = 1..horizon, as a summability
         diagnostic for the recursion hypotheses."""
-        bs = math.fsum(self.b(n) for n in range(1, horizon + 1))
-        cs = math.fsum(self.c(n) for n in range(1, horizon + 1))
-        return bs, cs
+        pairs = [self.coeffs(n) for n in range(1, horizon + 1)]
+        return math.fsum(b for b, _ in pairs), math.fsum(c for _, c in pairs)
 
 
 def compute_recursion_bound(cfg: IterationConfig) -> RecursionBound:
@@ -509,11 +546,7 @@ def compute_recursion_bound(cfg: IterationConfig) -> RecursionBound:
         )
         return b_n, c_n
 
-    return RecursionBound(
-        b=lambda n: coeffs(n)[0],
-        c=lambda n: coeffs(n)[1],
-        notes=(INDEX_NOTE,),
-    )
+    return RecursionBound(coeffs=coeffs, notes=(INDEX_NOTE,))
 
 
 def check_run_bound(
@@ -541,7 +574,7 @@ def check_run_bound(
     dists = [product_norm(s - p) for s in states]
     checks: list[InequalityCheck] = []
     for idx, rec in enumerate(trace.records):
-        b_n, c_n = bound.b(rec.n), bound.c(rec.n)
+        b_n, c_n = bound.coeffs(rec.n)
         checks.append(
             _check(
                 dists[idx + 1],
@@ -604,8 +637,7 @@ def family_collapse_diagnostic(
         raise ValueError(
             f"schedule carries {weights.size} weights for {count} sequences"
         )
-    if not (isinstance(horizon, int) and horizon >= 1):
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    check_horizon(horizon)
     for seq in sequences:
         if len(seq) < horizon:
             raise ValueError("every sequence must reach the horizon")

@@ -1,8 +1,16 @@
 """End-to-end tests of the command line driver and config parsing."""
 
+import contextlib
+import io
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from commonfix import cli
 from commonfix.errors import ParseError, ValidationError
@@ -368,3 +376,194 @@ class TestDeterminism:
         assert capsys.readouterr().out == ""
         assert cli.main([cfg_path]) == 0
         assert "[demo]" in capsys.readouterr().out
+
+
+def _example_configs():
+    """The example run configs of README.md and of the cli module docstring."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fenced = readme.split("Example run config:", 1)[1].split("```json", 1)[1]
+    docstring = cli.__doc__.split("Example run config:", 1)[1]
+    return {
+        "README.md": fenced.split("```", 1)[0],
+        "cli docstring": docstring[docstring.index("{") : docstring.rindex("}") + 1],
+    }
+
+
+@pytest.mark.parametrize("source", ["README.md", "cli docstring"])
+def test_example_config_parses(tmp_path, source):
+    path = tmp_path / "example.json"
+    path.write_text(_example_configs()[source])
+    cfg = cli.parse_config(path)
+    assert cfg.mode == "run" and len(cfg.iteration.t_family) == 2
+
+
+# Configs that a type or range check must reject, each with the fields its
+# violations must name.
+MALFORMED = {
+    "weights-not-numbers": (
+        "run", {"alpha_schedule": {"kind": "custom", "weights": ["a", 0.5]}}, ["weights"]
+    ),
+    "weights-not-a-list": (
+        "run", {"alpha_schedule": {"kind": "custom", "weights": 5}}, ["weights"]
+    ),
+    "infinite-tol-bool-max-steps": (
+        "run", {"tol": math.inf, "max_steps": True}, ["tol", "max_steps"]
+    ),
+    "bool-samples-and-power": (
+        "certify", {"samples": True, "powers": [1, True]}, ["samples", "powers"]
+    ),
+    "bool-horizon": ("counterexample", {"horizon": True}, ["horizon"]),
+    "bool-seed": ("run", {"seed": True}, ["seed"]),
+    "string-dump-states": ("run", {"dump_states": "false"}, ["dump_states"]),
+    "string-full-checks": ("certify", {"full_checks": "no"}, ["full_checks"]),
+    "string-mapping-alpha": (
+        "run", {"t_family": [{"kind": "s", "alpha": "0.5"}]}, ["t_family", "alpha"]
+    ),
+    "ill-typed-x0": ("run", {"x0": {"scalar": True, "vec": ["0.5"]}}, ["x0"]),
+    "witness-bound-underflows": ("witness", {"alpha": 0.1, "k": 200}, ["k=200"]),
+}
+
+# One small valid config per mode.
+BASE = {
+    "run": {
+        "mode": "run",
+        "t_family": [{"kind": "s", "alpha": 0.5}],
+        "alpha_schedule": {"kind": "custom", "weights": [0.5, 0.5], "bounds": [0.1, 0.9]},
+        "x0": {"scalar": 0.5, "vec": [0.5]},
+        "tol": 1e-8,
+        "max_steps": 5,
+    },
+    "run_with_errors": {
+        "mode": "run_with_errors",
+        "t_family": [{"kind": "s", "alpha": 0.5}],
+        "x0": {"scalar": 0.5, "vec": [0.5]},
+        "error_u": {"scalar": 0.1, "vec": []},
+        "error_v": {"scalar": 0.2, "vec": [0.1]},
+        "max_steps": 5,
+    },
+    "certify": {
+        "mode": "certify",
+        "mapping": {"kind": "s", "alpha": 0.5},
+        "samples": 2,
+        "powers": [1, 2],
+    },
+    "witness": {"mode": "witness", "alpha": 0.5, "k": 3, "lambda_k": 0.1},
+    "counterexample": {"mode": "counterexample", "norm": 1.0, "horizon": 5},
+    "defect_profile": {
+        "mode": "defect_profile",
+        "kappa": 0.5,
+        "powers": [1, 2],
+        "grid_size": 11,
+    },
+}
+
+
+def _malformed(mode, patch, tmp_path):
+    payload = json.loads(json.dumps(BASE[mode]))
+    payload.update(patch, name="bad", output_dir=str(tmp_path / "out"))
+    return payload
+
+
+def _main_on(payload, directory):
+    """(exit code, violations, stderr) of the CLI on one config."""
+    path = Path(directory) / "config.json"
+    path.write_text(json.dumps(payload))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([str(path), "--quiet"])
+    lines = err.getvalue().splitlines()
+    return code, [line[4:] for line in lines if line.startswith("  - ")], err.getvalue()
+
+
+def _names(field, violations):
+    return re.search(rf"(?<!\w){re.escape(field)}(?!\w)", " | ".join(violations))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_2(tmp_path, case):
+    mode, patch, fields = MALFORMED[case]
+    code, violations, err = _main_on(_malformed(mode, patch, tmp_path), tmp_path)
+    assert code == 2, err
+    assert "Traceback" not in err
+    for field in fields:
+        assert _names(field, violations), (field, violations)
+    assert not (tmp_path / "out").exists()
+
+
+POOL = (True, "a", None, [], {}, math.nan, math.inf, -1, 0)
+
+# Per mode, the fields to corrupt, each as a path into the base config with
+# the pool values that field admits; an optional field admits null.
+FUZZ_FIELDS = {
+    "run": {
+        ("name",): ["a"],
+        ("mode",): [],
+        ("seed",): [None, 0],
+        ("dump_states",): [None, True],
+        ("t_family",): [],
+        ("t_family", 0, "alpha"): [],
+        ("i_family",): [None],
+        ("alpha_schedule",): [None, {}],
+        ("alpha_schedule", "weights"): [],
+        ("alpha_schedule", "bounds"): [None],
+        ("beta_schedule",): [None, {}],
+        ("x0",): [],
+        ("x0", "scalar"): [0],
+        ("x0", "vec"): [[]],
+        ("tol",): [None],
+        ("max_steps",): [None],
+        ("fixed_set",): [None],
+    },
+    "run_with_errors": {
+        ("error_u",): [],
+        ("error_v", "vec"): [[]],
+        ("error_v", "scalar"): [0],
+        ("t_family", 0, "kind"): [],
+    },
+    "certify": {
+        ("mapping",): [],
+        ("mapping", "alpha"): [],
+        ("samples",): [None],
+        ("powers",): [None],
+        ("powers", 1): [],
+        ("full_checks",): [None, True],
+    },
+    "witness": {
+        ("alpha",): [],
+        ("k",): [],
+        ("lambda_k",): [],
+        ("x0",): [None],
+    },
+    "counterexample": {
+        ("norm",): [],
+        ("horizon",): [None],
+    },
+    "defect_profile": {
+        ("kappa",): [],
+        ("powers",): [None],
+        ("powers", 0): [],
+        ("grid_size",): [None],
+    },
+}
+FUZZ_CASES = [
+    (mode, path, admitted) for mode, fields in FUZZ_FIELDS.items()
+    for path, admitted in fields.items()
+]
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=st.sampled_from(FUZZ_CASES), value=st.sampled_from(POOL))
+def test_fuzzed_field_exits_2_naming_it(case, value):
+    mode, path, admitted = case
+    assume(repr(value) not in {repr(a) for a in admitted})
+    with tempfile.TemporaryDirectory() as directory:
+        payload = _malformed(mode, {}, Path(directory))
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        code, violations, err = _main_on(payload, directory)
+        assert code == 2, (payload, err)
+        assert "Traceback" not in err
+        assert _names(str(path[0]), violations), (path, violations)
+        assert not (Path(directory) / "out").exists()

@@ -22,7 +22,6 @@ from commonfix.mappings import (
     iterate_difference_formula,
     make_identity,
     make_s,
-    make_t_alpha,
     mapping_from_json,
     nth_power,
     oscillator_defect,
@@ -170,7 +169,7 @@ class TestProductEmbedding:
     def test_t_alpha_embedding_acts_identically_to_s(self):
         p = ProductPoint(0.4, (0.09, -0.2))
         s_map = make_s(0.5)
-        t_map = make_t_alpha(0.5)
+        t_map = mapping_from_json({"kind": "t_alpha", "alpha": 0.5})
         ps, pt = s_map.apply(p), t_map.apply(p)
         assert ps.scalar == pt.scalar and ps.vec == pt.vec
         assert t_map.name == "t_alpha(0.5)"

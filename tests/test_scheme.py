@@ -30,7 +30,6 @@ from commonfix.scheme import (
     reference_point,
     run,
     step,
-    step_with_errors,
     write_states_jsonl,
     write_trace_csv,
 )
@@ -182,7 +181,7 @@ class TestStepWithErrors:
         bad = ProductPoint(2.0, ())
         cfg = self._cfg(bad, bad)
         with pytest.raises(DomainViolation, match="perturbation"):
-            step_with_errors(cfg.x0, 1, cfg, bad, bad, i_images(cfg.x0, 1, cfg))
+            step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg), (bad, bad))
 
     def test_error_terms_absorbed_when_equal_to_iterate(self):
         """With u_n = v_n = x_n and the error weight folded back into the
@@ -204,15 +203,15 @@ class TestStepWithErrors:
             error_sequences=(lambda n: x, lambda n: x),
         )
         cfg2 = _pair_config(x0=x)
-        perturbed, _ = step_with_errors(x, 2, cfg3, x, x, i_images(x, 2, cfg3))
+        perturbed, _ = step(x, 2, cfg3, i_images(x, 2, cfg3), (x, x))
         plain, _ = step(x, 2, cfg2, i_images(x, 2, cfg2))
         assert product_norm(perturbed - plain) <= 1e-14
 
     def test_pull_toward_perturbation_point(self):
         origin = ProductPoint(0.0, ())
         cfg = self._cfg(origin, origin)
-        x_next, _ = step_with_errors(
-            cfg.x0, 1, cfg, origin, origin, i_images(cfg.x0, 1, cfg)
+        x_next, _ = step(
+            cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg), (origin, origin)
         )
         # one third of the mass sits on the origin, so the norm must drop
         assert product_norm(x_next) < product_norm(cfg.x0)

@@ -1,5 +1,7 @@
 """Tests for the certificate layer: growth checks, witnesses, run bounds."""
 
+import collections
+import dataclasses
 import math
 
 import pytest
@@ -280,6 +282,27 @@ class TestRecursionBound:
         assert math.isfinite(s300[0]) and math.isfinite(s300[1])
         assert s300[0] - s30[0] < 1e-8
         assert s300[1] - s30[1] < 1e-8
+
+    def test_run_bound_computes_coefficients_once_per_step(self):
+        calls = collections.Counter()
+        base = make_s(0.5)
+
+        def mu(n):
+            calls[n] += 1
+            return base.profile.mu(n)
+
+        counted = dataclasses.replace(
+            base, profile=dataclasses.replace(base.profile, mu=mu)
+        )
+        cfg = _two_family_config(
+            t_family=(counted, make_s(0.3)), max_steps=6, tol=1e-300
+        )
+        bound = compute_recursion_bound(cfg)
+        checks = check_run_bound(run(cfg), ProductPoint(0.7, ()), bound)
+        assert calls == {n: 1 for n in range(1, 7)}
+        assert [(c.context["b_n"], c.context["c_n"]) for c in checks] == [
+            (bound.b(n), bound.c(n)) for n in range(1, 7)
+        ]
 
     def test_identity_family_contributes_nothing(self):
         halves = make_schedule("constant", 1, BOUNDS)
