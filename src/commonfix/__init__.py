@@ -61,7 +61,9 @@ from .space import (
     L1Vector,
     ProductPoint,
     convex_combine,
+    distance,
     in_set,
+    l1_distance,
     l1_norm,
     point_from_json,
     point_to_json,
@@ -118,6 +120,7 @@ __all__ = [
     "check_total_inequality",
     "compute_recursion_bound",
     "convex_combine",
+    "distance",
     "distance_to_fixset",
     "estimate_intermediate_defect",
     "estimate_intermediate_defects",
@@ -125,6 +128,7 @@ __all__ = [
     "i_images",
     "in_set",
     "iterate_growth_bounds",
+    "l1_distance",
     "l1_norm",
     "make_identity",
     "make_s",

@@ -38,6 +38,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -138,10 +139,35 @@ class CounterexampleSpec:
     horizon: int
 
 
+class PowerRange(Sequence):
+    """The powers min..max of a ``{"min", "max"}`` config, kept as a range
+    so that parsing never lists them.  It equals any sequence with the same
+    items, so ``{"min": 1, "max": 3}`` and ``[1, 2, 3]`` give equal specs."""
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.range = range(lo, hi + 1)
+
+    def __len__(self) -> int:
+        return len(self.range)
+
+    def __getitem__(self, i):
+        return self.range[i]
+
+    def __iter__(self):
+        return iter(self.range)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Sequence)
+            and len(other) == len(self)
+            and all(a == b for a, b in zip(self, other))
+        )
+
+
 @dataclass(frozen=True)
 class DefectSpec:
     kappa: float
-    powers: tuple[int, ...]
+    powers: Sequence[int]  # a tuple, or a PowerRange
     grid_size: int
 
 
@@ -366,7 +392,7 @@ def _defects(raw: dict, violations: _Violations) -> DefectSpec | None:
     powers = raw.get("powers", [1, 5, 10, 20])
     if isinstance(powers, dict):
         lo_hi = violations.read("powers", _power_range, powers.get("min"), powers.get("max"))
-        powers = () if lo_hi is None else tuple(range(lo_hi[0], lo_hi[1] + 1))
+        powers = () if lo_hi is None else PowerRange(*lo_hi)
     elif isinstance(powers, list) and powers:
         powers = tuple(violations.read("powers", check_power, n) for n in powers)
     else:
@@ -700,14 +726,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
+    violations = _Violations()
     try:
         cfg = parse_config(args.config)
     except ParseError as exc:
         print(f"config parse error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
+        violations += exc.violations
+    if args.seed is not None:
+        violations.read("--seed", check_int, args.seed, 0, "seed")
+    if violations:
         print("config validation failed:", file=sys.stderr)
-        for violation in exc.violations:
+        for violation in violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
 

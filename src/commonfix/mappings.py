@@ -52,6 +52,7 @@ from .space import (
     check_int,
     in_set,
     json_number,
+    l1_distance,
     l1_norm,
 )
 
@@ -203,7 +204,7 @@ def iterate_difference_formula(
     alpha = check_factor(alpha)
     ak = alpha**k
     root_gap = abs(math.sqrt(abs(x.first)) - math.sqrt(abs(y.first)))
-    return ak * (l1_norm(x - y) + root_gap - abs(x.first - y.first))
+    return ak * (l1_distance(x, y) + root_gap - abs(x.first - y.first))
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +344,12 @@ def estimate_intermediate_defects(
     if not lo < hi:
         raise ValueError(f"degenerate interval [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_size)
+    wanted = set(powers)
     found: dict[int, float] = {}
     orbit = xs.tolist()
     for k in range(1, max(powers, default=0) + 1):
         orbit = [float(f(v)) for v in orbit]
-        if k in powers:
+        if k in wanted:
             found[k] = _sorted_grid_defect(xs, np.array(orbit))
     return [found[n] for n in powers]
 

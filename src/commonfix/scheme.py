@@ -39,10 +39,10 @@ from .space import (
     check_int,
     check_positive,
     convex_combine,
+    distance,
     in_set,
     l1_norm,
     point_to_json,
-    product_norm,
 )
 
 
@@ -315,7 +315,7 @@ def distance_to_fixset(p: ProductPoint, descriptor: FixedSetDescriptor) -> float
         s = p.scalar
         scalar_gap = lo - s if s < lo else (s - hi if s > hi else 0.0)
         return l1_norm(p.vec) + scalar_gap
-    return product_norm(p - descriptor.point)  # type: ignore[arg-type]
+    return distance(p, descriptor.point)  # type: ignore[arg-type]
 
 
 def reference_point(cfg: IterationConfig) -> ProductPoint | None:
@@ -355,21 +355,21 @@ def run(cfg: IterationConfig) -> Trace:
         )
         x_next, y = step(x, n, cfg, images, errors)
         t_defects = tuple(
-            product_norm(x - nth_power(tm, n, x)) for tm in cfg.t_family
+            distance(x, nth_power(tm, n, x)) for tm in cfg.t_family
         )
-        i_defects = tuple(product_norm(x - ix) for ix in images)
+        i_defects = tuple(distance(x, ix) for ix in images)
         records.append(
             TraceRecord(
                 n=n,
                 x=x,
                 y=y,
-                step_norm=product_norm(x_next - x),
+                step_norm=distance(x_next, x),
                 t_defects=t_defects,
                 i_defects=i_defects,
                 dist_to_fixset=(
                     distance_to_fixset(x, cfg.fixed_set) if cfg.fixed_set else None
                 ),
-                dist_to_ref=(product_norm(x - ref) if ref is not None else None),
+                dist_to_ref=(distance(x, ref) if ref is not None else None),
             )
         )
         x = x_next

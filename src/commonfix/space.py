@@ -18,6 +18,22 @@ against +0.0, give +0.0 there too.  ``len()`` and :func:`point_to_json`
 keep the dense length, trailing zeros and signed zeros, so the wire form
 lists every coordinate.
 
+Distances are measured without building the difference.
+:func:`l1_distance` walks the two index lists once and adds
+abs(a_i - b_i) in index order; an entry c stored on one side only adds
+abs(c), which equals abs(c - 0.0) and abs(0.0 - c), the terms the
+subtraction would form.  That is the same sequence of additions that
+``l1_norm(a - b)`` makes, except for the terms where a_i - b_i is +0.0,
+which the subtraction drops; adding abs(+0.0) to a running total that
+starts at +0.0 never changes it, so the two give the same bits, and with
+an infinite or NaN coordinate both are inf or both NaN.  :func:`distance`
+adds |p.s - q.s| in front, as ``product_norm(p - q)`` does.
+
+A vector is immutable, so it sums its l1 norm once, on first use, and
+keeps it: :func:`l1_norm` on an :class:`L1Vector` is a lookup after the
+first call.  The kept value is the one the loop gives, so repeated domain
+checks of the same point return the same bits while summing only once.
+
 Trailing zeros in a stored vector are representational only: appending or
 trimming them never changes a norm, an arithmetic result, or membership in
 an admissible set.  Equality between vectors is mathematical, so
@@ -29,6 +45,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -97,6 +114,12 @@ class L1Vector:
         return L1Vector.from_sparse(
             self.indices[:n], self.values[:n], self.indices[n - 1] + 1 if n else 0
         )
+
+    @cached_property
+    def _norm(self) -> float:
+        # Kept in the instance __dict__, which the frozen __setattr__ leaves
+        # alone; the first call per vector sums, later ones look it up.
+        return _abs_sum(self.values)
 
     def _nonzero(self) -> tuple[tuple[int, float], ...]:
         return tuple((i, c) for i, c in zip(self.indices, self.values) if c != 0.0)
@@ -224,21 +247,56 @@ class AdmissibleSet:
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
 
 
-def l1_norm(v: L1Vector | Sequence[float]) -> float:
-    """The l1 norm, a plain sum of absolute values in input order.
-
-    Only stored entries are summed: skipped terms are abs(+0.0), which
-    leave the running total unchanged."""
-    coords = v.values if isinstance(v, L1Vector) else v
+def _abs_sum(coords: Iterable[float]) -> float:
     total = 0.0
     for c in coords:
         total += abs(c)
     return total
 
 
+def l1_norm(v: L1Vector | Sequence[float]) -> float:
+    """The l1 norm, a plain sum of absolute values in input order.
+
+    Only stored entries are summed: skipped terms are abs(+0.0), which
+    leave the running total unchanged.  An :class:`L1Vector` sums once and
+    keeps the result."""
+    return v._norm if isinstance(v, L1Vector) else _abs_sum(v)
+
+
 def product_norm(p: ProductPoint) -> float:
     """||(s, v)|| = |s| + ||v||_1."""
     return abs(p.scalar) + l1_norm(p.vec)
+
+
+def l1_distance(a: L1Vector, b: L1Vector) -> float:
+    """||a - b||_1 in one merge of the stored entries, bit-identical to
+    ``l1_norm(a - b)`` and without building a - b (see the module note)."""
+    ai, av, bi, bv = a.indices, a.values, b.indices, b.values
+    na, nb = len(ai), len(bi)
+    total = 0.0
+    i = j = 0
+    while i < na and j < nb:
+        if ai[i] == bi[j]:
+            total += abs(av[i] - bv[j])
+            i += 1
+            j += 1
+        elif ai[i] < bi[j]:
+            total += abs(av[i])
+            i += 1
+        else:
+            total += abs(bv[j])
+            j += 1
+    for c in av[i:]:
+        total += abs(c)
+    for c in bv[j:]:
+        total += abs(c)
+    return total
+
+
+def distance(p: ProductPoint, q: ProductPoint) -> float:
+    """||p - q|| = |p.s - q.s| + ||p.v - q.v||_1, bit-identical to
+    ``product_norm(p - q)``."""
+    return abs(p.scalar - q.scalar) + l1_distance(p.vec, q.vec)
 
 
 def convex_combine(

@@ -42,7 +42,15 @@ from .mappings import (
     power_t_alpha,
 )
 from .scheme import IterationConfig, Trace, WeightSchedule
-from .space import L1Vector, ProductPoint, check_int, check_positive, l1_norm, product_norm
+from .space import (
+    L1Vector,
+    ProductPoint,
+    check_int,
+    check_positive,
+    distance,
+    l1_distance,
+    product_norm,
+)
 
 # Default slack tolerances.
 CHECK_TOL = 1e-12
@@ -115,11 +123,11 @@ def check_total_inequality(
 
     with I the identity when ``i_map`` is None.
     """
-    lhs = product_norm(nth_power(t_map, n, x) - nth_power(t_map, n, y))
+    lhs = distance(nth_power(t_map, n, x), nth_power(t_map, n, y))
     if i_map is None:
-        d = product_norm(x - y)
+        d = distance(x, y)
     else:
-        d = product_norm(nth_power(i_map, n, x) - nth_power(i_map, n, y))
+        d = distance(nth_power(i_map, n, x), nth_power(i_map, n, y))
     rhs = d + profile.mu(n) * profile.phi(d) + profile.lam(n)
     return _check(
         lhs,
@@ -206,11 +214,11 @@ def iterate_growth_bounds(
         raise MissingConstants("both profiles need affine growth constants")
     big_m, m_star = tp.linear_bound
     big_n, n_star = ip.linear_bound
-    base = product_norm(x - y)
+    base = distance(x, y)
     mu_n, lam_n = tp.mu(n), tp.lam(n)
     mut_n, lamt_n = ip.mu(n), ip.lam(n)
 
-    i_gap = product_norm(nth_power(i_map, n, x) - nth_power(i_map, n, y))
+    i_gap = distance(nth_power(i_map, n, x), nth_power(i_map, n, y))
     i_rhs = (1.0 + mut_n * n_star) * base + mut_n * ip.phi(big_n) + lamt_n
     i_check = _check(
         i_gap,
@@ -219,7 +227,7 @@ def iterate_growth_bounds(
         {"equation": "comparison-power-growth", "n": n, "map": i_map.name},
     )
 
-    t_gap = product_norm(nth_power(t_map, n, x) - nth_power(t_map, n, y))
+    t_gap = distance(nth_power(t_map, n, x), nth_power(t_map, n, y))
     boost = 1.0 + mu_n * m_star
     t_rhs = (
         boost * (1.0 + mut_n * n_star) * base
@@ -255,7 +263,7 @@ def check_iterate_difference_identity(
 
     with rt(s) = sqrt(|s|).  Encoded as |direct - formula| <= tol.
     """
-    direct = l1_norm(power_t_alpha(alpha, k, x) - power_t_alpha(alpha, k, y))
+    direct = l1_distance(power_t_alpha(alpha, k, x), power_t_alpha(alpha, k, y))
     formula = iterate_difference_formula(alpha, k, x, y)
     return _check(
         abs(direct - formula),
@@ -280,7 +288,7 @@ def check_root_gap_chain(
     """
     root_gap = abs(math.sqrt(abs(x.first)) - math.sqrt(abs(y.first)))
     mid = math.sqrt(abs(abs(x.first) - abs(y.first)))
-    outer = math.sqrt(l1_norm(x - y))
+    outer = math.sqrt(l1_distance(x, y))
     return (
         _check(root_gap, mid, tol, {"equation": "root-gap-inner"}),
         _check(mid, outer, tol, {"equation": "root-gap-outer"}),
@@ -362,10 +370,8 @@ def witness_non_asymptotic(
     x0, bound = witness_start(alpha, k, lam_k, x0)
     big_x = ProductPoint(0.0, (x0,))
     big_y = ProductPoint(0.0, (x0 / 4.0,))
-    separation = product_norm(big_x - big_y)
-    image_separation = product_norm(
-        power_s(alpha, k, big_x) - power_s(alpha, k, big_y)
-    )
+    separation = distance(big_x, big_y)
+    image_separation = distance(power_s(alpha, k, big_x), power_s(alpha, k, big_y))
     ratio = image_separation / separation
     ratio_analytic = 2.0 * alpha**k / (3.0 * math.sqrt(x0))
     threshold = 1.0 + lam_k
@@ -432,7 +438,7 @@ def antipodal_pair_counterexample(
             CounterexampleRow(
                 n=n,
                 combined_norm=product_norm(combined),
-                difference_norm=product_norm(x - minus_x),
+                difference_norm=distance(x, minus_x),
             )
         )
     return rows
@@ -565,13 +571,13 @@ def check_run_bound(
     """
     cfg = trace.config
     for mp in cfg.t_family + cfg.i_family:
-        drift = product_norm(mp.apply(p) - p)
+        drift = distance(mp.apply(p), p)
         if drift > FIXED_POINT_TOL:
             raise NotAFixedPoint(
                 f"reference point moves by {drift!r} under {mp.name or mp!r}"
             )
     states = [rec.x for rec in trace.records] + [trace.final]
-    dists = [product_norm(s - p) for s in states]
+    dists = [distance(s, p) for s in states]
     checks: list[InequalityCheck] = []
     for idx, rec in enumerate(trace.records):
         b_n, c_n = bound.coeffs(rec.n)
@@ -658,7 +664,7 @@ def family_collapse_diagnostic(
     for n in range(tail_start, horizon + 1):
         for a in range(count):
             for b in range(a + 1, count):
-                gap = product_norm(sequences[a][n - 1] - sequences[b][n - 1])
+                gap = distance(sequences[a][n - 1], sequences[b][n - 1])
                 tail_gap = max(tail_gap, gap)
     return CollapseDiagnostic(
         d_hat=d_hat,

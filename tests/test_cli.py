@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -140,6 +141,26 @@ class TestParseConfig:
         cfg = cli.parse_config(write_config(tmp_path, payload))
         assert cfg.defects.powers == (1, 2, 3, 4)
 
+    def test_defect_power_range_is_not_listed_while_parsing(self, tmp_path):
+        payload = {
+            "mode": "defect_profile",
+            "kappa": 0.5,
+            "powers": {"min": 1, "max": 10**8},
+            "grid_size": 101,
+        }
+        path = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            cfg = cli.parse_config(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        powers = cfg.defects.powers
+        assert len(powers) == 10**8
+        assert (powers[0], powers[-1]) == (1, 10**8)
+        # a tuple of 10**8 powers would take 800 MB for its pointers alone
+        assert peak < 2**20
+
 
 class TestMainExitCodes:
     def test_run_mode_succeeds(self, tmp_path):
@@ -160,6 +181,31 @@ class TestMainExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "config validation failed" in err and "x0" in err
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        payload = {
+            "name": "seeded",
+            "mode": "certify",
+            "mapping": {"kind": "s", "alpha": 0.5},
+            "samples": 10,
+            "powers": [1, 3],
+            "output_dir": str(tmp_path / "out"),
+        }
+        code = cli.main([write_config(tmp_path, payload), "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config validation failed" in err and "'--seed'" in err
+        assert "runtime error" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_option_violation_joins_the_config_violations(self, tmp_path, capsys):
+        payload = run_config(tmp_path)
+        payload["tol"] = -1.0
+        code = cli.main([write_config(tmp_path, payload), "--seed", "-3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'tol'" in err and "'--seed'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         code = cli.main([str(tmp_path / "nope.json")])

@@ -1,5 +1,6 @@
 """Tests for weight schedules, iteration steps, runs, and trace output."""
 
+import dataclasses
 import json
 import math
 
@@ -347,6 +348,21 @@ class TestRun:
         monkeypatch.setattr(L1Vector, "coords", property(dense))
         trace = run(self._two_member_config(perturbed))
         assert len(trace.records) == 12
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_run_never_builds_a_difference_vector(self, monkeypatch, perturbed):
+        """Defects, step norms and both fixed-set distances are measured
+        with the fused distance."""
+
+        def subtract(self, other):
+            raise AssertionError("difference vector built in run")
+
+        monkeypatch.setattr(L1Vector, "__sub__", subtract)
+        fs = FixedSetDescriptor("single_point", point=ProductPoint(0.7, (0.1,)))
+        cfg = dataclasses.replace(self._two_member_config(perturbed), fixed_set=fs)
+        trace = run(cfg)
+        assert len(trace.records) == 12
+        assert all(r.dist_to_fixset == r.dist_to_ref > 0.0 for r in trace.records)
 
     def test_identity_partner_has_zero_defects(self):
         trace = run(_pair_config(tol=1e-4))

@@ -6,9 +6,10 @@ import struct
 from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from commonfix import space
 from commonfix.errors import LengthMismatch, WeightSumViolation
 from commonfix.mappings import power_t_alpha
 from commonfix.space import (
@@ -16,7 +17,9 @@ from commonfix.space import (
     L1Vector,
     ProductPoint,
     convex_combine,
+    distance,
     in_set,
+    l1_distance,
     l1_norm,
     point_from_json,
     point_to_json,
@@ -367,3 +370,87 @@ class TestDenseOracle:
         assert (L1Vector(a) == L1Vector(b)) == equal
         if equal:
             assert hash(L1Vector(a)) == hash(L1Vector(b))
+
+
+# Coordinates for the distance kernel: the oracle's, plus subnormals, the
+# smallest normal, infinities and NaN.
+_wide_coord = st.one_of(
+    _oracle_coord,
+    st.sampled_from(
+        [5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+    ),
+)
+_dense_wide = st.lists(_wide_coord, max_size=10).map(tuple)
+_wide_scalar = st.one_of(scalars, st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
+
+
+def _same_float(x, y):
+    return (math.isnan(x) and math.isnan(y)) or _bits([x]) == _bits([y])
+
+
+class TestDistanceKernel:
+    """l1_distance and distance against the norm of the built difference."""
+
+    @given(_dense_wide, _dense_wide)
+    @example((), ())
+    @example((), (1.0, -0.0, 2.0))
+    @example((0.5, -0.0, 0.0, 3.0, -1e-310), (0.25,))
+    @example((1.0, 0.0, -2.0, 0.0, 0.0, 4.0), (0.5, 3.0))
+    @example((math.inf,), (math.inf, 1.0))
+    def test_l1_distance_is_the_norm_of_the_difference(self, a, b):
+        u, v = L1Vector(a), L1Vector(b)
+        got = l1_distance(u, v)
+        assert _same_float(got, l1_norm(u - v))
+        assert _same_float(got, _dense_norm(_dense_sub(a, b)))
+        assert _same_float(l1_distance(v, u), l1_norm(v - u))
+
+    @given(_wide_scalar, _dense_wide, _wide_scalar, _dense_wide)
+    @example(0.0, (), -0.0, ())
+    def test_distance_is_the_product_norm_of_the_difference(self, s, a, t, b):
+        p, q = ProductPoint(s, a), ProductPoint(t, b)
+        assert _same_float(distance(p, q), product_norm(p - q))
+
+
+class TestNormMemo:
+    @given(_dense_wide, _dense_wide)
+    def test_every_call_gives_the_bits_of_the_sum(self, a, b):
+        u, v = L1Vector(a), L1Vector(b)
+        first_u, first_v = l1_norm(u), l1_norm(v)
+        for vec, first, dense in ((u, first_u, a), (v, first_v, b)):
+            assert _same_float(first, _dense_norm(dense))
+            assert _same_float(l1_norm(vec), first)
+            assert _same_float(product_norm(ProductPoint(0.0, vec)), first)
+
+    @given(_dense, _dense)
+    def test_value_semantics_survive_the_memo(self, a, b):
+        u, v = L1Vector(a), L1Vector(b)
+        equal_before, hashes_before = u == v, (hash(u), hash(v))
+        l1_norm(u)
+        assert (u == v) == equal_before
+        assert (hash(u), hash(v)) == hashes_before
+        assert u == L1Vector(a) and hash(u) == hash(L1Vector(a))
+
+    def test_vectors_stay_frozen_after_the_memo(self):
+        v = L1Vector((1.0, -2.0))
+        assert l1_norm(v) == 3.0
+        with pytest.raises(FrozenInstanceError):
+            v.values = (5.0,)
+        with pytest.raises(FrozenInstanceError):
+            v._norm = 0.0
+        assert l1_norm(v) == 3.0 and v.values == (1.0, -2.0)
+
+    def test_each_vector_is_summed_once(self, monkeypatch):
+        sums = []
+
+        def counted(coords):
+            sums.append(1)
+            return _dense_norm(coords)
+
+        monkeypatch.setattr(space, "_abs_sum", counted)
+        u, v = L1Vector((1.0, -2.0)), L1Vector((1.0, -2.0))
+        assert [l1_norm(u), l1_norm(u), l1_norm(v), l1_norm(u)] == [3.0] * 4
+        assert len(sums) == 2
+
+    def test_plain_sequences_are_summed(self):
+        assert l1_norm([1.0, -2.0, 0.5]) == 3.5
+        assert l1_norm(()) == 0.0
