@@ -9,9 +9,9 @@ The package provides, in four layers:
   profiles, and defect estimation;
 * :mod:`commonfix.scheme`: the two-stage weighted iteration with per-step
   n-th powers, weight schedules, traces, and serialization;
-* :mod:`commonfix.verifier`: numerical certificates for every inequality
-  the construction rests on, witness and counterexample builders, and
-  trajectory recursion bounds.
+* :mod:`commonfix.verifier`: numerical certificates for the growth
+  inequality and the exact identities of the shift-and-root operator,
+  witness and counterexample builders, and trajectory recursion bounds.
 
 The :mod:`commonfix.cli` module drives experiments from JSON configs.
 """
@@ -32,8 +32,6 @@ from .mappings import (
     Mapping,
     TotalAsymptoticProfile,
     apply_f_kappa,
-    apply_s,
-    apply_s_f,
     apply_t_alpha,
     estimate_intermediate_defect,
     estimate_intermediate_defects,
@@ -70,17 +68,13 @@ from .space import (
     product_norm,
 )
 from .verifier import (
-    CollapseDiagnostic,
     InequalityCheck,
     RecursionBound,
     WitnessResult,
     antipodal_pair_counterexample,
-    check_linear_growth,
     check_run_bound,
     check_total_inequality,
     compute_recursion_bound,
-    family_collapse_diagnostic,
-    iterate_growth_bounds,
     witness_non_asymptotic,
 )
 
@@ -88,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleSet",
-    "CollapseDiagnostic",
     "CommonFixError",
     "DomainViolation",
     "FixedSetDescriptor",
@@ -112,10 +105,7 @@ __all__ = [
     "WitnessResult",
     "antipodal_pair_counterexample",
     "apply_f_kappa",
-    "apply_s",
-    "apply_s_f",
     "apply_t_alpha",
-    "check_linear_growth",
     "check_run_bound",
     "check_total_inequality",
     "compute_recursion_bound",
@@ -124,10 +114,8 @@ __all__ = [
     "distance_to_fixset",
     "estimate_intermediate_defect",
     "estimate_intermediate_defects",
-    "family_collapse_diagnostic",
     "i_images",
     "in_set",
-    "iterate_growth_bounds",
     "l1_distance",
     "l1_norm",
     "make_identity",

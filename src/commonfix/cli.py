@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -139,35 +140,10 @@ class CounterexampleSpec:
     horizon: int
 
 
-class PowerRange(Sequence):
-    """The powers min..max of a ``{"min", "max"}`` config, kept as a range
-    so that parsing never lists them.  It equals any sequence with the same
-    items, so ``{"min": 1, "max": 3}`` and ``[1, 2, 3]`` give equal specs."""
-
-    def __init__(self, lo: int, hi: int) -> None:
-        self.range = range(lo, hi + 1)
-
-    def __len__(self) -> int:
-        return len(self.range)
-
-    def __getitem__(self, i):
-        return self.range[i]
-
-    def __iter__(self):
-        return iter(self.range)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Sequence)
-            and len(other) == len(self)
-            and all(a == b for a, b in zip(self, other))
-        )
-
-
 @dataclass(frozen=True)
 class DefectSpec:
     kappa: float
-    powers: Sequence[int]  # a tuple, or a PowerRange
+    powers: Sequence[int]  # a tuple, or a range
     grid_size: int
 
 
@@ -211,9 +187,19 @@ def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
 
 
-def _power_range(lo, hi) -> tuple[int, int]:
+def _file_stem(value) -> str:
+    """``value`` if it is a non-empty string that names a file inside the
+    output directory: no path separator, no NUL, not ``.`` or ``..``."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty string, got {value!r}")
+    if value in (".", "..") or any(c and c in value for c in ("/", os.sep, os.altsep, "\0")):
+        raise ValueError(f"expected a file-name stem without a path, got {value!r}")
+    return value
+
+
+def _power_range(lo, hi) -> range:
     lo = check_power(lo)
-    return lo, check_int(hi, lo, "max power")
+    return range(lo, check_int(hi, lo, "max power") + 1)
 
 
 def _iteration(
@@ -344,7 +330,7 @@ def _certify(raw: dict, violations: _Violations) -> CertifySpec | None:
     full = violations.read("full_checks", json_flag, raw.get("full_checks", False))
     if violations:
         return None
-    return CertifySpec(tuple(maps), samples, powers[0], powers[1], full)
+    return CertifySpec(tuple(maps), samples, powers[0], powers[-1], full)
 
 
 def _witness(raw: dict, violations: _Violations) -> WitnessSpec | None:
@@ -391,8 +377,7 @@ def _defects(raw: dict, violations: _Violations) -> DefectSpec | None:
     kappa = violations.read("kappa", lambda v: check_factor(json_number(v)), raw.get("kappa"))
     powers = raw.get("powers", [1, 5, 10, 20])
     if isinstance(powers, dict):
-        lo_hi = violations.read("powers", _power_range, powers.get("min"), powers.get("max"))
-        powers = () if lo_hi is None else PowerRange(*lo_hi)
+        powers = violations.read("powers", _power_range, powers.get("min"), powers.get("max"))
     elif isinstance(powers, list) and powers:
         powers = tuple(violations.read("powers", check_power, n) for n in powers)
     else:
@@ -423,11 +408,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError([f"top level must be a JSON object, got {type(raw).__name__}"])
 
     violations = _Violations()
-    name = raw.get("name", path.stem)
+    name = violations.read("name", _file_stem, raw.get("name", path.stem))
     output_dir = raw.get("output_dir", ".")
-    for key, value in (("name", name), ("output_dir", output_dir)):
-        if not isinstance(value, str) or not value:
-            violations.append(f"'{key}': expected a non-empty string, got {value!r}")
+    if not isinstance(output_dir, str) or not output_dir:
+        violations.append(f"'output_dir': expected a non-empty string, got {output_dir!r}")
     mode = raw.get("mode")
     if mode not in MODES:
         violations.append(f"'mode': expected one of {list(MODES)}, got {mode!r}")

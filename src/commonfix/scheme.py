@@ -18,7 +18,6 @@ falling under the configured tolerance or by the step budget running out.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -421,20 +420,6 @@ def write_trace_csv(trace: Trace, path: str) -> None:
         for rec in trace.records
     ]
     write_csv(path, header, rows)
-
-
-def read_trace_csv(path: str) -> list[dict]:
-    """Read a trace table back into a list of dicts with parsed floats."""
-    rows: list[dict] = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed: dict = {"n": int(row["n"])}
-            for key, val in row.items():
-                if key == "n":
-                    continue
-                parsed[key] = float(val) if val != "" else None
-            rows.append(parsed)
-    return rows
 
 
 def write_states_jsonl(trace: Trace, path: str) -> None:

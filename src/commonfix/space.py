@@ -35,7 +35,7 @@ first call.  The kept value is the one the loop gives, so repeated domain
 checks of the same point return the same bits while summing only once.
 
 Trailing zeros in a stored vector are representational only: appending or
-trimming them never changes a norm, an arithmetic result, or membership in
+dropping them never changes a norm, an arithmetic result, or membership in
 an admissible set.  Equality between vectors is mathematical, so
 ``L1Vector((1.0, 0.0)) == L1Vector((1.0,))``.
 """
@@ -47,7 +47,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import LengthMismatch, WeightSumViolation
 
@@ -95,25 +95,10 @@ class L1Vector:
     def __len__(self) -> int:
         return self.length
 
-    def __getitem__(self, i: int) -> float:
-        return self.coords[i]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.coords)
-
     @property
     def first(self) -> float:
         """The first coordinate x_1, or 0.0 for an empty prefix."""
         return self.values[0] if self.indices and self.indices[0] == 0 else 0.0
-
-    def trim(self) -> "L1Vector":
-        """Drop trailing zero coordinates.  Mathematically a no-op."""
-        n = len(self.values)
-        while n > 0 and self.values[n - 1] == 0.0:
-            n -= 1
-        return L1Vector.from_sparse(
-            self.indices[:n], self.values[:n], self.indices[n - 1] + 1 if n else 0
-        )
 
     @cached_property
     def _norm(self) -> float:

@@ -8,10 +8,9 @@ applies everywhere.
 
 The module covers four layers:
 
-* per-pair growth certificates for the gradual relaxation inequality and
-  for the affine envelope of the relaxation gauge phi;
-* derived per-power bounds for a map measured against a comparison map,
-  expanding both profiles into one affine bound in ||x - y||;
+* a per-pair growth certificate for the gradual relaxation inequality;
+* the exact iterate-difference identity of the shift-and-root operator
+  and the square-root gap chain that dominates it;
 * constructive counterexamples: a witness pair showing the shift-and-root
   operator is not asymptotically nonexpansive in the classical
   multiplicative sense, and an antipodal pair showing that weighted
@@ -20,15 +19,15 @@ The module covers four layers:
   summable b_n, c_n assembled from the family profiles, checked record by
   record against an actual run.
 
-Finite-horizon diagnostics here are evidence, not proofs: they evaluate
-finitely many points of statements quantified over infinitely many.
+These checks are evidence, not proofs: they evaluate finitely many points
+of statements quantified over infinitely many.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import MissingConstants, NotAFixedPoint
 from .mappings import (
@@ -41,7 +40,7 @@ from .mappings import (
     power_s,
     power_t_alpha,
 )
-from .scheme import IterationConfig, Trace, WeightSchedule
+from .scheme import IterationConfig, Trace
 from .space import (
     L1Vector,
     ProductPoint,
@@ -141,108 +140,6 @@ def check_total_inequality(
             "base_distance": d,
         },
     )
-
-
-def check_linear_growth(
-    profile: TotalAsymptoticProfile,
-    grid: Sequence[float],
-    tol: float = CHECK_TOL,
-) -> list[InequalityCheck]:
-    """Certify the affine envelope of phi on a grid of gauge arguments.
-
-    Two statements per point xi >= 0: phi(xi) <= M_star * xi whenever
-    xi >= M (the conditional bound, emitted only where it applies), and
-    phi(xi) <= phi(M) + M_star * xi unconditionally.
-
-    :raises MissingConstants: the profile carries no (M, M_star) pair.
-    """
-    if profile.linear_bound is None:
-        raise MissingConstants("profile has no affine growth constants")
-    big_m, m_star = profile.linear_bound
-    phi_m = profile.phi(big_m)
-    checks: list[InequalityCheck] = []
-    for xi in grid:
-        xi = float(xi)
-        if xi < 0.0:
-            raise ValueError(f"gauge arguments must be nonnegative, got {xi!r}")
-        val = profile.phi(xi)
-        if xi >= big_m:
-            checks.append(
-                _check(
-                    val,
-                    m_star * xi,
-                    tol,
-                    {"equation": "conditional-linear", "xi": xi, "M": big_m, "M_star": m_star},
-                )
-            )
-        checks.append(
-            _check(
-                val,
-                phi_m + m_star * xi,
-                tol,
-                {"equation": "affine-envelope", "xi": xi, "M": big_m, "M_star": m_star},
-            )
-        )
-    return checks
-
-
-def iterate_growth_bounds(
-    t_map: Mapping,
-    i_map: Mapping,
-    x: ProductPoint,
-    y: ProductPoint,
-    n: int,
-    tol: float = CHECK_TOL,
-) -> tuple[InequalityCheck, InequalityCheck]:
-    """Certify the two affine per-power bounds measured in ||x - y||.
-
-    With (mu, lam, phi, M, M_star) the profile of T against I, and
-    (mu~, lam~, varphi, N, N_star) the profile of I against the identity:
-
-        ||I^n x - I^n y||  <=  (1 + mu~_n N_star) ||x - y||
-                               + mu~_n varphi(N) + lam~_n
-
-        ||T^n x - T^n y||  <=  (1 + mu_n M_star)(1 + mu~_n N_star) ||x - y||
-                               + mu~_n (1 + mu_n M_star) varphi(N)
-                               + lam~_n (1 + mu_n M_star)
-                               + mu_n phi(M) + lam_n
-
-    :raises MissingConstants: either profile lacks its constants pair.
-    """
-    tp, ip = t_map.profile, i_map.profile
-    if tp.linear_bound is None or ip.linear_bound is None:
-        raise MissingConstants("both profiles need affine growth constants")
-    big_m, m_star = tp.linear_bound
-    big_n, n_star = ip.linear_bound
-    base = distance(x, y)
-    mu_n, lam_n = tp.mu(n), tp.lam(n)
-    mut_n, lamt_n = ip.mu(n), ip.lam(n)
-
-    i_gap = distance(nth_power(i_map, n, x), nth_power(i_map, n, y))
-    i_rhs = (1.0 + mut_n * n_star) * base + mut_n * ip.phi(big_n) + lamt_n
-    i_check = _check(
-        i_gap,
-        i_rhs,
-        tol,
-        {"equation": "comparison-power-growth", "n": n, "map": i_map.name},
-    )
-
-    t_gap = distance(nth_power(t_map, n, x), nth_power(t_map, n, y))
-    boost = 1.0 + mu_n * m_star
-    t_rhs = (
-        boost * (1.0 + mut_n * n_star) * base
-        + mut_n * boost * ip.phi(big_n)
-        + lamt_n * boost
-        + mu_n * tp.phi(big_m)
-        + lam_n
-    )
-    t_check = _check(
-        t_gap,
-        t_rhs,
-        tol,
-        {"equation": "power-growth", "n": n, "map": t_map.name},
-    )
-    return i_check, t_check
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +468,7 @@ def check_run_bound(
     """
     cfg = trace.config
     for mp in cfg.t_family + cfg.i_family:
-        drift = distance(mp.apply(p), p)
+        drift = distance(nth_power(mp, 1, p), p)
         if drift > FIXED_POINT_TOL:
             raise NotAFixedPoint(
                 f"reference point moves by {drift!r} under {mp.name or mp!r}"
@@ -597,84 +494,3 @@ def check_run_bound(
             )
         )
     return checks
-
-
-# ---------------------------------------------------------------------------
-# finite-horizon collapse diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollapseDiagnostic:
-    """Finite-horizon evidence about weighted families z_1n, ..., z_mn.
-
-    If the weighted combinations keep norm near a limit d while every
-    member stays inside norm d, the members are expected to collapse
-    together.  The diagnostic reports the combination norm at the horizon
-    (``d_hat``), how far member norms exceed it (``max_norm_excess``), and
-    the largest pairwise gap over the tail window.  It is a diagnostic
-    over finitely many steps, not a proof of any limit statement.
-    """
-
-    d_hat: float
-    max_norm_excess: float
-    tail_max_pairwise: float
-    horizon: int
-    tail_start: int
-    note: str = "finite-horizon diagnostic, not a proof"
-
-
-def family_collapse_diagnostic(
-    sequences: Sequence[Sequence[ProductPoint]],
-    weights: WeightSchedule,
-    horizon: int,
-) -> CollapseDiagnostic:
-    """Evaluate the collapse diagnostic for m sequences and a schedule.
-
-    The schedule's full slot count (m + 1 for family size m) must equal
-    the number of sequences; its slots are read as the combination
-    weights.  Each sequence must reach the horizon.  The tail window is
-    the second half, steps ceil(horizon/2)..horizon.
-    """
-    count = len(sequences)
-    if count < 2:
-        raise ValueError("need at least two sequences to compare")
-    if weights.size != count:
-        raise ValueError(
-            f"schedule carries {weights.size} weights for {count} sequences"
-        )
-    check_horizon(horizon)
-    for seq in sequences:
-        if len(seq) < horizon:
-            raise ValueError("every sequence must reach the horizon")
-
-    def combo_norm(n: int) -> float:
-        w = weights.weights_at(n)
-        total = ProductPoint(0.0, ())
-        for j in range(count):
-            total = total + sequences[j][n - 1] * w[j]
-        return product_norm(total)
-
-    d_hat = combo_norm(horizon)
-    max_excess = max(
-        product_norm(sequences[j][horizon - 1]) - d_hat for j in range(count)
-    )
-    tail_start = horizon - horizon // 2
-    tail_gap = 0.0
-    for n in range(tail_start, horizon + 1):
-        for a in range(count):
-            for b in range(a + 1, count):
-                gap = distance(sequences[a][n - 1], sequences[b][n - 1])
-                tail_gap = max(tail_gap, gap)
-    return CollapseDiagnostic(
-        d_hat=d_hat,
-        max_norm_excess=max_excess,
-        tail_max_pairwise=tail_gap,
-        horizon=horizon,
-        tail_start=tail_start,
-    )
-
-
-def checks_to_json(checks: Sequence[InequalityCheck]) -> list[dict]:
-    """Serialize a batch of checks for a certificate report."""
-    return [c.to_json() for c in checks]

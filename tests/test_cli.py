@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from commonfix import cli
 from commonfix.errors import ParseError, ValidationError
-from commonfix.scheme import read_trace_csv
 from commonfix.verifier import InequalityCheck
+
+from helpers import read_trace_csv
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -139,7 +140,7 @@ class TestParseConfig:
             "grid_size": 101,
         }
         cfg = cli.parse_config(write_config(tmp_path, payload))
-        assert cfg.defects.powers == (1, 2, 3, 4)
+        assert tuple(cfg.defects.powers) == (1, 2, 3, 4)
 
     def test_defect_power_range_is_not_listed_while_parsing(self, tmp_path):
         payload = {
@@ -229,6 +230,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "config validation failed" in err and "'powers'" in err
         assert not (tmp_path / "out" / "def_defects.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name",
+        ["sub/run", "../escaped", ".", "..", "nul\0byte"],
+        ids=["subdir", "parent", "dot", "dotdot", "nul"],
+    )
+    def test_name_outside_output_dir_exits_2(self, tmp_path, capsys, name):
+        payload = {
+            "name": name,
+            "mode": "counterexample",
+            "norm": 1.0,
+            "horizon": 3,
+            "output_dir": str(tmp_path / "out" / "inner"),
+        }
+        code = cli.main([write_config(tmp_path, payload), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config validation failed" in err and "'name'" in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
 
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
         payload = run_config(tmp_path)

@@ -14,7 +14,6 @@ from commonfix.mappings import (
     OSCILLATOR_HALF_WIDTH,
     UNIT_DOMAIN,
     apply_f_kappa,
-    apply_s,
     apply_t_alpha,
     estimate_intermediate_defect,
     estimate_intermediate_defects,
@@ -151,18 +150,18 @@ class TestClosedPower:
 class TestProductEmbedding:
     def test_scalar_factor_untouched(self):
         p = ProductPoint(0.37, (0.2, 0.1))
-        assert apply_s(0.5, p).scalar == 0.37
+        assert power_s(0.5, 1, p).scalar == 0.37
         assert power_s(0.5, 7, p).scalar == 0.37
 
     def test_scalar_line_fixed_pointwise(self):
         for x in (0.0, 0.3, 1.0):
             p = ProductPoint(x, ())
-            out = apply_s(0.5, p)
+            out = power_s(0.5, 1, p)
             assert out.scalar == x and out.vec == L1Vector(())
 
     def test_domain_violation_outside_box(self):
         with pytest.raises(DomainViolation):
-            apply_s(0.5, ProductPoint(1.5, ()))
+            power_s(0.5, 1, ProductPoint(1.5, ()))
         with pytest.raises(DomainViolation):
             power_s(0.5, 2, ProductPoint(0.5, (0.8, 0.8)))
 
@@ -170,7 +169,7 @@ class TestProductEmbedding:
         p = ProductPoint(0.4, (0.09, -0.2))
         s_map = make_s(0.5)
         t_map = mapping_from_json({"kind": "t_alpha", "alpha": 0.5})
-        ps, pt = s_map.apply(p), t_map.apply(p)
+        ps, pt = s_map.power(1, p), t_map.power(1, p)
         assert ps.scalar == pt.scalar and ps.vec == pt.vec
         assert t_map.name == "t_alpha(0.5)"
 
@@ -223,27 +222,29 @@ class TestOscillator:
 
 
 class TestNthPower:
-    def test_prefers_closed_power(self):
-        calls = []
-        mapping = make_s(0.5)
-        spy = type(mapping)(
-            apply=lambda p: calls.append("apply") or p,
-            domain=mapping.domain,
-            profile=mapping.profile,
-            closed_power=lambda k, p: power_s(0.5, k, p),
-            name="spy",
-        )
-        out = nth_power(spy, 3, ProductPoint(0.1, (0.04,)))
-        assert calls == []
-        assert out.vec == power_t_alpha(0.5, 3, L1Vector((0.04,)))
-
-    def test_falls_back_to_repeated_application(self):
-        base = make_s(0.5)
-        bare = type(base)(
-            apply=base.apply, domain=base.domain, profile=base.profile, name="bare"
-        )
-        p = ProductPoint(0.3, (0.16, 0.2))
-        assert l1_norm(nth_power(bare, 3, p).vec - power_t_alpha(0.5, 3, p.vec)) <= _TOL
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "identity"},
+            {"kind": "t_alpha", "alpha": 0.8},
+            {"kind": "s", "alpha": 0.5},
+            {"kind": "s_f", "kappa": 0.7, "alpha": 0.8},
+        ],
+        ids=lambda spec: spec["kind"],
+    )
+    def test_power_matches_repeated_first_power(self, spec):
+        """nth_power(m, k, p) equals k applications of nth_power(m, 1, .):
+        the vector factor within 1e-12, the scalar factor bit for bit."""
+        mapping = mapping_from_json(spec)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = sample_point(rng, mapping.domain)
+            iterated = p
+            for k in range(1, 21):
+                iterated = nth_power(mapping, 1, iterated)
+                closed = nth_power(mapping, k, p)
+                assert closed.scalar == iterated.scalar
+                assert l1_norm(closed.vec - iterated.vec) <= _TOL
 
     def test_validates_input_point_only(self):
         # the k = 1 image of (1/4, 3/4) under T_0.9 leaves the ball, but the
@@ -500,5 +501,5 @@ class TestJsonConstruction:
     def test_identity_fixes_everything(self):
         ident = make_identity()
         p = ProductPoint(0.62, (0.1, -0.2))
-        assert ident.apply(p) is p
+        assert ident.power(1, p) is p
         assert nth_power(ident, 9, p) is p

@@ -27,7 +27,6 @@ from commonfix.scheme import (
     distance_to_fixset,
     i_images,
     make_schedule,
-    read_trace_csv,
     reference_point,
     run,
     step,
@@ -35,6 +34,8 @@ from commonfix.scheme import (
     write_trace_csv,
 )
 from commonfix.space import L1Vector, ProductPoint, l1_norm, product_norm
+
+from helpers import read_trace_csv
 
 BOUNDS = (0.05, 0.95)
 

@@ -60,7 +60,6 @@ class TestL1Norm:
     def test_trailing_zero_padding_never_changes_norm(self, v):
         padded = L1Vector(v.coords + (0.0, 0.0, 0.0))
         assert l1_norm(padded) == l1_norm(v)
-        assert l1_norm(v.trim()) == l1_norm(v)
 
 
 class TestVectorValueSemantics:

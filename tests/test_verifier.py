@@ -8,28 +8,25 @@ import pytest
 
 from commonfix.errors import MissingConstants, NotAFixedPoint
 from commonfix.mappings import (
+    OSCILLATOR_DOMAIN,
     Mapping,
     TotalAsymptoticProfile,
     UNIT_DOMAIN,
     make_identity,
     make_s,
-    shift_root_profile,
+    make_s_f,
 )
-from commonfix.scheme import IterationConfig, WeightSchedule, make_schedule, run
+from commonfix.scheme import IterationConfig, make_schedule, run
 from commonfix.space import L1Vector, ProductPoint, product_norm
 from commonfix.verifier import (
     CHECK_TOL,
     INDEX_NOTE,
     antipodal_pair_counterexample,
     check_iterate_difference_identity,
-    check_linear_growth,
     check_root_gap_chain,
     check_run_bound,
     check_total_inequality,
-    checks_to_json,
     compute_recursion_bound,
-    family_collapse_diagnostic,
-    iterate_growth_bounds,
     witness_non_asymptotic,
 )
 
@@ -84,76 +81,6 @@ class TestTotalInequality:
         chk = check_total_inequality(s_map, None, rigid, x, y, 1)
         assert not chk.satisfied
         assert chk.slack < -CHECK_TOL
-
-
-class TestLinearGrowth:
-    def test_grid_checks_all_satisfied(self):
-        prof = shift_root_profile(0.5)
-        checks = check_linear_growth(prof, [0.0, 0.5, 1.0, 2.0])
-        # one affine check per point, conditional checks only where xi >= 1
-        assert len(checks) == 6
-        assert all(c.satisfied for c in checks)
-        kinds = {c.context["equation"] for c in checks}
-        assert kinds == {"conditional-linear", "affine-envelope"}
-
-    def test_conditional_bound_tight_at_threshold(self):
-        prof = shift_root_profile(0.5)
-        checks = check_linear_growth(prof, [1.0])
-        cond = [c for c in checks if c.context["equation"] == "conditional-linear"]
-        assert cond[0].lhs == 2.0 and cond[0].rhs == 2.0
-
-    def test_negative_argument_rejected(self):
-        with pytest.raises(ValueError):
-            check_linear_growth(shift_root_profile(0.5), [-0.1])
-
-    def test_missing_constants(self):
-        prof = TotalAsymptoticProfile(
-            mu=lambda n: 0.0, lam=lambda n: 0.0, phi=lambda t: t
-        )
-        with pytest.raises(MissingConstants):
-            check_linear_growth(prof, [1.0])
-
-
-class TestIterateGrowthBounds:
-    def test_both_bounds_satisfied(self):
-        i_chk, t_chk = iterate_growth_bounds(
-            make_s(0.5),
-            make_identity(),
-            ProductPoint(0.1, (0.36, 0.2)),
-            ProductPoint(0.9, (0.01,)),
-            4,
-        )
-        assert i_chk.satisfied and t_chk.satisfied
-        assert i_chk.context["equation"] == "comparison-power-growth"
-        assert t_chk.context["equation"] == "power-growth"
-
-    def test_identity_comparison_bound_is_exact(self):
-        i_chk, _ = iterate_growth_bounds(
-            make_s(0.5),
-            make_identity(),
-            ProductPoint(0.3, (0.2,)),
-            ProductPoint(0.5, ()),
-            2,
-        )
-        # the identity has mu = lam = 0, so its bound collapses to equality
-        assert i_chk.lhs == i_chk.rhs
-
-    def test_missing_constants(self):
-        bare_profile = TotalAsymptoticProfile(
-            mu=lambda n: 0.5**n, lam=lambda n: 0.0, phi=lambda t: t
-        )
-        s_map = make_s(0.5)
-        bare = Mapping(
-            apply=s_map.apply,
-            domain=UNIT_DOMAIN,
-            profile=bare_profile,
-            closed_power=s_map.closed_power,
-            name="bare",
-        )
-        with pytest.raises(MissingConstants):
-            iterate_growth_bounds(
-                bare, make_identity(), ProductPoint(0, ()), ProductPoint(1, ()), 1
-            )
 
 
 class TestExactIdentities:
@@ -322,10 +249,9 @@ class TestRecursionBound:
         )
         s_map = make_s(0.5)
         bare = Mapping(
-            apply=s_map.apply,
+            power=s_map.power,
             domain=UNIT_DOMAIN,
             profile=bare_profile,
-            closed_power=s_map.closed_power,
             name="bare",
         )
         cfg = _two_family_config(t_family=(bare, make_s(0.3)))
@@ -361,39 +287,29 @@ class TestRunBound:
         last = checks[-1]
         assert last.lhs == product_norm(trace.final - ProductPoint(0.7, ()))
 
+    def _oscillator_run(self):
+        halves = make_schedule("constant", 1, BOUNDS)
+        cfg = IterationConfig(
+            t_family=(make_s_f(0.5, 0.5),),
+            i_family=(make_identity(OSCILLATOR_DOMAIN),),
+            alpha=halves,
+            beta=halves,
+            x0=ProductPoint(0.1, (0.2,)),
+            max_steps=5,
+            tol=1e-300,
+        )
+        return run(cfg), compute_recursion_bound(cfg)
 
-class TestCollapseDiagnostic:
-    def _weights(self):
-        return make_schedule("constant", 1, BOUNDS)
+    def test_oscillator_run_accepts_the_origin(self):
+        trace, bound = self._oscillator_run()
+        checks = check_run_bound(trace, ProductPoint(0.0, ()), bound)
+        assert len(checks) == len(trace.records) == 5
 
-    def test_collapsing_family(self):
-        seq_a = [ProductPoint(0.5 + 4.0**-n, ()) for n in range(1, 41)]
-        seq_b = [ProductPoint(0.5 - 4.0**-n, ()) for n in range(1, 41)]
-        diag = family_collapse_diagnostic([seq_a, seq_b], self._weights(), 40)
-        assert diag.d_hat == pytest.approx(0.5, abs=1e-12)
-        assert diag.tail_max_pairwise < 1e-11
-        assert diag.max_norm_excess < 1e-12
-        assert diag.tail_start == 20
-        assert "not a proof" in diag.note
-
-    def test_antipodal_family_does_not_collapse(self):
-        # midpoint norms vanish while the pairwise gap stays at 2
-        x = ProductPoint(0.0, (1.0,))
-        seq_a = [x] * 10
-        seq_b = [x * -1.0] * 10
-        diag = family_collapse_diagnostic([seq_a, seq_b], self._weights(), 10)
-        assert diag.d_hat == 0.0
-        assert diag.max_norm_excess == 1.0
-        assert diag.tail_max_pairwise == 2.0
-
-    def test_validation(self):
-        x = [ProductPoint(0.0, ())] * 5
-        with pytest.raises(ValueError, match="two sequences"):
-            family_collapse_diagnostic([x], self._weights(), 5)
-        with pytest.raises(ValueError, match="weights"):
-            family_collapse_diagnostic([x, x, x], self._weights(), 5)
-        with pytest.raises(ValueError, match="horizon"):
-            family_collapse_diagnostic([x, x], self._weights(), 9)
+    def test_oscillator_run_rejects_a_moving_reference(self):
+        # f_0.5(0.1) = 0.05 sin(10) moves the scalar by about 0.127
+        trace, bound = self._oscillator_run()
+        with pytest.raises(NotAFixedPoint, match="s_f"):
+            check_run_bound(trace, ProductPoint(0.1, ()), bound)
 
 
 class TestSerialization:
@@ -406,7 +322,7 @@ class TestSerialization:
             ProductPoint(0.3, ()),
             2,
         )
-        blob = checks_to_json([chk])[0]
+        blob = chk.to_json()
         assert set(blob) >= {"lhs", "rhs", "slack", "satisfied", "tolerance", "equation"}
         assert blob["satisfied"] is True
 
