@@ -35,6 +35,7 @@ Example run config:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -98,15 +99,6 @@ from .verifier import (
     witness_start,
 )
 
-MODES = (
-    "run",
-    "run_with_errors",
-    "certify",
-    "witness",
-    "counterexample",
-    "defect_profile",
-)
-
 DEFAULT_BOUNDS = (0.05, 0.95)
 DEFAULT_SAMPLES = 500
 DEFAULT_POWERS = (1, 25)
@@ -153,12 +145,9 @@ class ExperimentConfig:
     mode: str
     seed: int
     output_dir: str
+    # the mode's parsed fields: IterationConfig for the run modes, else a *Spec
+    spec: IterationConfig | CertifySpec | WitnessSpec | CounterexampleSpec | DefectSpec
     dump_states: bool = False
-    iteration: IterationConfig | None = None
-    certify: CertifySpec | None = None
-    witness: WitnessSpec | None = None
-    counterexample: CounterexampleSpec | None = None
-    defects: DefectSpec | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +192,7 @@ def _power_range(lo, hi) -> range:
 
 
 def _iteration(
-    raw: dict, with_errors: bool, violations: _Violations
+    raw: dict, violations: _Violations, with_errors: bool = False
 ) -> IterationConfig | None:
     t_specs = raw.get("t_family")
     if not isinstance(t_specs, list) or not t_specs:
@@ -397,12 +386,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+        # past the interpreter's digit limit; RecursionError: deep nesting
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError([f"top level must be a JSON object, got {type(raw).__name__}"])
@@ -418,33 +407,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ValidationError(violations)
     seed = violations.read("seed", check_int, raw.get("seed", 0), 0, "seed")
     dump_states = violations.read("dump_states", json_flag, raw.get("dump_states", False))
-
-    iteration = certify = witness = counterexample = defects = None
-    if mode in ("run", "run_with_errors"):
-        iteration = _iteration(raw, mode == "run_with_errors", violations)
-    elif mode == "certify":
-        certify = _certify(raw, violations)
-    elif mode == "witness":
-        witness = _witness(raw, violations)
-    elif mode == "counterexample":
-        counterexample = _counterexample(raw, violations)
-    elif mode == "defect_profile":
-        defects = _defects(raw, violations)
-
+    spec = _MODES[mode][0](raw, violations)
     if violations:
         raise ValidationError(violations)
-    return ExperimentConfig(
-        name=name,
-        mode=mode,
-        seed=seed,
-        output_dir=output_dir,
-        dump_states=dump_states,
-        iteration=iteration,
-        certify=certify,
-        witness=witness,
-        counterexample=counterexample,
-        defects=defects,
-    )
+    return ExperimentConfig(name, mode, seed, output_dir, spec, dump_states)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +422,8 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _log(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
-def _run_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    trace = run(cfg.iteration)
+def _run_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+    trace = run(cfg.spec)
     trace_path = out / f"{cfg.name}_trace.csv"
     write_trace_csv(trace, str(trace_path))
     if cfg.dump_states:
@@ -478,22 +439,20 @@ def _run_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
         "final_step_norm": trace.records[-1].step_norm,
         "running_min_dist_to_fixset": min(fix_dists) if fix_dists else None,
         "final_dist_to_fixset": (
-            distance_to_fixset(trace.final, cfg.iteration.fixed_set)
-            if cfg.iteration.fixed_set
+            distance_to_fixset(trace.final, cfg.spec.fixed_set)
+            if cfg.spec.fixed_set
             else None
         ),
     }
     _write_json(out / f"{cfg.name}_summary.json", summary)
-    _log(
-        quiet,
-        f"[{cfg.name}] {len(trace.records)} steps, terminated by "
-        f"{trace.terminated_by}, final step norm {trace.records[-1].step_norm!r}",
+    return True, (
+        f"{len(trace.records)} steps, terminated by "
+        f"{trace.terminated_by}, final step norm {trace.records[-1].step_norm!r}"
     )
-    return 0
 
 
-def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool) -> int:
-    spec = cfg.certify
+def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+    spec = cfg.spec
     rng = np.random.default_rng(seed)
     all_rows: list[dict] = []
     samples_dump: list[dict] = []
@@ -509,6 +468,8 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool) -> i
                         "y": point_to_json(y),
                     }
                 )
+            # the chain does not depend on n; it is reported at every power
+            chain = check_root_gap_chain(x.vec, y.vec) if shift is not None else ()
             for n in range(spec.power_min, spec.power_max + 1):
                 batch = [
                     check_total_inequality(mapping, None, mapping.profile, x, y, n)
@@ -517,7 +478,7 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool) -> i
                     batch.append(
                         check_iterate_difference_identity(shift, n, x.vec, y.vec)
                     )
-                    batch.extend(check_root_gap_chain(x.vec, y.vec))
+                    batch.extend(chain)
                 for check in batch:
                     row = check.to_json()
                     row["map"] = mapping.name
@@ -557,63 +518,51 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int, quiet: bool) -> i
         report["checks"] = all_rows
         report["sampled_points"] = samples_dump
     _write_json(out / f"{cfg.name}_certificates.json", report)
-    _log(
-        quiet,
-        f"[{cfg.name}] {len(all_rows)} checks, {len(failed)} failed",
-    )
-    return 0 if not failed else 1
+    return not failed, f"{len(all_rows)} checks, {len(failed)} failed"
 
 
-def _witness_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    spec = cfg.witness
-    header = [
-        "alpha",
-        "k",
-        "lambda_k",
-        "x0",
-        "separation",
-        "image_separation",
-        "ratio",
-        "ratio_analytic",
-        "threshold",
-        "exceeds",
+# The WitnessResult attributes in table order; lam_k is headed lambda_k.
+_WITNESS_COLUMNS = (
+    "alpha",
+    "k",
+    "lam_k",
+    "x0",
+    "separation",
+    "image_separation",
+    "ratio",
+    "ratio_analytic",
+    "threshold",
+    "exceeds",
+)
+
+
+def _witness_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+    spec = cfg.spec
+    results = [
+        witness_non_asymptotic(alpha, k, spec.lam_k, spec.x0)
+        for alpha in spec.alphas
+        for k in spec.ks
     ]
-    rows = []
-    all_exceed = True
-    for alpha in spec.alphas:
-        for k in spec.ks:
-            res = witness_non_asymptotic(alpha, k, spec.lam_k, spec.x0)
-            all_exceed = all_exceed and res.exceeds
-            rows.append(
-                [
-                    res.alpha,
-                    res.k,
-                    res.lam_k,
-                    res.x0,
-                    res.separation,
-                    res.image_separation,
-                    res.ratio,
-                    res.ratio_analytic,
-                    res.threshold,
-                    res.exceeds,
-                ]
-            )
-    write_csv(out / f"{cfg.name}_witness.csv", header, rows)
+    all_exceed = all(res.exceeds for res in results)
+    write_csv(
+        out / f"{cfg.name}_witness.csv",
+        [{"lam_k": "lambda_k"}.get(c, c) for c in _WITNESS_COLUMNS],
+        [[getattr(res, c) for c in _WITNESS_COLUMNS] for res in results],
+    )
     _write_json(
         out / f"{cfg.name}_summary.json",
         {
             "name": cfg.name,
             "mode": "witness",
-            "pairs": len(rows),
+            "pairs": len(results),
             "all_exceed": all_exceed,
         },
     )
-    _log(quiet, f"[{cfg.name}] {len(rows)} witness pairs, all_exceed={all_exceed}")
-    return 0 if all_exceed else 1
+    return all_exceed, f"{len(results)} witness pairs, all_exceed={all_exceed}"
 
 
-def _counterexample_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    spec = cfg.counterexample
+def _counterexample_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+    spec = cfg.spec
     d = product_norm(spec.x)
     rows_out = []
     ok = True
@@ -642,12 +591,11 @@ def _counterexample_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
             "all_within_tolerance": ok,
         },
     )
-    _log(quiet, f"[{cfg.name}] {spec.horizon} rows, within tolerance: {ok}")
-    return 0 if ok else 1
+    return ok, f"{spec.horizon} rows, within tolerance: {ok}"
 
 
-def _defect_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
-    spec = cfg.defects
+def _defect_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+    spec = cfg.spec
     interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
     estimates = estimate_intermediate_defects(
         lambda x: apply_f_kappa(spec.kappa, x), interval, spec.powers, spec.grid_size
@@ -674,8 +622,19 @@ def _defect_mode(cfg: ExperimentConfig, out: Path, quiet: bool) -> int:
             "all_within_envelope": ok,
         },
     )
-    _log(quiet, f"[{cfg.name}] {len(rows)} powers, within envelope: {ok}")
-    return 0 if ok else 1
+    return ok, f"{len(rows)} powers, within envelope: {ok}"
+
+
+# mode -> (parse(raw, violations) -> spec, run(cfg, out, seed) -> (ok, message))
+_MODES = {
+    "run": (_iteration, _run_mode),
+    "run_with_errors": (functools.partial(_iteration, with_errors=True), _run_mode),
+    "certify": (_certify, _certify_mode),
+    "witness": (_witness, _witness_mode),
+    "counterexample": (_counterexample, _counterexample_mode),
+    "defect_profile": (_defects, _defect_mode),
+}
+MODES = tuple(_MODES)
 
 
 def execute(
@@ -687,16 +646,10 @@ def execute(
     """Run one experiment; write artifacts; return the process exit code."""
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    effective_seed = cfg.seed if seed is None else seed
-    if cfg.mode in ("run", "run_with_errors"):
-        return _run_mode(cfg, out, quiet)
-    if cfg.mode == "certify":
-        return _certify_mode(cfg, out, effective_seed, quiet)
-    if cfg.mode == "witness":
-        return _witness_mode(cfg, out, quiet)
-    if cfg.mode == "counterexample":
-        return _counterexample_mode(cfg, out, quiet)
-    return _defect_mode(cfg, out, quiet)
+    ok, message = _MODES[cfg.mode][1](cfg, out, cfg.seed if seed is None else seed)
+    if not quiet:
+        print(f"[{cfg.name}] {message}")
+    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

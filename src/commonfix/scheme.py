@@ -57,7 +57,6 @@ class WeightSchedule:
     """
 
     m: int
-    kind: str
     values: Callable[[int, int], float]
     bounds: tuple[float, float]
     includes_error_term: bool = False
@@ -99,9 +98,9 @@ def make_schedule(
 
     kind "constant" assigns every slot the equal weight 1/(m+1), or
     1/(m+2) with an error slot.  kind "custom" takes either a constant
-    ``weights`` list of the full slot count or a callable ``values(j, n)``;
-    a callable is spot-checked at the first few steps and further
-    validated at every use.
+    ``weights`` list of the full slot count or a callable ``values(j, n)``.
+    Every schedule is checked by ``weights_at`` at steps 1..8 here and
+    again at every use.
 
     :raises InfeasibleSchedule: bounds not a pair with 0 < lo < hi < 1, or
         a weight outside them.
@@ -120,12 +119,8 @@ def make_schedule(
     size = m + (2 if includes_error_term else 1)
     if kind == "constant":
         w = 1.0 / size
-        if not lo <= w <= hi:
-            raise InfeasibleSchedule(
-                f"constant weight {w!r} for m={m} falls outside [{lo}, {hi}]"
-            )
-        return WeightSchedule(m, "constant", lambda j, n: w, (lo, hi), includes_error_term)
-    if kind == "custom":
+        values = lambda j, n: w
+    elif kind == "custom":
         if (weights is None) == (values is None):
             raise InfeasibleSchedule(
                 "custom schedule needs exactly one of 'weights' or 'values'"
@@ -136,24 +131,13 @@ def make_schedule(
                 raise LengthMismatch(
                     f"{len(ws)} weights supplied, {size} slots required"
                 )
-            total = math.fsum(ws)
-            if abs(total - 1.0) > WEIGHT_TOL or any(not x > 0.0 for x in ws):
-                raise WeightSumViolation(
-                    f"custom weights {ws!r} sum to {total!r}"
-                )
-            for x in ws:
-                if not lo <= x <= hi:
-                    raise InfeasibleSchedule(
-                        f"custom weight {x!r} outside [{lo}, {hi}]"
-                    )
-            return WeightSchedule(
-                m, "custom", lambda j, n: ws[j], (lo, hi), includes_error_term
-            )
-        sched = WeightSchedule(m, "custom", values, (lo, hi), includes_error_term)
-        for n in range(1, 9):
-            sched.weights_at(n)
-        return sched
-    raise InfeasibleSchedule(f"unknown schedule kind {kind!r}")
+            values = lambda j, n: ws[j]
+    else:
+        raise InfeasibleSchedule(f"unknown schedule kind {kind!r}")
+    sched = WeightSchedule(m, values, (lo, hi), includes_error_term)
+    for n in range(1, 9):
+        sched.weights_at(n)
+    return sched
 
 
 @dataclass(frozen=True)

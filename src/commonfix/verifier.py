@@ -113,7 +113,6 @@ def check_total_inequality(
     x: ProductPoint,
     y: ProductPoint,
     n: int,
-    tol: float = CHECK_TOL,
 ) -> InequalityCheck:
     """Certify the gradual relaxation inequality at one pair and power:
 
@@ -131,7 +130,7 @@ def check_total_inequality(
     return _check(
         lhs,
         rhs,
-        tol,
+        CHECK_TOL,
         {
             "equation": "gradual-relaxation",
             "n": n,
@@ -152,20 +151,19 @@ def check_iterate_difference_identity(
     k: int,
     x: L1Vector,
     y: L1Vector,
-    tol: float = CHECK_TOL,
 ) -> InequalityCheck:
     """Certify the exact iterate-difference identity of T_a as an equality:
 
         ||T_a^k x - T_a^k y||_1 = a^k (||x - y||_1 + |rt(x_1) - rt(y_1)| - |x_1 - y_1|)
 
-    with rt(s) = sqrt(|s|).  Encoded as |direct - formula| <= tol.
+    with rt(s) = sqrt(|s|).  Encoded as |direct - formula| <= CHECK_TOL.
     """
     direct = l1_distance(power_t_alpha(alpha, k, x), power_t_alpha(alpha, k, y))
     formula = iterate_difference_formula(alpha, k, x, y)
     return _check(
         abs(direct - formula),
         0.0,
-        tol,
+        CHECK_TOL,
         {
             "equation": "iterate-difference-identity",
             "alpha": alpha,
@@ -176,9 +174,7 @@ def check_iterate_difference_identity(
     )
 
 
-def check_root_gap_chain(
-    x: L1Vector, y: L1Vector, tol: float = CHECK_TOL
-) -> tuple[InequalityCheck, InequalityCheck]:
+def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, InequalityCheck]:
     """Certify the square-root gap chain used to dominate the identity:
 
         |rt(x_1) - rt(y_1)| <= sqrt(| |x_1| - |y_1| |) <= sqrt(||x - y||_1).
@@ -187,8 +183,8 @@ def check_root_gap_chain(
     mid = math.sqrt(abs(abs(x.first) - abs(y.first)))
     outer = math.sqrt(l1_distance(x, y))
     return (
-        _check(root_gap, mid, tol, {"equation": "root-gap-inner"}),
-        _check(mid, outer, tol, {"equation": "root-gap-outer"}),
+        _check(root_gap, mid, CHECK_TOL, {"equation": "root-gap-inner"}),
+        _check(mid, outer, CHECK_TOL, {"equation": "root-gap-outer"}),
     )
 
 
@@ -456,7 +452,6 @@ def check_run_bound(
     trace: Trace,
     p: ProductPoint,
     bound: RecursionBound,
-    tol: float = RUN_BOUND_TOL,
 ) -> list[InequalityCheck]:
     """Check a_{n+1} <= (1 + b_n) a_n + c_n along an actual run, with
     a_n = ||x_n - p||.
@@ -482,7 +477,7 @@ def check_run_bound(
             _check(
                 dists[idx + 1],
                 (1.0 + b_n) * dists[idx] + c_n,
-                tol,
+                RUN_BOUND_TOL,
                 {
                     "equation": "distance-recursion",
                     "n": rec.n,

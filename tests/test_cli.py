@@ -45,16 +45,16 @@ class TestParseConfig:
     def test_valid_run_config(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, run_config(tmp_path)))
         assert cfg.name == "demo" and cfg.mode == "run"
-        assert len(cfg.iteration.t_family) == 2
+        assert len(cfg.spec.t_family) == 2
         # identity partners are filled in and the fixed set is inferred
-        assert cfg.iteration.i_family[0].name == "identity"
-        assert cfg.iteration.fixed_set.kind == "scalar_line"
+        assert cfg.spec.i_family[0].name == "identity"
+        assert cfg.spec.fixed_set.kind == "scalar_line"
 
     def test_i_family_defaults_to_identities(self, tmp_path):
         payload = run_config(tmp_path)
         del payload["i_family"]
         cfg = cli.parse_config(write_config(tmp_path, payload))
-        assert [mp.name for mp in cfg.iteration.i_family] == ["identity", "identity"]
+        assert [mp.name for mp in cfg.spec.i_family] == ["identity", "identity"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -129,8 +129,8 @@ class TestParseConfig:
     def test_counterexample_accepts_norm_shorthand(self, tmp_path):
         payload = {"mode": "counterexample", "norm": 1.0, "horizon": 10}
         cfg = cli.parse_config(write_config(tmp_path, payload))
-        assert cfg.counterexample.x.scalar == 1.0
-        assert cfg.counterexample.horizon == 10
+        assert cfg.spec.x.scalar == 1.0
+        assert cfg.spec.horizon == 10
 
     def test_defect_powers_range_object(self, tmp_path):
         payload = {
@@ -140,7 +140,7 @@ class TestParseConfig:
             "grid_size": 101,
         }
         cfg = cli.parse_config(write_config(tmp_path, payload))
-        assert tuple(cfg.defects.powers) == (1, 2, 3, 4)
+        assert tuple(cfg.spec.powers) == (1, 2, 3, 4)
 
     def test_defect_power_range_is_not_listed_while_parsing(self, tmp_path):
         payload = {
@@ -156,7 +156,7 @@ class TestParseConfig:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        powers = cfg.defects.powers
+        powers = cfg.spec.powers
         assert len(powers) == 10**8
         assert (powers[0], powers[-1]) == (1, 10**8)
         # a tuple of 10**8 powers would take 800 MB for its pointers alone
@@ -212,6 +212,17 @@ class TestMainExitCodes:
         code = cli.main([str(tmp_path / "nope.json")])
         assert code == 2
         assert "parse error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000, b"1" * 5_000],
+        ids=["not-utf8", "deeply-nested", "integer-past-digit-limit"],
+    )
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert cli.main([str(path)]) == 2
+        assert "config parse error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "powers", [[True, 2], {"min": True, "max": 2}, {"min": 1, "max": True}]
@@ -460,7 +471,7 @@ def test_example_config_parses(tmp_path, source):
     path = tmp_path / "example.json"
     path.write_text(_example_configs()[source])
     cfg = cli.parse_config(path)
-    assert cfg.mode == "run" and len(cfg.iteration.t_family) == 2
+    assert cfg.mode == "run" and len(cfg.spec.t_family) == 2
 
 
 # Configs that a type or range check must reject, each with the fields its

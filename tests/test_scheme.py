@@ -134,7 +134,7 @@ class TestMakeSchedule:
             w0 = 0.96 if n >= 4 else 0.5
             return w0 if j == 0 else 1.0 - w0
 
-        sched = WeightSchedule(1, "custom", values, (0.05, 0.95))
+        sched = WeightSchedule(1, values, (0.05, 0.95))
         assert sched.weights_at(3) == (0.5, 0.5)
         with pytest.raises(InfeasibleSchedule):
             sched.weights_at(4)
@@ -401,7 +401,7 @@ class TestRun:
         def values(j, n):
             return 0.6 if n == 3 else 0.5
 
-        broken = WeightSchedule(1, "custom", values, BOUNDS)
+        broken = WeightSchedule(1, values, BOUNDS)
         cfg = _pair_config(alpha=broken, beta=broken, tol=1e-300, max_steps=10)
         with pytest.raises(WeightSumViolation):
             run(cfg)
