@@ -32,15 +32,22 @@ so T_a maps B1 into itself exactly when a <= 4/5.  The closed power
 formula and all iterate-difference identities hold on the whole space, so
 certificates may use any a in (0, 1); self-mapped iteration schemes should
 stay at or below 4/5.
+
+A mapping has one route to its powers, ``Mapping.powers(ks, p)``, which
+returns the images at several nondecreasing powers.  It checks the powers
+and the point once, then walks each orbit once: the vector factor takes
+the closed form a^k at each k, the scalar oscillator advances from one
+requested power to the next.  :func:`nth_power` is its one-power case.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -125,18 +132,30 @@ class FixedSetDescriptor:
 class Mapping:
     """A self-map of an admissible set, with its growth profile.
 
-    ``power(k, p)`` evaluates the k-th power at p; one application is
-    ``power(1, p)``.  For the operators in this module the vector factor
-    takes the closed form of T_a^k, exact up to rounding, so no per-step
-    error compounds.  Call it through :func:`nth_power`, which checks k
-    and the domain.
+    :meth:`powers` is the one route to its powers.  ``kernel(ks, p)``
+    returns the images of p at the checked, nondecreasing powers ``ks``
+    and trusts its input; each kernel of this module walks p's orbit once
+    and takes the closed form of T_a^k for the vector factor, exact up to
+    rounding, so no per-step error compounds.
     """
 
-    power: Callable[[int, ProductPoint], ProductPoint]
+    kernel: Callable[[Sequence[int], ProductPoint], list[ProductPoint]]
     domain: AdmissibleSet
     profile: TotalAsymptoticProfile
     fixed_set: FixedSetDescriptor | None = None
     name: str = ""
+
+    def powers(self, ks: Sequence[int], p: ProductPoint) -> list[ProductPoint]:
+        """The images of p at the powers ``ks``, in order.
+
+        :raises ValueError: a power is not a positive integer, or the
+            powers decrease.
+        :raises DomainViolation: ``p`` is outside the domain.
+        """
+        ks = check_powers(ks)
+        if not in_set(p, self.domain):
+            raise DomainViolation(f"{p!r} outside the domain of {self.name or self!r}")
+        return self.kernel(ks, p)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +173,15 @@ def check_factor(alpha: float) -> float:
 def check_power(k: int) -> int:
     """``k`` if it is a positive integer (never bool); else ValueError."""
     return check_int(k, 1, "power")
+
+
+def check_powers(ks: Sequence[int]) -> list[int]:
+    """``ks`` as a list if it holds positive integers (never bool) in
+    nondecreasing order; else ValueError."""
+    ks = [check_power(k) for k in ks]
+    if any(a > b for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"powers must be nondecreasing, got {ks!r}")
+    return ks
 
 
 def check_grid_size(grid_size: int) -> int:
@@ -174,24 +202,47 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
     """The k-th power of T_a in closed form: k zeros, then a^k times
     (sqrt(|x_1|), x_2, x_3, ...).
 
-    The k zeros are not stored: the entries of x_2, x_3, ... move k places
-    right, so the cost is independent of k.
-
     :raises DomainViolation: ``||v||_1 > 1``.
     """
+    return powers_t_alpha(alpha, (k,), v)[0]
+
+
+def powers_t_alpha(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector]:
+    """:func:`power_t_alpha` at each of the nondecreasing powers ``ks``,
+    with the factor, the powers and the ball checked once.
+
+    :raises DomainViolation: ``||v||_1 > 1``, or it is NaN.
+    """
     alpha = check_factor(alpha)
-    check_power(k)
-    if l1_norm(v) > 1.0:
+    ks = check_powers(ks)
+    if not l1_norm(v) <= 1.0:
         raise DomainViolation(f"||v||_1 = {l1_norm(v)!r} exceeds the unit ball")
-    ak = alpha**k
-    head = ak * math.sqrt(abs(v.first))
+    return _shift_powers(alpha, ks, v)
+
+
+def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector]:
+    """T_a^k(v) for each k of ``ks``, trusting a checked alpha and ks.
+
+    The k zeros are not stored: the entries of x_2, x_3, ... move k places
+    right, so the cost is independent of k.  Each power takes a^k = a**k
+    afresh; a product a * a^(k-1) rounds differently.
+    """
+    root = math.sqrt(abs(v.first))
     # x_1, stored first when it is not +0.0, gives way to the head at k.
     rest = 1 if v.indices[:1] == (0,) else 0
-    return L1Vector.from_sparse(
-        [k] + [i + k for i in v.indices[rest:]],
-        [head] + [ak * c for c in v.values[rest:]],
-        k + max(len(v), 1),
-    )
+    indices, values = v.indices[rest:], v.values[rest:]
+    length = max(len(v), 1)
+    out = []
+    for k in ks:
+        ak = alpha**k
+        out.append(
+            L1Vector.from_sparse(
+                [k] + [i + k for i in indices],
+                [ak * root] + [ak * c for c in values],
+                k + length,
+            )
+        )
+    return out
 
 
 def iterate_difference_formula(
@@ -201,10 +252,14 @@ def iterate_difference_formula(
 
         a^k * (||x - y||_1 + |sqrt(|x_1|) - sqrt(|y_1|)| - |x_1 - y_1|).
     """
-    alpha = check_factor(alpha)
-    ak = alpha**k
+    return check_factor(alpha) ** k * iterate_difference_factor(x, y)
+
+
+def iterate_difference_factor(x: L1Vector, y: L1Vector) -> float:
+    """The factor of a^k in :func:`iterate_difference_formula`, the same
+    at every power k."""
     root_gap = abs(math.sqrt(abs(x.first)) - math.sqrt(abs(y.first)))
-    return ak * (l1_distance(x, y) + root_gap - abs(x.first - y.first))
+    return l1_distance(x, y) + root_gap - abs(x.first - y.first)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +273,7 @@ def power_s(alpha: float, k: int, p: ProductPoint) -> ProductPoint:
 
     :raises DomainViolation: the point is outside [0, 1] x B1.
     """
-    if not in_set(p, UNIT_DOMAIN):
-        raise DomainViolation(f"{p!r} outside [0, 1] x B1")
-    return ProductPoint(p.scalar, power_t_alpha(alpha, k, p.vec))
+    return nth_power(make_s(alpha), k, p)
 
 
 def apply_f_kappa(kappa: float, x: float) -> float:
@@ -230,10 +283,10 @@ def apply_f_kappa(kappa: float, x: float) -> float:
     least the factor k, so |f_k^n(x)| <= k^n / pi, yet no single power is
     nonexpansive near the origin because the derivative is unbounded there.
 
-    :raises DomainViolation: ``|x| > 1/pi``.
+    :raises DomainViolation: ``|x| > 1/pi``, or x is NaN.
     """
     kappa = check_factor(kappa)
-    if abs(x) > OSCILLATOR_HALF_WIDTH:
+    if not abs(x) <= OSCILLATOR_HALF_WIDTH:
         raise DomainViolation(f"|{x!r}| exceeds 1/pi")
     if x == 0.0:
         return 0.0
@@ -251,12 +304,22 @@ def power_s_f(kappa: float, alpha: float, k: int, p: ProductPoint) -> ProductPoi
 
     :raises DomainViolation: the point is outside the domain.
     """
-    if not in_set(p, OSCILLATOR_DOMAIN):
-        raise DomainViolation(f"{p!r} outside [-1/pi, 1/pi] x B1")
-    s = p.scalar
-    for _ in range(k):
-        s = apply_f_kappa(kappa, s)
-    return ProductPoint(s, power_t_alpha(alpha, k, p.vec))
+    return nth_power(make_s_f(kappa, alpha), k, p)
+
+
+def _s_f_powers(
+    kappa: float, alpha: float, ks: Sequence[int], p: ProductPoint
+) -> list[ProductPoint]:
+    """S_f^k(p) for each k of ``ks``: one scalar orbit, advanced from each
+    power to the next, so ``max(ks)`` applications of f_k in all."""
+    s, done = p.scalar, 0
+    scalars = []
+    for k in ks:
+        for _ in range(k - done):
+            s = apply_f_kappa(kappa, s)
+        done = k
+        scalars.append(s)
+    return list(map(ProductPoint, scalars, _shift_powers(alpha, ks, p.vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +328,7 @@ def power_s_f(kappa: float, alpha: float, k: int, p: ProductPoint) -> ProductPoi
 
 
 def nth_power(mapping: Mapping, k: int, p: ProductPoint) -> ProductPoint:
-    """Evaluate the k-th power of a mapping at a domain point.
+    """The k-th power of a mapping at a domain point: ``mapping.powers((k,), p)``.
 
     For the maps of this module it agrees with k applications of the
     first power: the scalar factor bit for bit, the vector factor within
@@ -273,10 +336,7 @@ def nth_power(mapping: Mapping, k: int, p: ProductPoint) -> ProductPoint:
 
     :raises DomainViolation: ``p`` is outside the mapping's domain.
     """
-    check_power(k)
-    if not in_set(p, mapping.domain):
-        raise DomainViolation(f"{p!r} outside the domain of {mapping.name or mapping!r}")
-    return mapping.power(k, p)
+    return mapping.powers((k,), p)[0]
 
 
 def estimate_intermediate_defect(
@@ -320,19 +380,29 @@ def estimate_intermediate_defects(
     point per pass: ``grid_size * max(powers)`` evaluations in all.
     """
     powers = [check_power(n) for n in powers]
+    walk = _grid_defects(f, interval, grid_size)
+    defects = list(itertools.islice(walk, max(powers, default=0)))
+    return [defects[n - 1] for n in powers]
+
+
+def _grid_defects(
+    f: Callable[[float], float], interval: tuple[float, float], grid_size: int
+) -> Iterator[float]:
+    """The grid defects of f^1, f^2, ..., one orbit pass per power, with
+    the grid checked now and the orbit walked only as far as it is read."""
     check_grid_size(grid_size)
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"degenerate interval [{lo}, {hi}]")
     xs = np.linspace(lo, hi, grid_size)
-    wanted = set(powers)
-    found: dict[int, float] = {}
-    orbit = xs.tolist()
-    for k in range(1, max(powers, default=0) + 1):
-        orbit = [float(f(v)) for v in orbit]
-        if k in wanted:
-            found[k] = _sorted_grid_defect(xs, np.array(orbit))
-    return [found[n] for n in powers]
+
+    def walk() -> Iterator[float]:
+        orbit = xs.tolist()
+        while True:
+            orbit = [float(f(v)) for v in orbit]
+            yield _sorted_grid_defect(xs, np.array(orbit))
+
+    return walk()
 
 
 def _sorted_grid_defect(xs: np.ndarray, u: np.ndarray) -> float:
@@ -344,26 +414,42 @@ def _sorted_grid_defect(xs: np.ndarray, u: np.ndarray) -> float:
     return max(0.0, float(down.max()), float(up.max()))
 
 
-@functools.lru_cache(maxsize=None)
+# typed, so that n = True misses the entry of n = 1 and is rejected
+@functools.lru_cache(maxsize=None, typed=True)
 def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -> float:
     """Cached defect estimate for f_k on its interval, with envelope check.
+
+    The value is :func:`estimate_intermediate_defect`'s, bit for bit, but
+    one grid orbit per (kappa, grid_size) serves every n: a miss extends
+    it from the highest power reached so far, so the powers 1..N cost
+    ``grid_size * N`` calls of f_k in all, in any order of request.
 
     The analytic ceiling |f_k^n(x) - f_k^n(y)| <= 2 * k^n / pi must
     dominate any grid estimate; a violation would mean the estimator is
     broken, so it raises rather than returning a bad profile term.
     """
-    est = estimate_intermediate_defect(
-        lambda x: apply_f_kappa(kappa, x),
-        (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH),
-        n,
-        grid_size,
-    )
+    kappa = check_factor(kappa)
+    check_power(n)
+    defects, walk = _oscillator_walk(kappa, grid_size)
+    while len(defects) < n:
+        defects.append(next(walk))
+    est = defects[n - 1]
     ceiling = 2.0 * kappa**n / math.pi
     if est > ceiling + 1e-12:
         raise ArithmeticError(
             f"defect estimate {est!r} exceeds analytic ceiling {ceiling!r}"
         )
     return est
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _oscillator_walk(
+    kappa: float, grid_size: int
+) -> tuple[list[float], Iterator[float]]:
+    """The defects of f_k found so far, for the powers 1, 2, ..., and the
+    grid walk that yields the next one; one pair per (kappa, grid_size)."""
+    interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
+    return [], _grid_defects(lambda x: apply_f_kappa(kappa, x), interval, grid_size)
 
 
 def oscillator_defect_envelope(kappa: float, n: int) -> float:
@@ -421,7 +507,7 @@ def oscillator_product_profile(kappa: float, alpha: float) -> TotalAsymptoticPro
 
 def make_identity(domain: AdmissibleSet = UNIT_DOMAIN) -> Mapping:
     return Mapping(
-        power=lambda k, p: p,
+        kernel=lambda ks, p: [p] * len(ks),
         domain=domain,
         profile=identity_profile(),
         name="identity",
@@ -435,7 +521,9 @@ def make_s(alpha: float) -> Mapping:
     """
     alpha = check_factor(alpha)
     return Mapping(
-        power=lambda k, p: power_s(alpha, k, p),
+        kernel=lambda ks, p: [
+            ProductPoint(p.scalar, v) for v in _shift_powers(alpha, ks, p.vec)
+        ],
         domain=UNIT_DOMAIN,
         profile=shift_root_profile(alpha),
         fixed_set=FixedSetDescriptor("scalar_line", interval=(0.0, 1.0)),
@@ -453,7 +541,7 @@ def make_s_f(kappa: float, alpha: float) -> Mapping:
     kappa = check_factor(kappa)
     alpha = check_factor(alpha)
     return Mapping(
-        power=lambda k, p: power_s_f(kappa, alpha, k, p),
+        kernel=lambda ks, p: _s_f_powers(kappa, alpha, ks, p),
         domain=OSCILLATOR_DOMAIN,
         profile=oscillator_product_profile(kappa, alpha),
         fixed_set=FixedSetDescriptor("single_point", point=ProductPoint(0.0, ())),

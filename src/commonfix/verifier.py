@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import MissingConstants, NotAFixedPoint
 from .mappings import (
@@ -35,10 +35,10 @@ from .mappings import (
     TotalAsymptoticProfile,
     check_factor,
     check_power,
-    iterate_difference_formula,
+    iterate_difference_factor,
     nth_power,
     power_s,
-    power_t_alpha,
+    powers_t_alpha,
 )
 from .scheme import IterationConfig, Trace
 from .space import (
@@ -121,24 +121,40 @@ def check_total_inequality(
 
     with I the identity when ``i_map`` is None.
     """
-    lhs = distance(nth_power(t_map, n, x), nth_power(t_map, n, y))
+    return check_total_inequalities(t_map, i_map, profile, x, y, (n,))[0]
+
+
+def check_total_inequalities(
+    t_map: Mapping,
+    i_map: Mapping | None,
+    profile: TotalAsymptoticProfile,
+    x: ProductPoint,
+    y: ProductPoint,
+    ns: Sequence[int],
+) -> list[InequalityCheck]:
+    """:func:`check_total_inequality` at each of the nondecreasing powers
+    ``ns``, walking each orbit of x and y once."""
+    tx, ty = t_map.powers(ns, x), t_map.powers(ns, y)
     if i_map is None:
-        d = distance(x, y)
+        base = [distance(x, y)] * len(tx)
     else:
-        d = distance(nth_power(i_map, n, x), nth_power(i_map, n, y))
-    rhs = d + profile.mu(n) * profile.phi(d) + profile.lam(n)
-    return _check(
-        lhs,
-        rhs,
-        CHECK_TOL,
-        {
-            "equation": "gradual-relaxation",
-            "n": n,
-            "map": t_map.name,
-            "comparison": i_map.name if i_map is not None else "identity",
-            "base_distance": d,
-        },
-    )
+        base = list(map(distance, i_map.powers(ns, x), i_map.powers(ns, y)))
+    comparison = i_map.name if i_map is not None else "identity"
+    return [
+        _check(
+            distance(px, py),
+            d + profile.mu(n) * profile.phi(d) + profile.lam(n),
+            CHECK_TOL,
+            {
+                "equation": "gradual-relaxation",
+                "n": n,
+                "map": t_map.name,
+                "comparison": comparison,
+                "base_distance": d,
+            },
+        )
+        for n, px, py, d in zip(ns, tx, ty, base)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -158,20 +174,39 @@ def check_iterate_difference_identity(
 
     with rt(s) = sqrt(|s|).  Encoded as |direct - formula| <= CHECK_TOL.
     """
-    direct = l1_distance(power_t_alpha(alpha, k, x), power_t_alpha(alpha, k, y))
-    formula = iterate_difference_formula(alpha, k, x, y)
-    return _check(
-        abs(direct - formula),
-        0.0,
-        CHECK_TOL,
-        {
-            "equation": "iterate-difference-identity",
-            "alpha": alpha,
-            "n": k,
-            "direct": direct,
-            "formula": formula,
-        },
-    )
+    return check_iterate_difference_identities(alpha, (k,), x, y)[0]
+
+
+def check_iterate_difference_identities(
+    alpha: float,
+    ks: Sequence[int],
+    x: L1Vector,
+    y: L1Vector,
+) -> list[InequalityCheck]:
+    """:func:`check_iterate_difference_identity` at each of the
+    nondecreasing powers ``ks``; the factor of a^k in the formula is
+    computed once."""
+    tx, ty = powers_t_alpha(alpha, ks, x), powers_t_alpha(alpha, ks, y)
+    a, factor = check_factor(alpha), iterate_difference_factor(x, y)
+    checks = []
+    for k, xk, yk in zip(ks, tx, ty):
+        direct = l1_distance(xk, yk)
+        formula = a**k * factor
+        checks.append(
+            _check(
+                abs(direct - formula),
+                0.0,
+                CHECK_TOL,
+                {
+                    "equation": "iterate-difference-identity",
+                    "alpha": alpha,
+                    "n": k,
+                    "direct": direct,
+                    "formula": formula,
+                },
+            )
+        )
+    return checks
 
 
 def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, InequalityCheck]:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line driver and config parsing."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -273,17 +274,20 @@ class TestMainExitCodes:
         assert "DomainViolation" in capsys.readouterr().err
 
     def test_failed_certificates_exit_1(self, tmp_path, monkeypatch):
-        def doomed(t_map, i_map, profile, x, y, n, tol=1e-12):
-            return InequalityCheck(
-                lhs=1.0,
-                rhs=0.0,
-                slack=-1.0,
-                satisfied=False,
-                tolerance=tol,
-                context={"equation": "gradual-relaxation", "n": n},
-            )
+        def doomed(t_map, i_map, profile, x, y, ns, tol=1e-12):
+            return [
+                InequalityCheck(
+                    lhs=1.0,
+                    rhs=0.0,
+                    slack=-1.0,
+                    satisfied=False,
+                    tolerance=tol,
+                    context={"equation": "gradual-relaxation", "n": n},
+                )
+                for n in ns
+            ]
 
-        monkeypatch.setattr(cli, "check_total_inequality", doomed)
+        monkeypatch.setattr(cli, "check_total_inequalities", doomed)
         payload = {
             "name": "doomed",
             "mode": "certify",
@@ -298,6 +302,55 @@ class TestMainExitCodes:
         assert report["summary"]["failed"] == 4
         assert not report["summary"]["all_satisfied"]
         assert len(report["failures"]) == 4
+
+    @pytest.mark.parametrize("full_checks", [False, True])
+    def test_identity_failing_at_one_power_exits_1(self, tmp_path, monkeypatch, full_checks):
+        real = cli.check_iterate_difference_identities
+
+        def doomed_at_2(alpha, ks, x, y):
+            checks = real(alpha, ks, x, y)
+            return [
+                InequalityCheck(1.0, 0.0, -1.0, False, c.tolerance, c.context)
+                if c.context["n"] == 2
+                else c
+                for c in checks
+            ]
+
+        monkeypatch.setattr(cli, "check_iterate_difference_identities", doomed_at_2)
+        payload = {
+            "name": "doomed",
+            "mode": "certify",
+            "mapping": {"kind": "s", "alpha": 0.5},
+            "samples": 1,
+            "powers": [1, 3],
+            "full_checks": full_checks,
+            "output_dir": str(tmp_path),
+        }
+        assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 1
+        report = json.loads((tmp_path / "doomed_certificates.json").read_text())
+        summary = report["summary"]
+        # 3 powers x (total inequality, identity, two root-gap checks)
+        assert summary["total_checks"] == 12 and summary["failed"] == 1
+        assert not summary["by_equation"]["iterate-difference-identity"]["satisfied"]
+        (failure,) = report["failures"]
+        assert failure["equation"] == "iterate-difference-identity"
+        assert failure["n"] == 2 and failure["slack"] == -1.0
+        worst = {(row["map"], row["equation"]): row for row in report["worst"]}
+        assert worst[("s(0.5)", "iterate-difference-identity")] == failure
+        if full_checks:
+            rows = report["checks"]
+            assert len(rows) == 12
+            # power by power; the root-gap rows carry no n
+            assert [row["n"] for row in rows[::4]] == [1, 2, 3]
+            assert [row["equation"] for row in rows] == [
+                "gradual-relaxation",
+                "iterate-difference-identity",
+                "root-gap-inner",
+                "root-gap-outer",
+            ] * 3
+            assert failure in rows
+        else:
+            assert "checks" not in report
 
 
 class TestArtifacts:
@@ -341,6 +394,36 @@ class TestArtifacts:
         report = json.loads((tmp_path / "full_certificates.json").read_text())
         assert len(report["sampled_points"]) == 3
         assert len(report["checks"]) == report["summary"]["total_checks"]
+
+    # SHA-256 of the certificates of one small config over all four mapping
+    # kinds, recorded before certify streamed its rows; any change to a
+    # check, its order or its rounding shows here.
+    @pytest.mark.parametrize(
+        "full_checks, digest",
+        [
+            (False, "9f74e16b6015640dd4cd908babb9df4e3b65f2084869c59c31374f85d44a0b78"),
+            (True, "5dc9f0119f0f90a44dd5f05613891d57bdb11212eb924ad7ac80ee961236d899"),
+        ],
+    )
+    def test_certify_artifact_frozen(self, tmp_path, full_checks, digest):
+        payload = {
+            "name": "frozen",
+            "mode": "certify",
+            "mappings": [
+                {"kind": "s", "alpha": 0.5},
+                {"kind": "t_alpha", "alpha": 0.8},
+                {"kind": "s_f", "kappa": 0.5, "alpha": 0.5},
+                {"kind": "identity"},
+            ],
+            "samples": 20,
+            "powers": [1, 25],
+            "seed": 3,
+            "full_checks": full_checks,
+        }
+        config = write_config(tmp_path, payload)
+        assert cli.main([config, "--output-dir", str(tmp_path), "--quiet"]) == 0
+        data = (tmp_path / "frozen_certificates.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_witness_table(self, tmp_path):
         payload = {

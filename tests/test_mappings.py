@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from commonfix import mappings
 from commonfix.errors import DomainViolation
 from commonfix.mappings import (
     DEFECT_GRID_SIZE,
@@ -21,6 +22,7 @@ from commonfix.mappings import (
     iterate_difference_formula,
     make_identity,
     make_s,
+    make_s_f,
     mapping_from_json,
     nth_power,
     oscillator_defect,
@@ -29,6 +31,7 @@ from commonfix.mappings import (
     power_s,
     power_s_f,
     power_t_alpha,
+    powers_t_alpha,
     shift_root_profile,
 )
 from commonfix.sampling import sample_pair, sample_point
@@ -64,6 +67,10 @@ class TestShiftRoot:
     def test_outside_ball_rejected(self):
         with pytest.raises(DomainViolation):
             apply_t_alpha(0.5, L1Vector((0.6, 0.6)))
+
+    def test_nan_coordinate_rejected(self):
+        with pytest.raises(DomainViolation):
+            power_t_alpha(0.5, 2, L1Vector((float("nan"), 0.1)))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.3, 1.5])
     def test_factor_outside_open_interval_rejected(self, alpha):
@@ -169,7 +176,7 @@ class TestProductEmbedding:
         p = ProductPoint(0.4, (0.09, -0.2))
         s_map = make_s(0.5)
         t_map = mapping_from_json({"kind": "t_alpha", "alpha": 0.5})
-        ps, pt = s_map.power(1, p), t_map.power(1, p)
+        (ps,), (pt,) = s_map.powers((1,), p), t_map.powers((1,), p)
         assert ps.scalar == pt.scalar and ps.vec == pt.vec
         assert t_map.name == "t_alpha(0.5)"
 
@@ -191,6 +198,10 @@ class TestOscillator:
     def test_outside_interval_rejected(self):
         with pytest.raises(DomainViolation):
             apply_f_kappa(0.5, 0.5)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainViolation):
+            apply_f_kappa(0.5, float("nan"))
 
     @given(
         st.floats(
@@ -261,6 +272,70 @@ class TestNthPower:
             nth_power(make_s(0.5), 0, ProductPoint(0.0, ()))
 
 
+@pytest.fixture
+def f_calls(monkeypatch):
+    """The arguments of the calls of f_k made inside the mappings module."""
+    calls = []
+    monkeypatch.setattr(
+        mappings, "apply_f_kappa", lambda kappa, x: calls.append(x) or apply_f_kappa(kappa, x)
+    )
+    return calls
+
+
+def _bits(p):
+    """Every bit of a point: a signed zero or a last ulp that differs shows."""
+    return (p.scalar.hex(), p.vec.indices, [c.hex() for c in p.vec.values], len(p.vec))
+
+
+class TestPowers:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "identity"},
+            {"kind": "t_alpha", "alpha": 0.8},
+            {"kind": "s", "alpha": 0.5},
+            {"kind": "s_f", "kappa": 0.7, "alpha": 0.8},
+        ],
+        ids=lambda spec: spec["kind"],
+    )
+    @pytest.mark.parametrize("ks", [(1, 4, 4, 25), range(1, 26), (7,)], ids=str)
+    def test_matches_nth_power_bit_for_bit(self, spec, ks):
+        mapping = mapping_from_json(spec)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            p = sample_point(rng, mapping.domain)
+            images = mapping.powers(ks, p)
+            assert len(images) == len(ks)
+            assert [_bits(q) for q in images] == [
+                _bits(nth_power(mapping, k, p)) for k in ks
+            ]
+
+    def test_rejects_point_outside_domain(self):
+        with pytest.raises(DomainViolation):
+            make_s(0.5).powers((1, 2), ProductPoint(0.5, (0.8, 0.8)))
+        with pytest.raises(DomainViolation):
+            mapping_from_json({"kind": "s_f", "kappa": 0.5, "alpha": 0.5}).powers(
+                (1,), ProductPoint(float("nan"), ())
+            )
+
+    @pytest.mark.parametrize("ks", [(3, 2), (1, 5, 4), (True,), (1, True), (0, 1), (1.0,)])
+    def test_rejects_bad_powers(self, ks):
+        with pytest.raises(ValueError):
+            make_s(0.5).powers(ks, ProductPoint(0.5, (0.1,)))
+
+    def test_scalar_orbit_walked_once(self, f_calls):
+        s_f = make_s_f(0.5, 0.5)
+        s_f.powers(range(1, 26), ProductPoint(0.2, (0.1,)))
+        assert len(f_calls) == 25
+
+    def test_t_alpha_powers_match_single_powers(self):
+        v = L1Vector((0.3, 0.0, -0.2))
+        got = powers_t_alpha(0.6, (1, 2, 2, 9), v)
+        assert got == [power_t_alpha(0.6, k, v) for k in (1, 2, 2, 9)]
+        with pytest.raises(ValueError):
+            powers_t_alpha(0.6, (2, 1), v)
+
+
 class TestDefectEstimator:
     def test_nonexpansive_map_has_zero_defect(self):
         est = estimate_intermediate_defect(lambda x: 0.5 * x, (-1.0, 1.0), 1, 101)
@@ -307,6 +382,40 @@ class TestDefectEstimator:
             DEFECT_GRID_SIZE,
         )
         assert a == direct
+
+
+class TestOscillatorDefectOrbit:
+    # a grid size no other test uses, so the orbit starts fresh here
+    GRID = 257
+
+    def test_one_orbit_serves_every_power(self, f_calls):
+        before = oscillator_defect.cache_info()
+        got = {n: oscillator_defect(0.5, n, self.GRID) for n in (25, 3, 7)}
+        assert len(f_calls) == 25 * self.GRID
+        assert oscillator_defect(0.5, 7, self.GRID) == got[7]
+        after = oscillator_defect.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (3, 1)
+        interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
+        for n, value in got.items():
+            direct = estimate_intermediate_defect(
+                lambda x: apply_f_kappa(0.5, x), interval, n, self.GRID
+            )
+            assert value.hex() == direct.hex()
+
+    def test_bad_arguments_raise_and_leave_no_walk(self):
+        oscillator_defect(0.3, 1, self.GRID)
+        # True must not hit the cached n = 1; each bad call raises again
+        g = self.GRID
+        bad = [(1.5, 2, g), (0.3, 0, g), (0.3, True, g), (0.5, 2, 1)]
+        for args in bad * 2:
+            with pytest.raises(ValueError):
+                oscillator_defect(*args)
+        assert oscillator_defect(0.3, 2, self.GRID) == estimate_intermediate_defect(
+            lambda x: apply_f_kappa(0.3, x),
+            (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH),
+            2,
+            self.GRID,
+        )
 
 
 def _pair_matrix_defect(f, interval, n, grid_size):
@@ -501,5 +610,5 @@ class TestJsonConstruction:
     def test_identity_fixes_everything(self):
         ident = make_identity()
         p = ProductPoint(0.62, (0.1, -0.2))
-        assert ident.power(1, p) is p
+        assert ident.powers((1,), p)[0] is p
         assert nth_power(ident, 9, p) is p

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from commonfix.errors import MissingConstants, NotAFixedPoint
+from commonfix.errors import DomainViolation, MissingConstants, NotAFixedPoint
 from commonfix.mappings import (
     OSCILLATOR_DOMAIN,
     Mapping,
@@ -22,9 +22,11 @@ from commonfix.verifier import (
     CHECK_TOL,
     INDEX_NOTE,
     antipodal_pair_counterexample,
+    check_iterate_difference_identities,
     check_iterate_difference_identity,
     check_root_gap_chain,
     check_run_bound,
+    check_total_inequalities,
     check_total_inequality,
     compute_recursion_bound,
     witness_non_asymptotic,
@@ -69,6 +71,26 @@ class TestTotalInequality:
         assert via_none.rhs == via_ident.rhs
         assert via_ident.context["comparison"] == "identity"
 
+    @pytest.mark.parametrize("comparison", [None, make_s(0.3)], ids=["identity", "s"])
+    def test_range_matches_single_powers(self, comparison):
+        s_f = make_s_f(0.5, 0.5)
+        x = ProductPoint(-0.2, (0.25, 0.1))
+        y = ProductPoint(0.1, (0.04,))
+        if comparison is not None:
+            s_f = dataclasses.replace(s_f, domain=UNIT_DOMAIN)
+            x, y = ProductPoint(0.2, x.vec), ProductPoint(0.3, y.vec)
+        ns = (1, 2, 2, 5, 13)
+        many = check_total_inequalities(s_f, comparison, s_f.profile, x, y, ns)
+        assert many == [
+            check_total_inequality(s_f, comparison, s_f.profile, x, y, n) for n in ns
+        ]
+
+    def test_range_rejects_decreasing_powers(self):
+        s_map = make_s(0.5)
+        x = y = ProductPoint(0.2, (0.1,))
+        with pytest.raises(ValueError):
+            check_total_inequalities(s_map, None, s_map.profile, x, y, (2, 1))
+
     def test_violation_reported_not_raised(self):
         # a profile with no slack at all turns the strict expansion of the
         # square root near 0 into a failed check
@@ -91,6 +113,18 @@ class TestExactIdentities:
         assert chk.satisfied
         assert chk.lhs <= 1e-12
         assert chk.context["direct"] == pytest.approx(chk.context["formula"], abs=1e-12)
+
+    def test_identity_range_matches_single_powers(self):
+        x, y = L1Vector((0.3, -0.1)), L1Vector((0.04, 0.2, 0.1))
+        ks = range(1, 26)
+        many = check_iterate_difference_identities(0.7, ks, x, y)
+        assert many == [check_iterate_difference_identity(0.7, k, x, y) for k in ks]
+
+    def test_identity_range_rejects_point_outside_ball(self):
+        with pytest.raises(DomainViolation):
+            check_iterate_difference_identities(
+                0.7, (1, 2), L1Vector((0.6, 0.6)), L1Vector(())
+            )
 
     def test_root_gap_chain_checks(self):
         inner, outer = check_root_gap_chain(L1Vector((0.25, 0.3)), L1Vector((0.04,)))
@@ -249,7 +283,7 @@ class TestRecursionBound:
         )
         s_map = make_s(0.5)
         bare = Mapping(
-            power=s_map.power,
+            kernel=s_map.kernel,
             domain=UNIT_DOMAIN,
             profile=bare_profile,
             name="bare",
