@@ -34,7 +34,6 @@ from .mappings import (
     apply_f_kappa,
     apply_t_alpha,
     estimate_intermediate_defect,
-    estimate_intermediate_defects,
     make_identity,
     make_s,
     make_s_f,
@@ -113,7 +112,6 @@ __all__ = [
     "distance",
     "distance_to_fixset",
     "estimate_intermediate_defect",
-    "estimate_intermediate_defects",
     "i_images",
     "in_set",
     "l1_distance",

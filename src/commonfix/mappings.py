@@ -38,6 +38,10 @@ returns the images at several nondecreasing powers.  It checks the powers
 and the point once, then walks each orbit once: the vector factor takes
 the closed form a^k at each k, the scalar oscillator advances from one
 requested power to the next.  :func:`nth_power` is its one-power case.
+
+The oscillator's grid defect has one route too, :func:`oscillator_defect`:
+one cached grid orbit per (kappa, grid size) serves the profile term lam_n
+and the CLI's defect table alike, each estimate held to its ceiling.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ OSCILLATOR_DOMAIN = AdmissibleSet(
 
 # Grid resolution used when a profile needs a defect estimate of f_k.
 DEFECT_GRID_SIZE = 2001
+
+# Rounding slack allowed above the analytic ceiling of a defect estimate.
+ENVELOPE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,19 +252,13 @@ def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector
     return out
 
 
-def iterate_difference_formula(
-    alpha: float, k: int, x: L1Vector, y: L1Vector
-) -> float:
-    """Right side of the exact iterate-difference identity:
-
-        a^k * (||x - y||_1 + |sqrt(|x_1|) - sqrt(|y_1|)| - |x_1 - y_1|).
-    """
-    return check_factor(alpha) ** k * iterate_difference_factor(x, y)
-
-
 def iterate_difference_factor(x: L1Vector, y: L1Vector) -> float:
-    """The factor of a^k in :func:`iterate_difference_formula`, the same
-    at every power k."""
+    """The factor of a^k in the exact iterate-difference identity, the same
+    at every power k:
+
+        ||T_a^k x - T_a^k y||_1
+            = a^k * (||x - y||_1 + |sqrt(|x_1|) - sqrt(|y_1|)| - |x_1 - y_1|).
+    """
     root_gap = abs(math.sqrt(abs(x.first)) - math.sqrt(abs(y.first)))
     return l1_distance(x, y) + root_gap - abs(x.first - y.first)
 
@@ -265,15 +266,6 @@ def iterate_difference_factor(x: L1Vector, y: L1Vector) -> float:
 # ---------------------------------------------------------------------------
 # product embeddings and the scalar oscillator
 # ---------------------------------------------------------------------------
-
-
-def power_s(alpha: float, k: int, p: ProductPoint) -> ProductPoint:
-    """S^k(x, v) = (x, T_a^k(v)) on [0, 1] x B1, the scalar factor
-    untouched by powers.
-
-    :raises DomainViolation: the point is outside [0, 1] x B1.
-    """
-    return nth_power(make_s(alpha), k, p)
 
 
 def apply_f_kappa(kappa: float, x: float) -> float:
@@ -295,16 +287,6 @@ def apply_f_kappa(kappa: float, x: float) -> float:
         # subnormal x: 1/x overflows, but |f_k(x)| <= |x| < 1e-307 anyway
         return 0.0
     return kappa * x * math.sin(inv)
-
-
-def power_s_f(kappa: float, alpha: float, k: int, p: ProductPoint) -> ProductPoint:
-    """The k-th power of S_f(x, v) = (f_k(x), T_a(v)) on [-1/pi, 1/pi] x B1:
-    the scalar factor is iterated k times (no closed form exists for it),
-    the vector factor uses the closed power.
-
-    :raises DomainViolation: the point is outside the domain.
-    """
-    return nth_power(make_s_f(kappa, alpha), k, p)
 
 
 def _s_f_powers(
@@ -361,28 +343,11 @@ def estimate_intermediate_defect(
 
     where P = u + x and Q = u - x.  The supremum over pairs is then a
     running maximum of P and a running minimum of Q, O(grid_size) in time
-    and memory; see :func:`estimate_intermediate_defects`.
+    and memory, with one call of ``f`` per point per power:
+    ``grid_size * n`` evaluations in all.
     """
-    return estimate_intermediate_defects(f, interval, [n], grid_size)[0]
-
-
-def estimate_intermediate_defects(
-    f: Callable[[float], float],
-    interval: tuple[float, float],
-    powers: Sequence[int],
-    grid_size: int,
-) -> list[float]:
-    """Grid lower estimates of the defects of several powers of f.
-
-    Returns one :func:`estimate_intermediate_defect` value per entry of
-    ``powers``, in the given order, duplicates included.  The grid orbit
-    is walked once, up to ``max(powers)``, with one call of ``f`` per
-    point per pass: ``grid_size * max(powers)`` evaluations in all.
-    """
-    powers = [check_power(n) for n in powers]
-    walk = _grid_defects(f, interval, grid_size)
-    defects = list(itertools.islice(walk, max(powers, default=0)))
-    return [defects[n - 1] for n in powers]
+    n = check_power(n)
+    return next(itertools.islice(_grid_defects(f, interval, grid_size), n - 1, None))
 
 
 def _grid_defects(
@@ -424,9 +389,9 @@ def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -
     it from the highest power reached so far, so the powers 1..N cost
     ``grid_size * N`` calls of f_k in all, in any order of request.
 
-    The analytic ceiling |f_k^n(x) - f_k^n(y)| <= 2 * k^n / pi must
-    dominate any grid estimate; a violation would mean the estimator is
-    broken, so it raises rather than returning a bad profile term.
+    The analytic ceiling :func:`oscillator_defect_envelope` must dominate
+    any grid estimate, up to ``ENVELOPE_TOL``; a violation would mean the
+    estimator is broken, so it raises rather than returning a bad term.
     """
     kappa = check_factor(kappa)
     check_power(n)
@@ -434,8 +399,8 @@ def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -
     while len(defects) < n:
         defects.append(next(walk))
     est = defects[n - 1]
-    ceiling = 2.0 * kappa**n / math.pi
-    if est > ceiling + 1e-12:
+    ceiling = oscillator_defect_envelope(kappa, n)
+    if not est <= ceiling + ENVELOPE_TOL:
         raise ArithmeticError(
             f"defect estimate {est!r} exceeds analytic ceiling {ceiling!r}"
         )
@@ -577,7 +542,7 @@ def mapping_from_json(spec: dict) -> Mapping:
     if not isinstance(spec, dict):
         raise ValueError(f"mapping spec must be an object, got {spec!r}")
     kind = spec.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(
             f"unknown mapping kind {kind!r}; expected one of {sorted(_KINDS)}"
         )

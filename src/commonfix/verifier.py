@@ -36,8 +36,8 @@ from .mappings import (
     check_factor,
     check_power,
     iterate_difference_factor,
+    make_s,
     nth_power,
-    power_s,
     powers_t_alpha,
 )
 from .scheme import IterationConfig, Trace
@@ -299,7 +299,8 @@ def witness_non_asymptotic(
     big_x = ProductPoint(0.0, (x0,))
     big_y = ProductPoint(0.0, (x0 / 4.0,))
     separation = distance(big_x, big_y)
-    image_separation = distance(power_s(alpha, k, big_x), power_s(alpha, k, big_y))
+    s_map = make_s(alpha)
+    image_separation = distance(nth_power(s_map, k, big_x), nth_power(s_map, k, big_y))
     ratio = image_separation / separation
     ratio_analytic = 2.0 * alpha**k / (3.0 * math.sqrt(x0))
     threshold = 1.0 + lam_k
@@ -333,9 +334,13 @@ def check_horizon(horizon: int) -> int:
 def antipodal_norm(x: ProductPoint) -> float:
     """The norm d of the antipodal construction's point x.
 
-    :raises ValueError: x is the zero point, so no pair is constructed.
+    :raises ValueError: x is the zero point, so no pair is constructed,
+        or the pair's distance 2d overflows.
     """
-    return check_positive(product_norm(x), "the norm of x")
+    d = check_positive(product_norm(x), "the norm of x")
+    if not math.isfinite(2.0 * d):
+        raise ValueError(f"the norm of x must be finite when doubled, got {d!r}")
+    return d
 
 
 @dataclass(frozen=True)

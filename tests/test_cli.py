@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commonfix import cli
+from commonfix import cli, mappings
 from commonfix.errors import ParseError, ValidationError
+from commonfix.mappings import make_s_f
 from commonfix.verifier import InequalityCheck
 
 from helpers import read_trace_csv
@@ -351,6 +352,87 @@ class TestMainExitCodes:
             assert failure in rows
         else:
             assert "checks" not in report
+
+    @pytest.mark.parametrize(
+        "mode, patch, field",
+        [
+            ("run", {"t_family": [{"kind": ["s"], "alpha": 0.5}]}, "t_family[0]"),
+            ("run", {"i_family": [{"kind": ["s"]}]}, "i_family[0]"),
+            ("certify", {"mapping": {"kind": ["s"], "alpha": 0.5}}, "mapping"),
+        ],
+        ids=["t_family", "i_family", "mapping"],
+    )
+    def test_kind_not_a_string_exits_2(self, tmp_path, mode, patch, field):
+        code, violations, err = _main_on(_malformed(mode, patch, tmp_path), tmp_path)
+        assert code == 2, err
+        assert f"'{field}': unknown mapping kind ['s']; expected one of" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("x", {"scalar": 0.0, "vec": [1e308, 1e308]}), ("norm", 1e308)],
+    )
+    def test_counterexample_norm_overflowing_when_doubled_exits_2(
+        self, tmp_path, field, value
+    ):
+        # 2d = ||x - (-x)|| overflows: the rows were nan and inf
+        payload = _malformed("counterexample", {}, tmp_path)
+        del payload["norm"]
+        payload[field] = value
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2, err
+        assert [v.split(":")[0] for v in violations] == [f"'{field}'"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestDefectRoute:
+    """The defect table reads the cached orbit behind lambda_n."""
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.7])
+    def test_estimates_equal_the_s_f_profile_term(self, tmp_path, kappa):
+        payload = {
+            "name": "def",
+            "mode": "defect_profile",
+            "kappa": kappa,
+            "powers": {"min": 1, "max": 10},
+            "grid_size": 2001,
+            "output_dir": str(tmp_path),
+        }
+        assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 0
+        lines = (tmp_path / "def_defects.csv").read_text().splitlines()[1:]
+        lam = make_s_f(kappa, 0.5).profile.lam
+        assert [line.split(",")[1] for line in lines] == [
+            repr(lam(n)) for n in range(1, 11)
+        ]
+
+    # a kappa no other test uses, so each (kappa, grid size) walk starts
+    # fresh here and takes the forced estimate
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"mode": "defect_profile", "kappa": 0.4321, "powers": [1, 2, 3], "grid_size": 101},
+            {
+                "mode": "certify",
+                "mapping": {"kind": "s_f", "kappa": 0.4321, "alpha": 0.5},
+                "samples": 2,
+                "powers": [1, 3],
+            },
+        ],
+        ids=["defect_profile", "certify"],
+    )
+    def test_estimate_above_its_ceiling_exits_3(self, tmp_path, monkeypatch, capsys, payload):
+        real, scans = mappings._sorted_grid_defect, []
+
+        def broken_at_power_2(xs, u):
+            scans.append(xs)
+            return 1.0 if len(scans) == 2 else real(xs, u)
+
+        monkeypatch.setattr(mappings, "_sorted_grid_defect", broken_at_power_2)
+        payload = dict(payload, name="broken", output_dir=str(tmp_path / "out"))
+        assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "runtime error: ArithmeticError" in err and "ceiling" in err
+        assert not (tmp_path / "out" / "broken_defects.csv").exists()
 
 
 class TestArtifacts:

@@ -17,9 +17,8 @@ from commonfix.mappings import (
     apply_f_kappa,
     apply_t_alpha,
     estimate_intermediate_defect,
-    estimate_intermediate_defects,
     identity_profile,
-    iterate_difference_formula,
+    iterate_difference_factor,
     make_identity,
     make_s,
     make_s_f,
@@ -28,8 +27,6 @@ from commonfix.mappings import (
     oscillator_defect,
     oscillator_defect_envelope,
     oscillator_product_profile,
-    power_s,
-    power_s_f,
     power_t_alpha,
     powers_t_alpha,
     shift_root_profile,
@@ -140,7 +137,7 @@ class TestClosedPower:
         """||T^k x - T^k y||_1 equals its closed expression within 1e-12."""
         alpha = 0.9
         lhs = l1_norm(power_t_alpha(alpha, k, x) - power_t_alpha(alpha, k, y))
-        rhs = iterate_difference_formula(alpha, k, x, y)
+        rhs = alpha**k * iterate_difference_factor(x, y)
         assert abs(lhs - rhs) <= _TOL
 
     @given(inball, inball)
@@ -157,26 +154,26 @@ class TestClosedPower:
 class TestProductEmbedding:
     def test_scalar_factor_untouched(self):
         p = ProductPoint(0.37, (0.2, 0.1))
-        assert power_s(0.5, 1, p).scalar == 0.37
-        assert power_s(0.5, 7, p).scalar == 0.37
+        assert nth_power(make_s(0.5), 1, p).scalar == 0.37
+        assert nth_power(make_s(0.5), 7, p).scalar == 0.37
 
     def test_scalar_line_fixed_pointwise(self):
         for x in (0.0, 0.3, 1.0):
             p = ProductPoint(x, ())
-            out = power_s(0.5, 1, p)
+            out = nth_power(make_s(0.5), 1, p)
             assert out.scalar == x and out.vec == L1Vector(())
 
     def test_domain_violation_outside_box(self):
         with pytest.raises(DomainViolation):
-            power_s(0.5, 1, ProductPoint(1.5, ()))
+            nth_power(make_s(0.5), 1, ProductPoint(1.5, ()))
         with pytest.raises(DomainViolation):
-            power_s(0.5, 2, ProductPoint(0.5, (0.8, 0.8)))
+            nth_power(make_s(0.5), 2, ProductPoint(0.5, (0.8, 0.8)))
 
     def test_t_alpha_embedding_acts_identically_to_s(self):
         p = ProductPoint(0.4, (0.09, -0.2))
         s_map = make_s(0.5)
         t_map = mapping_from_json({"kind": "t_alpha", "alpha": 0.5})
-        (ps,), (pt,) = s_map.powers((1,), p), t_map.powers((1,), p)
+        ps, pt = nth_power(s_map, 1, p), nth_power(t_map, 1, p)
         assert ps.scalar == pt.scalar and ps.vec == pt.vec
         assert t_map.name == "t_alpha(0.5)"
 
@@ -221,12 +218,12 @@ class TestOscillator:
 
     def test_origin_fixed_under_combined_map(self):
         origin = ProductPoint(0.0, ())
-        out = power_s_f(0.5, 0.5, 40, origin)
+        out = nth_power(make_s_f(0.5, 0.5), 40, origin)
         assert out.scalar == 0.0 and out.vec == L1Vector(())
 
     def test_combined_map_iterates_scalar_and_closes_vector(self):
         p = ProductPoint(0.2, (0.36,))
-        out = power_s_f(0.5, 0.5, 2, p)
+        out = nth_power(make_s_f(0.5, 0.5), 2, p)
         s = apply_f_kappa(0.5, apply_f_kappa(0.5, 0.2))
         assert out.scalar == s
         assert out.vec == power_t_alpha(0.5, 2, L1Vector((0.36,)))
@@ -467,20 +464,11 @@ class TestDefectPrefixScan:
     def test_matches_pair_matrix(self, f, lo, width, powers, grid_size):
         # inside [-1/pi, 1/pi], so the oscillator never leaves its domain
         hi = min(lo + width, OSCILLATOR_HALF_WIDTH)
-        got = estimate_intermediate_defects(f, (lo, hi), powers, grid_size)
-        assert len(got) == len(powers)
-        for n, est in zip(powers, got):
+        for n in powers:
+            est = estimate_intermediate_defect(f, (lo, hi), n, grid_size)
             ref, fn, xs = _pair_matrix_defect(f, (lo, hi), n, grid_size)
             scale = float(np.abs(fn).max() + np.abs(xs).max())
             assert abs(est - ref) <= 8 * np.finfo(float).eps * scale
-
-    def test_powers_in_given_order_with_duplicates(self):
-        f = lambda x: apply_f_kappa(0.5, x)
-        interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
-        many = estimate_intermediate_defects(f, interval, [5, 1, 5], 301)
-        single = [estimate_intermediate_defect(f, interval, n, 301) for n in (5, 1, 5)]
-        assert [v.hex() for v in many] == [v.hex() for v in single]
-        assert many[0] != many[1]
 
     def test_evaluates_grid_times_max_power(self):
         calls = []
@@ -489,14 +477,14 @@ class TestDefectPrefixScan:
             calls.append(x)
             return 0.5 * x
 
-        estimate_intermediate_defects(f, (0.0, 1.0), [2, 7, 3], 11)
+        estimate_intermediate_defect(f, (0.0, 1.0), 7, 11)
         assert len(calls) == 11 * 7
-        assert estimate_intermediate_defects(f, (0.0, 1.0), [], 11) == []
 
     @pytest.mark.parametrize("powers", [[True], [2, False], [0], [1.0]])
     def test_rejects_non_integer_powers(self, powers):
         with pytest.raises(ValueError):
-            estimate_intermediate_defects(lambda x: x, (0.0, 1.0), powers, 11)
+            for n in powers:
+                estimate_intermediate_defect(lambda x: x, (0.0, 1.0), n, 11)
 
     def test_single_power_rejects_bool(self):
         with pytest.raises(ValueError):
@@ -514,26 +502,14 @@ class TestDefectPrefixScan:
             0.0006652709472340885,
             0.0001638621238991781,
         ) + (0.0,) * 12
-        got = estimate_intermediate_defects(
-            lambda x: apply_f_kappa(0.5, x),
-            (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH),
-            range(1, 21),
-            3001,
-        )
-        assert len(got) == 20
+        got = [oscillator_defect(0.5, n, 3001) for n in range(1, 21)]
         for est, ref in zip(got, reference):
             assert abs(est - ref) <= 1e-9 * abs(ref) + 1e-14
 
     def test_grid_beyond_pair_matrix_reach(self):
         # a pair matrix at G = 100,001 would take 80 GB
-        got = estimate_intermediate_defects(
-            lambda x: apply_f_kappa(0.5, x),
-            (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH),
-            [1, 2, 3],
-            100_001,
-        )
-        assert len(got) == 3
-        for n, est in zip((1, 2, 3), got):
+        for n in (1, 2, 3):
+            est = oscillator_defect(0.5, n, 100_001)
             assert 0.0 < est <= oscillator_defect_envelope(0.5, n)
 
 
@@ -599,6 +575,12 @@ class TestJsonConstruction:
         with pytest.raises(ValueError, match="unknown mapping kind"):
             mapping_from_json({"kind": "rotation"})
 
+    @pytest.mark.parametrize("kind", [["s"], {"s": 1}])
+    def test_kind_not_a_string(self, kind):
+        # an unhashable kind used to escape as TypeError
+        with pytest.raises(ValueError, match="unknown mapping kind"):
+            mapping_from_json({"kind": kind, "alpha": 0.5})
+
     def test_missing_parameter(self):
         with pytest.raises(ValueError, match="alpha"):
             mapping_from_json({"kind": "s"})
@@ -612,3 +594,10 @@ class TestJsonConstruction:
         p = ProductPoint(0.62, (0.1, -0.2))
         assert ident.powers((1,), p)[0] is p
         assert nth_power(ident, 9, p) is p
+
+
+def test_every_exported_name_resolves():
+    import commonfix
+
+    missing = [name for name in commonfix.__all__ if not hasattr(commonfix, name)]
+    assert missing == []

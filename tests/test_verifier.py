@@ -223,6 +223,14 @@ class TestAntipodalPair:
         with pytest.raises(ValueError):
             antipodal_pair_counterexample(ProductPoint(0.0, ()), 5)
 
+    @pytest.mark.parametrize(
+        "x", [ProductPoint(1e308, ()), ProductPoint(0.0, (1e308, 1e308))], ids=["d", "inf"]
+    )
+    def test_norm_that_overflows_when_doubled_rejected(self, x):
+        # ||x - (-x)|| = 2d would be inf, and the rows nan
+        with pytest.raises(ValueError, match="doubled"):
+            antipodal_pair_counterexample(x, 5)
+
 
 class TestRecursionBound:
     def test_frozen_first_coefficients(self):
