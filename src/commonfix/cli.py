@@ -62,6 +62,7 @@ from .mappings import (
 from .sampling import sample_pair
 from .scheme import (
     IterationConfig,
+    check_fixed_set,
     check_in_domain,
     check_max_steps,
     check_tol,
@@ -226,7 +227,7 @@ def _iteration(
     max_steps = violations.read("max_steps", check_max_steps, max_steps)
     fixed_set = raw.get("fixed_set")
     if fixed_set is not None:
-        fixed_set = violations.read("fixed_set", _fixed_set, fixed_set)
+        fixed_set = violations.read("fixed_set", _fixed_set, fixed_set, domain)
     elif None not in t_family:
         # the fixed set every member describes alike, if there is one
         described = {mp.fixed_set for mp in t_family}
@@ -281,15 +282,18 @@ def _schedule(raw: dict, key: str, m: int, with_errors: bool, violations: _Viola
     )
 
 
-def _fixed_set(spec) -> FixedSetDescriptor:
+def _fixed_set(spec, domain) -> FixedSetDescriptor:
     if not isinstance(spec, dict):
         raise ValueError(f"expected an object with a 'kind', got {spec!r}")
     interval, point = spec.get("interval"), spec.get("point")
-    return FixedSetDescriptor(
+    fixed_set = FixedSetDescriptor(
         spec.get("kind"),
         interval=None if interval is None else tuple(json_numbers(interval, "interval")),
         point=None if point is None else point_from_json(point),
     )
+    if domain is not None:
+        check_fixed_set(fixed_set, domain)
+    return fixed_set
 
 
 def _certify(raw: dict, violations: _Violations) -> CertifySpec | None:

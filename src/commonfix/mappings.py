@@ -114,6 +114,8 @@ class FixedSetDescriptor:
 
     kind "scalar_line": the segment {(t, 0) : t in [interval]}.
     kind "single_point": one point of R x l1.
+
+    Past validation, :meth:`nearest` is the one place that tells them apart.
     """
 
     kind: str
@@ -122,8 +124,8 @@ class FixedSetDescriptor:
 
     def __post_init__(self) -> None:
         if self.kind == "scalar_line":
-            if self.interval is None:
-                raise ValueError("scalar_line descriptor needs an interval")
+            if self.interval is None or len(self.interval) != 2:
+                raise ValueError(f"scalar_line needs an interval [lo, hi], got {self.interval}")
             lo, hi = self.interval
             if not lo <= hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
@@ -133,6 +135,14 @@ class FixedSetDescriptor:
                 raise ValueError("single_point descriptor needs a point")
         else:
             raise ValueError(f"unknown fixed-set kind {self.kind!r}")
+
+    def nearest(self, p: ProductPoint) -> ProductPoint:
+        """The point of the set nearest to p in the product norm: on a
+        segment, (p's scalar clamped to the interval, 0); else the point."""
+        if self.kind == "scalar_line":
+            lo, hi = self.interval  # type: ignore[misc]
+            return ProductPoint(min(max(p.scalar, lo), hi))
+        return self.point  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .space import (
     convex_combine,
     distance,
     in_set,
-    l1_norm,
     point_to_json,
 )
 
@@ -248,6 +247,8 @@ def _validate_config(cfg: IterationConfig) -> None:
     check_max_steps(cfg.max_steps)
     domain = common_domain(cfg.t_family + cfg.i_family)
     check_in_domain(cfg.x0, domain, "start point")
+    if cfg.fixed_set is not None:
+        check_fixed_set(cfg.fixed_set, domain)
 
 
 def i_images(x: ProductPoint, n: int, cfg: IterationConfig) -> list[ProductPoint]:
@@ -287,34 +288,25 @@ def step(
 
 
 def distance_to_fixset(p: ProductPoint, descriptor: FixedSetDescriptor) -> float:
-    """Distance from p to the described set in the product norm.
-
-    For a scalar segment the nearest point is (clamped scalar, 0), so the
-    distance is the vector norm plus the scalar's distance to the
-    interval.  For a single point it is the plain norm difference.
-    """
-    if descriptor.kind == "scalar_line":
-        lo, hi = descriptor.interval  # type: ignore[misc]
-        s = p.scalar
-        scalar_gap = lo - s if s < lo else (s - hi if s > hi else 0.0)
-        return l1_norm(p.vec) + scalar_gap
-    return distance(p, descriptor.point)  # type: ignore[arg-type]
+    """Distance from p to the described set in the product norm: the
+    distance to its nearest point."""
+    return distance(p, descriptor.nearest(p))
 
 
 def reference_point(cfg: IterationConfig) -> ProductPoint | None:
-    """The trace's reference fixed point, when a fixed set is described.
+    """The trace's reference fixed point, when a fixed set is described:
+    the point of the set nearest to the start point."""
+    return None if cfg.fixed_set is None else cfg.fixed_set.nearest(cfg.x0)
 
-    A scalar segment contains one natural reference for a run: the
-    projection of the start point, (clamped x0.scalar, 0).
-    """
-    fs = cfg.fixed_set
-    if fs is None:
-        return None
-    if fs.kind == "scalar_line":
-        lo, hi = fs.interval  # type: ignore[misc]
-        s = min(max(cfg.x0.scalar, lo), hi)
-        return ProductPoint(s, ())
-    return fs.point
+
+def check_fixed_set(descriptor: FixedSetDescriptor, domain: AdmissibleSet) -> None:
+    """:raises DomainViolation: the described set leaves ``domain``.
+
+    The set is a segment or a point, so it lies in the convex domain when
+    its ends do; they are its nearest points to the scalars -inf and +inf."""
+    for end in (-math.inf, math.inf):
+        q = descriptor.nearest(ProductPoint(end))
+        check_in_domain(q, domain, f"fixed-set point {q!r}")
 
 
 def run(cfg: IterationConfig) -> Trace:

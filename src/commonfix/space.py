@@ -27,7 +27,9 @@ subtraction would form.  That is the same sequence of additions that
 which the subtraction drops; adding abs(+0.0) to a running total that
 starts at +0.0 never changes it, so the two give the same bits, and with
 an infinite or NaN coordinate both are inf or both NaN.  :func:`distance`
-adds |p.s - q.s| in front, as ``product_norm(p - q)`` does.
+adds |p.s - q.s| in front, as ``product_norm(p - q)`` does.  Against a
+vector with no stored entry, such as a point of a scalar fixed set, the
+merge adds exactly the terms of ``l1_norm(a)``, so it returns a's kept norm.
 
 A vector is immutable, so it sums its l1 norm once, on first use, and
 keeps it: :func:`l1_norm` on an :class:`L1Vector` is a lookup after the
@@ -46,7 +48,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .errors import LengthMismatch, WeightSumViolation
@@ -154,31 +156,12 @@ def _store(
 def _pointwise(
     op: Callable[[float, float], float], a: L1Vector, b: L1Vector
 ) -> L1Vector:
-    """Coordinatewise ``op`` over the union of stored entries, merged by
-    index.  A coordinate stored on one side only meets +0.0 on the other,
+    """Coordinatewise ``op`` over the union of stored entries, in index
+    order.  A coordinate stored on one side only meets +0.0 on the other,
     exactly as in the zero-padded dense loop."""
-    ai, av, bi, bv = a.indices, a.values, b.indices, b.values
-    indices: list[int] = []
-    values: list[float] = []
-    i = j = 0
-    while i < len(ai) and j < len(bi):
-        if ai[i] == bi[j]:
-            indices.append(ai[i])
-            values.append(op(av[i], bv[j]))
-            i += 1
-            j += 1
-        elif ai[i] < bi[j]:
-            indices.append(ai[i])
-            values.append(op(av[i], 0.0))
-            i += 1
-        else:
-            indices.append(bi[j])
-            values.append(op(0.0, bv[j]))
-            j += 1
-    indices += ai[i:]
-    values += map(op, av[i:], repeat(0.0))
-    indices += bi[j:]
-    values += map(op, repeat(0.0), bv[j:])
+    da, db = dict(zip(a.indices, a.values)), dict(zip(b.indices, b.values))
+    indices = sorted(da.keys() | db.keys())
+    values = [op(da.get(i, 0.0), db.get(i, 0.0)) for i in indices]
     return L1Vector.from_sparse(indices, values, max(a.length, b.length))
 
 
@@ -256,6 +239,8 @@ def product_norm(p: ProductPoint) -> float:
 def l1_distance(a: L1Vector, b: L1Vector) -> float:
     """||a - b||_1 in one merge of the stored entries, bit-identical to
     ``l1_norm(a - b)`` and without building a - b (see the module note)."""
+    if not b.indices:
+        return l1_norm(a)  # the kept sum of the terms the merge would add
     ai, av, bi, bv = a.indices, a.values, b.indices, b.values
     na, nb = len(ai), len(bi)
     total = 0.0

@@ -16,8 +16,8 @@ The module covers four layers:
   multiplicative sense, and an antipodal pair showing that weighted
   midpoint norms can converge without the pair collapsing;
 * trajectory-level recursion bounds a_{n+1} <= (1 + b_n) a_n + c_n with
-  summable b_n, c_n assembled from the family profiles, checked record by
-  record against an actual run.
+  summable b_n, c_n composed from the two stage bounds of the scheme,
+  checked record by record against an actual run.
 
 These checks are evidence, not proofs: they evaluate finitely many points
 of statements quantified over infinitely many.
@@ -55,13 +55,6 @@ from .space import (
 CHECK_TOL = 1e-12
 RUN_BOUND_TOL = 1e-10
 FIXED_POINT_TOL = 1e-12
-
-# Compound weight sums inside the recursion coefficients are evaluated
-# with independent summation indices.
-INDEX_NOTE = (
-    "compound weight sums in b_n are evaluated with independent inner and "
-    "outer summation indices"
-)
 
 
 @dataclass(frozen=True)
@@ -391,7 +384,6 @@ class RecursionBound:
     """
 
     coeffs: Callable[[int], tuple[float, float]]
-    notes: tuple[str, ...] = ()
 
     def b(self, n: int) -> float:
         return self.coeffs(n)[0]
@@ -407,85 +399,55 @@ class RecursionBound:
 
 
 def compute_recursion_bound(cfg: IterationConfig) -> RecursionBound:
-    """Assemble b_n and c_n from the family profiles and weight schedules.
+    """Compose b_n and c_n from the two stage bounds of the scheme.
 
-    Writing alpha_in, beta_in for the stage weights, (mu_in, lam_in,
-    phi_i, M_i, M*_i) for the profile of T_i and (mu~_in, lam~_in,
-    varphi_i, N_i, N*_i) for the profile of I_i, and
+    Let p be a common fixed point and a_n = ||x_n - p||.  With the stage
+    weights alpha_in, beta_in, the profiles (mu_in, lam_in, phi_i, M_i,
+    M*_i) of T_i and (mu~_in, lam~_in, varphi_i, N_i, N*_i) of I_i, and
+    phi(t) <= phi(M) + M* t,
 
-        B_n = sum_i mu~_in beta_in N*_i,
+        ||I_i^n z - p|| <= (1 + v_i) ||z - p|| + e_i,
+        ||y_n - p||     <= (1 + B) a_n + C,
+        ||T_i^n z - p|| <= (1 + u_i) ||I_i^n z - p|| + g_i,
 
-    the coefficients are
+    where v_i = mu~_in N*_i, e_i = mu~_in varphi_i(N_i) + lam~_in,
+    B = sum_i beta_in v_i, C = sum_i beta_in e_i, u_i = mu_in M*_i and
+    g_i = mu_in phi_i(M_i) + lam_in.  Composing them in the second stage,
 
-        b_n = sum_i (mu_in alpha_in M*_i + mu~_in alpha_in N*_i + alpha_in B_n)
-              + sum_i mu_in mu~_in alpha_in M*_i N*_i
-              + (sum_i mu_in alpha_in M*_i) B_n
-              + (sum_i mu~_in alpha_in N*_i) B_n
+        b_n = sum_i alpha_in (u_i + v_i + u_i v_i + B (1 + u_i)(1 + v_i)),
+        c_n = sum_i alpha_in ((1 + u_i)((1 + v_i) C + e_i) + g_i),
 
-        c_n = (sum_i (mu~_in beta_in varphi_i(N_i) + lam~_in beta_in))
-                  * (sum_i alpha_in (1 + mu_in M*_i)(1 + mu~_in N*_i))
-              + sum_i (mu~_in alpha_in (1 + mu_in M*_i) varphi_i(N_i)
-                       + lam~_in alpha_in (1 + mu_in M*_i))
-              + sum_i (mu_in alpha_in phi_i(M_i) + lam_in alpha_in).
+    each summed term by term, so that terms below an ulp of 1 survive.
 
     :raises MissingConstants: a family profile lacks its constants pair.
     """
-    m = len(cfg.t_family)
+    consts = []  # each member's profile with its phi(M) and M*, read once
     for mp in cfg.t_family + cfg.i_family:
         if mp.profile.linear_bound is None:
             raise MissingConstants(
                 f"mapping {mp.name or mp!r} has no affine growth constants"
             )
+        big_m, m_star = mp.profile.linear_bound
+        consts.append((mp.profile, mp.profile.phi(big_m), m_star))
+    m = len(cfg.t_family)
 
     def coeffs(n: int) -> tuple[float, float]:
         aw = [cfg.alpha.values(i, n) for i in range(1, m + 1)]
         bw = [cfg.beta.values(i, n) for i in range(1, m + 1)]
-        mu = [cfg.t_family[i].profile.mu(n) for i in range(m)]
-        lam = [cfg.t_family[i].profile.lam(n) for i in range(m)]
-        mut = [cfg.i_family[i].profile.mu(n) for i in range(m)]
-        lamt = [cfg.i_family[i].profile.lam(n) for i in range(m)]
-        m_star = [cfg.t_family[i].profile.linear_bound[1] for i in range(m)]
-        phi_m = [
-            cfg.t_family[i].profile.phi(cfg.t_family[i].profile.linear_bound[0])
-            for i in range(m)
-        ]
-        n_star = [cfg.i_family[i].profile.linear_bound[1] for i in range(m)]
-        varphi_n = [
-            cfg.i_family[i].profile.phi(cfg.i_family[i].profile.linear_bound[0])
-            for i in range(m)
-        ]
+        stages = []  # each member's rate mu_n M* and terms mu_n phi(M), lam_n
+        for profile, phi_m, m_star in consts:
+            mu = profile.mu(n)
+            stages.append((mu * m_star, (mu * phi_m, profile.lam(n))))
+        big_b = math.fsum(b * v for b, (v, _) in zip(bw, stages[m:]))
+        big_c = math.fsum(b * sum(es) for b, (_, es) in zip(bw, stages[m:]))
+        b_terms, c_terms = [], []
+        for a, (u, gs), (v, es) in zip(aw, stages[:m], stages[m:]):
+            b_terms += [a * u, a * v, a * u * v, a * big_b * (1.0 + u) * (1.0 + v)]
+            c_terms += [a * (1.0 + u) * ((1.0 + v) * big_c + sum(es))]
+            c_terms += [a * g for g in gs]
+        return math.fsum(b_terms), math.fsum(c_terms)
 
-        big_b = math.fsum(mut[i] * bw[i] * n_star[i] for i in range(m))
-        sum_t = math.fsum(mu[i] * aw[i] * m_star[i] for i in range(m))
-        sum_i = math.fsum(mut[i] * aw[i] * n_star[i] for i in range(m))
-        b_n = (
-            math.fsum(
-                mu[i] * aw[i] * m_star[i]
-                + mut[i] * aw[i] * n_star[i]
-                + aw[i] * big_b
-                for i in range(m)
-            )
-            + math.fsum(mu[i] * mut[i] * aw[i] * m_star[i] * n_star[i] for i in range(m))
-            + sum_t * big_b
-            + sum_i * big_b
-        )
-
-        c_n = (
-            math.fsum(mut[i] * bw[i] * varphi_n[i] + lamt[i] * bw[i] for i in range(m))
-            * math.fsum(
-                aw[i] * (1.0 + mu[i] * m_star[i]) * (1.0 + mut[i] * n_star[i])
-                for i in range(m)
-            )
-            + math.fsum(
-                mut[i] * aw[i] * (1.0 + mu[i] * m_star[i]) * varphi_n[i]
-                + lamt[i] * aw[i] * (1.0 + mu[i] * m_star[i])
-                for i in range(m)
-            )
-            + math.fsum(mu[i] * aw[i] * phi_m[i] + lam[i] * aw[i] for i in range(m))
-        )
-        return b_n, c_n
-
-    return RecursionBound(coeffs=coeffs, notes=(INDEX_NOTE,))
+    return RecursionBound(coeffs=coeffs)
 
 
 def check_run_bound(
@@ -524,7 +486,6 @@ def check_run_bound(
                     "a_n": dists[idx],
                     "b_n": b_n,
                     "c_n": c_n,
-                    "notes": list(bound.notes),
                 },
             )
         )

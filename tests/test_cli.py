@@ -639,6 +639,12 @@ def test_example_config_parses(tmp_path, source):
     assert cfg.mode == "run" and len(cfg.spec.t_family) == 2
 
 
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md quickstart", "exec"), {})
+
+
 # Configs that a type or range check must reject, each with the fields its
 # violations must name.
 MALFORMED = {
@@ -663,6 +669,18 @@ MALFORMED = {
     ),
     "ill-typed-x0": ("run", {"x0": {"scalar": True, "vec": ["0.5"]}}, ["x0"]),
     "witness-bound-underflows": ("witness", {"alpha": 0.1, "k": 200}, ["k=200"]),
+    "fixed-set-three-ends": (
+        "run", {"fixed_set": {"kind": "scalar_line", "interval": [0, 0.5, 1]}},
+        ["fixed_set", "[lo, hi]"],
+    ),
+    "fixed-set-point-outside-domain": (
+        "run",
+        {"fixed_set": {"kind": "single_point", "point": {"scalar": 5.0, "vec": [3.0]}}},
+        ["fixed_set"],
+    ),
+    "fixed-set-segment-outside-domain": (
+        "run", {"fixed_set": {"kind": "scalar_line", "interval": [0.5, 2.0]}}, ["fixed_set"]
+    ),
 }
 
 # One small valid config per mode.

@@ -268,6 +268,22 @@ class TestConfigValidation:
         with pytest.raises(DomainViolation, match="start point"):
             run(cfg)
 
+    @pytest.mark.parametrize(
+        "fixed_set",
+        [
+            FixedSetDescriptor("single_point", point=ProductPoint(5.0, (3.0,))),
+            FixedSetDescriptor("scalar_line", interval=(0.5, 2.0)),
+        ],
+        ids=["point", "segment"],
+    )
+    def test_fixed_set_outside_domain(self, fixed_set):
+        with pytest.raises(DomainViolation, match="fixed-set point"):
+            run(_pair_config(fixed_set=fixed_set))
+
+    def test_scalar_line_needs_two_ends(self):
+        with pytest.raises(ValueError, match=r"\[lo, hi\]"):
+            FixedSetDescriptor("scalar_line", interval=(0.0, 0.5, 1.0))
+
     def test_nonpositive_tolerance(self):
         cfg = _pair_config(tol=0.0)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +21,6 @@ from commonfix.scheme import IterationConfig, make_schedule, run
 from commonfix.space import L1Vector, ProductPoint, product_norm
 from commonfix.verifier import (
     CHECK_TOL,
-    INDEX_NOTE,
     antipodal_pair_counterexample,
     check_iterate_difference_identities,
     check_iterate_difference_identity,
@@ -47,6 +47,34 @@ def _two_family_config(**kw):
     )
     defaults.update(kw)
     return IterationConfig(**defaults)
+
+
+def _composed_coefficients(cfg, n):
+    """(b_n, c_n) of cfg in exact rational arithmetic, by composing the
+    affine stage bounds a -> r a + k of I_i^n, y_n and T_i^n; the final
+    rate is 1 + b_n and the final offset c_n."""
+
+    def member(mp):
+        # ||F^n z - p|| <= (1 + mu M*) ||G^n z - p|| + mu phi(M) + lam
+        big_m, m_star = mp.profile.linear_bound
+        mu = Fraction(mp.profile.mu(n))
+        rate = 1 + mu * Fraction(m_star)
+        return rate, mu * Fraction(mp.profile.phi(big_m)) + Fraction(mp.profile.lam(n))
+
+    # x_n keeps the weight 1 - sum_i w_in, as the stage bounds assume
+    slots = range(1, len(cfg.t_family) + 1)
+    alpha = [Fraction(cfg.alpha.values(i, n)) for i in slots]
+    beta = [Fraction(cfg.beta.values(i, n)) for i in slots]
+    i_stages = [member(mp) for mp in cfg.i_family]
+    y_rate = 1 - sum(beta) + sum(b * r for b, (r, _) in zip(beta, i_stages))
+    y_offset = sum(b * k for b, (_, k) in zip(beta, i_stages))
+    rate, offset = 1 - sum(alpha), Fraction(0)
+    for a, (ri, ki), (rt, kt) in zip(
+        alpha, i_stages, [member(mp) for mp in cfg.t_family]
+    ):
+        rate += a * rt * ri * y_rate
+        offset += a * (rt * (ri * y_offset + ki) + kt)
+    return float(rate - 1), float(offset)
 
 
 class TestTotalInequality:
@@ -237,7 +265,19 @@ class TestRecursionBound:
         bound = compute_recursion_bound(_two_family_config())
         assert bound.b(1) == pytest.approx(0.5333333333333333, abs=1e-15)
         assert bound.c(1) == pytest.approx(0.5333333333333333, abs=1e-15)
-        assert INDEX_NOTE in bound.notes
+        # identity partners: b_n = c_n = (2/3)(0.5^n + 0.3^n), bit for bit
+        for n, value in ((2, 0.22666666666666666), (5, 0.022453333333333332)):
+            assert bound.coeffs(n) == (value, value)
+
+    def test_coefficients_compose_the_stage_bounds(self):
+        # the cross term B * sum_i alpha_in u_i v_i is not 0 with s partners
+        cfg = _two_family_config(i_family=(make_s(0.6), make_s(0.4)))
+        bound = compute_recursion_bound(cfg)
+        for n in range(1, 11):
+            b_n, c_n = _composed_coefficients(cfg, n)
+            assert bound.b(n) == pytest.approx(b_n, rel=1e-15, abs=0.0), n
+            assert bound.c(n) == pytest.approx(c_n, rel=1e-15, abs=0.0), n
+        assert bound.b(1) == 3.3777777777777778
 
     def test_coefficients_decay_geometrically(self):
         bound = compute_recursion_bound(_two_family_config())
@@ -310,7 +350,6 @@ class TestRunBound:
         assert len(checks) == len(trace.records)
         assert all(c.satisfied for c in checks)
         assert checks[0].context["equation"] == "distance-recursion"
-        assert checks[0].context["notes"] == [INDEX_NOTE]
 
     def test_reference_must_be_common_fixed_point(self):
         cfg = _two_family_config()
