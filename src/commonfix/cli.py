@@ -14,8 +14,11 @@ The config selects one of six modes:
     defect_profile  tabulate grid defect estimates against the envelope (CSV)
 
 Exit codes: 0 success, 1 a certificate or table check failed, 2 bad
-configuration, 3 runtime failure.  Outputs are deterministic: the same
-config and seed produce byte-identical files.
+configuration (an unknown top-level key among them), 3 runtime failure.
+A mode computes all its artifacts before any is written, so a runtime
+failure writes none.  Every JSON artifact carries the config's ``name``
+and ``mode``.  Outputs are deterministic: the same config and seed
+produce byte-identical files.
 
 Example run config:
 
@@ -35,6 +38,7 @@ Example run config:
 from __future__ import annotations
 
 import argparse
+import difflib
 import functools
 import json
 import math
@@ -49,6 +53,7 @@ import numpy as np
 
 from .errors import CommonFixError, ParseError, ValidationError
 from .mappings import (
+    DEFECT_GRID_SIZE,
     FixedSetDescriptor,
     Mapping,
     check_factor,
@@ -102,7 +107,6 @@ DEFAULT_BOUNDS = (0.05, 0.95)
 DEFAULT_SAMPLES = 500
 DEFAULT_POWERS = (1, 25)
 DEFAULT_HORIZON = 2000
-DEFAULT_GRID = 2001
 COUNTEREXAMPLE_TOL = 1e-14
 
 
@@ -111,8 +115,7 @@ class CertifySpec:
     # each mapping with its factor alpha when it is s or t_alpha, else None
     maps: tuple[tuple[Mapping, float | None], ...]
     samples: int
-    power_min: int
-    power_max: int
+    powers: range
     full_checks: bool
 
 
@@ -320,7 +323,7 @@ def _certify(raw: dict, violations: _Violations) -> CertifySpec | None:
     full = violations.read("full_checks", json_flag, raw.get("full_checks", False))
     if violations:
         return None
-    return CertifySpec(tuple(maps), samples, powers[0], powers[-1], full)
+    return CertifySpec(tuple(maps), samples, powers, full)
 
 
 def _witness(raw: dict, violations: _Violations) -> WitnessSpec | None:
@@ -372,7 +375,7 @@ def _defects(raw: dict, violations: _Violations) -> DefectSpec | None:
         powers = tuple(violations.read("powers", check_power, n) for n in powers)
     else:
         violations.append(f"'powers': expected a non-empty list or {{min, max}}: {powers!r}")
-    grid = violations.read("grid_size", check_grid_size, raw.get("grid_size", DEFAULT_GRID))
+    grid = violations.read("grid_size", check_grid_size, raw.get("grid_size", DEFECT_GRID_SIZE))
     if violations:
         return None
     return DefectSpec(kappa, powers, grid)
@@ -406,9 +409,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if mode not in MODES:
         violations.append(f"'mode': expected one of {list(MODES)}, got {mode!r}")
         raise ValidationError(violations)
+    keys, parse, _ = _MODES[mode]
+    known = ("name", "mode", "seed", "output_dir", *keys)
+    for key in (k for k in raw if k not in known):
+        close = difflib.get_close_matches(key, known, 1)
+        hint = f"; did you mean '{close[0]}'?" if close else ""
+        violations.append(f"'{key}': unknown key{hint}")
     seed = violations.read("seed", check_int, raw.get("seed", 0), 0, "seed")
     dump_states = violations.read("dump_states", json_flag, raw.get("dump_states", False))
-    spec = _MODES[mode][0](raw, violations)
+    spec = parse(raw, violations)
     if violations:
         raise ValidationError(violations)
     return ExperimentConfig(name, mode, seed, output_dir, spec, dump_states)
@@ -419,43 +428,30 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _run_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
-    trace = run(cfg.spec)
-    trace_path = out / f"{cfg.name}_trace.csv"
-    write_trace_csv(trace, str(trace_path))
+def _run_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
+    trace, fs = run(cfg.spec), cfg.spec.fixed_set
+    steps, last = len(trace.records), trace.records[-1].step_norm
+    files = {"trace.csv": functools.partial(write_trace_csv, trace)}
     if cfg.dump_states:
-        write_states_jsonl(trace, str(out / f"{cfg.name}_states.jsonl"))
+        files["states.jsonl"] = functools.partial(write_states_jsonl, trace)
     fix_dists = [r.dist_to_fixset for r in trace.records if r.dist_to_fixset is not None]
-    summary = {
-        "name": cfg.name,
-        "mode": cfg.mode,
-        "steps": len(trace.records),
+    files["summary.json"] = {
+        "steps": steps,
         "terminated_by": trace.terminated_by,
         "final_scalar": trace.final.scalar,
         "final_vec_norm": l1_norm(trace.final.vec),
-        "final_step_norm": trace.records[-1].step_norm,
+        "final_step_norm": last,
         "running_min_dist_to_fixset": min(fix_dists) if fix_dists else None,
-        "final_dist_to_fixset": (
-            distance_to_fixset(trace.final, cfg.spec.fixed_set)
-            if cfg.spec.fixed_set
-            else None
-        ),
+        "final_dist_to_fixset": distance_to_fixset(trace.final, fs) if fs else None,
     }
-    _write_json(out / f"{cfg.name}_summary.json", summary)
-    return True, (
-        f"{len(trace.records)} steps, terminated by "
-        f"{trace.terminated_by}, final step norm {trace.records[-1].step_norm!r}"
-    )
+    message = f"{steps} steps, terminated by {trace.terminated_by}, final step norm {last!r}"
+    return True, message, files
 
 
-def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
     rng = np.random.default_rng(seed)
-    ns = range(spec.power_min, spec.power_max + 1)
+    ns = spec.powers
     total = 0
     by_equation: dict[str, dict] = {}
     worst: dict[tuple[str, str], dict] = {}
@@ -466,14 +462,8 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, st
         for sample_idx in range(spec.samples):
             x, y = sample_pair(rng, mapping.domain)
             if spec.full_checks:
-                samples_dump.append(
-                    {
-                        "map": mapping.name,
-                        "sample": sample_idx,
-                        "x": point_to_json(x),
-                        "y": point_to_json(y),
-                    }
-                )
+                samples_dump.append({"map": mapping.name, "sample": sample_idx,
+                                     "x": point_to_json(x), "y": point_to_json(y)})
             checks = check_total_inequalities(mapping, None, mapping.profile, x, y, ns)
             if shift is not None:
                 # the chain does not depend on n; it is reported at every power
@@ -493,9 +483,7 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, st
                 new_worst = key not in worst or check.slack < worst[key]["slack"]
                 # a row is built only where the report shows it
                 if new_worst or not check.satisfied or spec.full_checks:
-                    row = check.to_json()
-                    row["map"] = mapping.name
-                    row["sample"] = sample_idx
+                    row = dict(check.to_json(), map=mapping.name, sample=sample_idx)
                     if new_worst:
                         worst[key] = row
                     if not check.satisfied:
@@ -504,11 +492,9 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, st
                         all_rows.append(row)
 
     report = {
-        "name": cfg.name,
-        "mode": "certify",
         "seed": seed,
         "samples": spec.samples,
-        "powers": [spec.power_min, spec.power_max],
+        "powers": [ns[0], ns[-1]],
         "summary": {
             "total_checks": total,
             "failed": len(failed),
@@ -521,8 +507,7 @@ def _certify_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, st
     if spec.full_checks:
         report["checks"] = all_rows
         report["sampled_points"] = samples_dump
-    _write_json(out / f"{cfg.name}_certificates.json", report)
-    return not failed, f"{total} checks, {len(failed)} failed"
+    return not failed, f"{total} checks, {len(failed)} failed", {"certificates.json": report}
 
 
 # The WitnessResult attributes in table order; lam_k is headed lambda_k.
@@ -540,7 +525,7 @@ _WITNESS_COLUMNS = (
 )
 
 
-def _witness_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+def _witness_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
     results = [
         witness_non_asymptotic(alpha, k, spec.lam_k, spec.x0)
@@ -548,24 +533,18 @@ def _witness_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, st
         for k in spec.ks
     ]
     all_exceed = all(res.exceeds for res in results)
-    write_csv(
-        out / f"{cfg.name}_witness.csv",
-        [{"lam_k": "lambda_k"}.get(c, c) for c in _WITNESS_COLUMNS],
-        [[getattr(res, c) for c in _WITNESS_COLUMNS] for res in results],
-    )
-    _write_json(
-        out / f"{cfg.name}_summary.json",
-        {
-            "name": cfg.name,
-            "mode": "witness",
-            "pairs": len(results),
-            "all_exceed": all_exceed,
-        },
-    )
-    return all_exceed, f"{len(results)} witness pairs, all_exceed={all_exceed}"
+    files = {
+        "witness.csv": functools.partial(
+            write_csv,
+            header=[{"lam_k": "lambda_k"}.get(c, c) for c in _WITNESS_COLUMNS],
+            rows=[[getattr(res, c) for c in _WITNESS_COLUMNS] for res in results],
+        ),
+        "summary.json": {"pairs": len(results), "all_exceed": all_exceed},
+    }
+    return all_exceed, f"{len(results)} witness pairs, all_exceed={all_exceed}", files
 
 
-def _counterexample_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+def _counterexample_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
     d = product_norm(spec.x)
     rows_out = []
@@ -574,31 +553,25 @@ def _counterexample_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[b
     for row in antipodal_pair_counterexample(spec.x, spec.horizon):
         expected = d * abs(1.0 - 2.0 / row.n)
         deviation = abs(row.combined_norm - expected)
-        row_ok = deviation <= tol and row.difference_norm == 2.0 * d
-        ok = ok and row_ok
-        rows_out.append(
-            [row.n, row.combined_norm, expected, deviation, row.difference_norm]
-        )
-    write_csv(
-        out / f"{cfg.name}_counterexample.csv",
-        ["n", "combined_norm", "expected_combined", "deviation", "difference_norm"],
-        rows_out,
-    )
-    _write_json(
-        out / f"{cfg.name}_summary.json",
-        {
-            "name": cfg.name,
-            "mode": "counterexample",
+        ok = ok and deviation <= tol and row.difference_norm == 2.0 * d
+        rows_out.append([row.n, row.combined_norm, expected, deviation, row.difference_norm])
+    files = {
+        "counterexample.csv": functools.partial(
+            write_csv,
+            header=["n", "combined_norm", "expected_combined", "deviation", "difference_norm"],
+            rows=rows_out,
+        ),
+        "summary.json": {
             "horizon": spec.horizon,
             "norm": d,
             "max_deviation": max(r[3] for r in rows_out),
             "all_within_tolerance": ok,
         },
-    )
-    return ok, f"{spec.horizon} rows, within tolerance: {ok}"
+    }
+    return ok, f"{spec.horizon} rows, within tolerance: {ok}", files
 
 
-def _defect_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str]:
+def _defect_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
     # the cached orbit behind lambda_n; an estimate above the envelope
     # raises there, a runtime failure, so every row is within it
@@ -607,32 +580,39 @@ def _defect_mode(cfg: ExperimentConfig, out: Path, seed: int) -> tuple[bool, str
          oscillator_defect_envelope(spec.kappa, n), True]
         for n in spec.powers
     ]
-    write_csv(
-        out / f"{cfg.name}_defects.csv",
-        ["n", "estimate", "envelope", "within_envelope"],
-        rows,
-    )
-    _write_json(
-        out / f"{cfg.name}_summary.json",
-        {
-            "name": cfg.name,
-            "mode": "defect_profile",
-            "kappa": spec.kappa,
-            "grid_size": spec.grid_size,
-            "all_within_envelope": True,
+    files = {
+        "defects.csv": functools.partial(
+            write_csv, header=["n", "estimate", "envelope", "within_envelope"], rows=rows
+        ),
+        "summary.json": {
+            "kappa": spec.kappa, "grid_size": spec.grid_size, "all_within_envelope": True
         },
-    )
-    return True, f"{len(rows)} powers, within envelope: True"
+    }
+    return True, f"{len(rows)} powers, within envelope: True", files
 
 
-# mode -> (parse(raw, violations) -> spec, run(cfg, out, seed) -> (ok, message))
+_RUN_KEYS = (
+    "t_family", "i_family", "alpha_schedule", "beta_schedule",
+    "x0", "tol", "max_steps", "fixed_set", "dump_states",
+)
+
+# mode -> (its top-level keys besides name, mode, seed and output_dir,
+#          parse(raw, violations) -> spec, run(cfg, seed) -> (ok, message, files)).
+# ``files`` maps each artifact's suffix to a JSON object, which execute heads
+# with the config's name and mode, or to a writer that takes the path.
 _MODES = {
-    "run": (_iteration, _run_mode),
-    "run_with_errors": (functools.partial(_iteration, with_errors=True), _run_mode),
-    "certify": (_certify, _certify_mode),
-    "witness": (_witness, _witness_mode),
-    "counterexample": (_counterexample, _counterexample_mode),
-    "defect_profile": (_defects, _defect_mode),
+    "run": (_RUN_KEYS, _iteration, _run_mode),
+    "run_with_errors": (
+        (*_RUN_KEYS, "error_u", "error_v"),
+        functools.partial(_iteration, with_errors=True),
+        _run_mode,
+    ),
+    "certify": (
+        ("mapping", "mappings", "samples", "powers", "full_checks"), _certify, _certify_mode
+    ),
+    "witness": (("alpha", "k", "lambda_k", "x0"), _witness, _witness_mode),
+    "counterexample": (("x", "norm", "horizon"), _counterexample, _counterexample_mode),
+    "defect_profile": (("kappa", "powers", "grid_size"), _defects, _defect_mode),
 }
 MODES = tuple(_MODES)
 
@@ -643,10 +623,18 @@ def execute(
     seed: int | None = None,
     quiet: bool = False,
 ) -> int:
-    """Run one experiment; write artifacts; return the process exit code."""
+    """Run one experiment; write its artifacts, in the order the mode lists
+    them, as ``{name}_{suffix}``; return the process exit code."""
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ok, message = _MODES[cfg.mode][1](cfg, out, cfg.seed if seed is None else seed)
+    ok, message, files = _MODES[cfg.mode][2](cfg, cfg.seed if seed is None else seed)
+    for suffix, artifact in files.items():
+        path = out / f"{cfg.name}_{suffix}"
+        if isinstance(artifact, dict):
+            payload = {"name": cfg.name, "mode": cfg.mode, **artifact}
+            path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        else:
+            artifact(str(path))
     if not quiet:
         print(f"[{cfg.name}] {message}")
     return 0 if ok else 1

@@ -273,6 +273,7 @@ class TestMainExitCodes:
         code = cli.main([write_config(tmp_path, payload)])
         assert code == 3
         assert "DomainViolation" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("demo_*"))
 
     def test_failed_certificates_exit_1(self, tmp_path, monkeypatch):
         def doomed(t_map, i_map, profile, x, y, ns, tol=1e-12):
@@ -507,6 +508,72 @@ class TestArtifacts:
         data = (tmp_path / "frozen_certificates.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # SHA-256 of every artifact of one small config per remaining mode,
+    # recorded before the modes handed their files to execute to write.
+    @pytest.mark.parametrize(
+        "payload, digests",
+        [
+            (
+                {"mode": "witness", "alpha": [0.5, 0.3], "k": [1, 3], "lambda_k": 0.1},
+                {
+                    "witness.csv": "166204493f0adb57e1c5f0cdb76f2dded3ec4b024355eb659eb178e6a34bcb34",
+                    "summary.json": "f0766937ab330ab0793aa654927cad1328f7a16b00ebceba7e6938a0b66c8ad4",
+                },
+            ),
+            (
+                {
+                    "mode": "counterexample",
+                    "x": {"scalar": -0.0, "vec": [0.0, -0.0, 1.5, -2.25]},
+                    "horizon": 50,
+                },
+                {
+                    "counterexample.csv": "c222abdbb2307dc19debb62b7177a09444b8361c5a4e36e821fcece5cf43443f",
+                    "summary.json": "3966bde75a0c4c22dbbebf2c7d0c95d7948f94ec2d6775837e9a91ba2c10dbee",
+                },
+            ),
+            (
+                {"mode": "counterexample", "norm": 3.5, "horizon": 40},
+                {
+                    "counterexample.csv": "4a5fb0b986e6f8f76beb3217b92b8e8080c0ec5b6ee8991bf88d72ae039584f7",
+                    "summary.json": "c240fab6b9865217001d4571db65b9a3b525c831303fffec43e58f3ce701c899",
+                },
+            ),
+            (
+                {"mode": "defect_profile", "kappa": 0.5, "powers": [5, 1, 5, 12], "grid_size": 501},
+                {
+                    "defects.csv": "1bd4168c1058446c43d13542bb6f5da6db540374a0c58d1e70834767e2dea10d",
+                    "summary.json": "96b05bfdbdcdede7cf3060076db80e722dd3b9b893323d74e14caa619cae8287",
+                },
+            ),
+            (
+                {
+                    "mode": "run_with_errors",
+                    "t_family": [{"kind": "s_f", "kappa": 0.5, "alpha": 0.5}],
+                    "x0": {"scalar": 0.3, "vec": [0.5, -0.25]},
+                    "error_u": {"scalar": 0.01, "vec": [0.02]},
+                    "error_v": {"scalar": -0.01, "vec": [0.0, 0.01]},
+                    "tol": 1e-12,
+                    "max_steps": 30,
+                    "dump_states": True,
+                },
+                {
+                    "trace.csv": "16bd6a534a747025bcd0ab58217f846ac6fc0fbe60e17be682434972c802f37b",
+                    "summary.json": "18f3fb4d9618ba16ca7587e942a99682ff1474e50a073e5232c3c07a73e9f893",
+                    "states.jsonl": "8e1a68f6fe49214d3c4f354c81dbc22d13659387e6303af5b5fcac73ade7c752",
+                },
+            ),
+        ],
+        ids=["witness", "counterexample-x", "counterexample-norm", "defect_profile", "run_with_errors"],
+    )
+    def test_mode_artifacts_frozen(self, tmp_path, payload, digests):
+        config = write_config(tmp_path, dict(payload, name="frozen"))
+        out = tmp_path / "out"
+        assert cli.main([config, "--output-dir", str(out), "--quiet"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"frozen_{s}" for s in digests)
+        for suffix, digest in digests.items():
+            data = (out / f"frozen_{suffix}").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, suffix
+
     def test_witness_table(self, tmp_path):
         payload = {
             "name": "wit",
@@ -680,6 +747,10 @@ MALFORMED = {
     ),
     "fixed-set-segment-outside-domain": (
         "run", {"fixed_set": {"kind": "scalar_line", "interval": [0.5, 2.0]}}, ["fixed_set"]
+    ),
+    "unknown-key-with-hint": ("run", {"max_step": 3}, ["max_step", "max_steps"]),
+    "unknown-keys-of-other-modes": (
+        "certify", {"dump_states": True, "tol": 5}, ["dump_states", "tol"]
     ),
 }
 
