@@ -21,7 +21,6 @@ from .errors import (
     DomainViolation,
     InfeasibleSchedule,
     LengthMismatch,
-    MissingConstants,
     NotAFixedPoint,
     ParseError,
     ValidationError,
@@ -90,7 +89,6 @@ __all__ = [
     "L1Vector",
     "LengthMismatch",
     "Mapping",
-    "MissingConstants",
     "NotAFixedPoint",
     "ParseError",
     "ProductPoint",

@@ -14,7 +14,7 @@ The config selects one of six modes:
     defect_profile  tabulate grid defect estimates against the envelope (CSV)
 
 Exit codes: 0 success, 1 a certificate or table check failed, 2 bad
-configuration (an unknown top-level key among them), 3 runtime failure.
+configuration (an unknown or repeated key among them), 3 runtime failure.
 A mode computes all its artifacts before any is written, so a runtime
 failure writes none.  Every JSON artifact carries the config's ``name``
 and ``mode``.  Outputs are deterministic: the same config and seed
@@ -44,6 +44,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,7 @@ import numpy as np
 from .errors import CommonFixError, ParseError, ValidationError
 from .mappings import (
     DEFECT_GRID_SIZE,
+    MAPPING_KEYS,
     FixedSetDescriptor,
     Mapping,
     check_factor,
@@ -172,6 +174,14 @@ class _Violations(list):
             self.append(f"'{path}': {exc}")
             return None
 
+    def unknown(self, prefix: str, obj, known: Sequence[str]) -> None:
+        """Record each key of ``obj``, if an object, outside ``known`` as ``prefix`` + key."""
+        for key in obj if isinstance(obj, dict) else ():
+            if key not in known:
+                close = difflib.get_close_matches(key, known, 1)
+                hint = f"; did you mean '{close[0]}'?" if close else ""
+                self.append(f"'{prefix}{key}': unknown key{hint}")
+
 
 def _as_list(value) -> list:
     return value if isinstance(value, list) else [value]
@@ -187,6 +197,24 @@ def _file_stem(value) -> str:
     return value
 
 
+def _mapping(violations: _Violations, path: str, spec) -> Mapping | None:
+    """The mapping of ``spec``; each key its kind does not read is a violation."""
+    mapping = violations.read(path, mapping_from_json, spec)
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if isinstance(kind, str) and kind in MAPPING_KEYS:
+        violations.unknown(f"{path}.", spec, MAPPING_KEYS[kind])
+    return mapping
+
+
+# the keys of a point's wire form, as point_to_json writes them
+_POINT_KEYS = ("scalar", "vec")
+
+
+def _point(violations: _Violations, path: str, obj) -> ProductPoint | None:
+    violations.unknown(f"{path}.", obj, _POINT_KEYS)
+    return violations.read(path, point_from_json, obj)
+
+
 def _power_range(lo, hi) -> range:
     lo = check_power(lo)
     return range(lo, check_int(hi, lo, "max power") + 1)
@@ -200,10 +228,7 @@ def _iteration(
         violations.append(f"'t_family': expected a non-empty list, got {t_specs!r}")
         return None
     m = len(t_specs)
-    t_family = [
-        violations.read(f"t_family[{i}]", mapping_from_json, spec)
-        for i, spec in enumerate(t_specs)
-    ]
+    t_family = [_mapping(violations, f"t_family[{i}]", spec) for i, spec in enumerate(t_specs)]
     domain = None
     if None not in t_family:
         domain = violations.read("t_family", common_domain, t_family)
@@ -213,13 +238,9 @@ def _iteration(
     if not isinstance(i_specs, list) or len(i_specs) != m:
         violations.append(f"'i_family': expected a list of {m} mappings, got {i_specs!r}")
         i_specs = []
-    i_family = [
-        # identity partners take the domain of the family
-        make_identity(domain)
-        if isinstance(spec, dict) and spec.get("kind") == "identity"
-        else violations.read(f"i_family[{i}]", mapping_from_json, spec)
-        for i, spec in enumerate(i_specs)
-    ]
+    i_family = [_mapping(violations, f"i_family[{i}]", spec) for i, spec in enumerate(i_specs)]
+    # identity partners take the domain of the family
+    i_family = [make_identity(domain) if mp and mp.name == "identity" else mp for mp in i_family]
     if domain is not None and None not in i_family:
         violations.read("i_family", common_domain, t_family + i_family)
     alpha = _schedule(raw, "alpha_schedule", m, with_errors, violations)
@@ -230,13 +251,13 @@ def _iteration(
     max_steps = violations.read("max_steps", check_max_steps, max_steps)
     fixed_set = raw.get("fixed_set")
     if fixed_set is not None:
-        fixed_set = violations.read("fixed_set", _fixed_set, fixed_set, domain)
+        fixed_set = violations.read("fixed_set", _fixed_set, fixed_set, domain, violations)
     elif None not in t_family:
         # the fixed set every member describes alike, if there is one
         described = {mp.fixed_set for mp in t_family}
         fixed_set = described.pop() if len(described) == 1 else None
     keys = ("x0", "error_u", "error_v") if with_errors else ("x0",)
-    points = [violations.read(key, point_from_json, raw.get(key)) for key in keys]
+    points = [_point(violations, key, raw.get(key)) for key in keys]
     for key, p in zip(keys, points):
         if domain is not None and p is not None:
             violations.read(key, check_in_domain, p, domain, "point")
@@ -265,6 +286,10 @@ def _schedule(raw: dict, key: str, m: int, with_errors: bool, violations: _Viola
     if not isinstance(spec, dict):
         violations.append(f"'{key}': expected an object, got {spec!r}")
         return None
+    kind = spec.get("kind", "constant")
+    # a constant schedule has no weights to read
+    known = ("kind", "bounds") if kind == "constant" else ("kind", "bounds", "weights")
+    violations.unknown(f"{key}.", spec, known)
     count = len(violations)
     bounds = spec.get("bounds", list(DEFAULT_BOUNDS))
     bounds = violations.read(f"{key}.bounds", json_numbers, bounds)
@@ -273,24 +298,20 @@ def _schedule(raw: dict, key: str, m: int, with_errors: bool, violations: _Viola
         weights = violations.read(f"{key}.weights", json_numbers, weights)
     if len(violations) > count:
         return None
-    return violations.read(
-        key,
-        lambda: make_schedule(
-            spec.get("kind", "constant"),
-            m,
-            bounds,
-            weights=weights,
-            includes_error_term=with_errors,
-        ),
-    )
+    make = functools.partial(make_schedule, weights=weights, includes_error_term=with_errors)
+    return violations.read(key, make, kind, m, bounds)
 
 
-def _fixed_set(spec, domain) -> FixedSetDescriptor:
+def _fixed_set(spec, domain, violations: _Violations) -> FixedSetDescriptor:
     if not isinstance(spec, dict):
         raise ValueError(f"expected an object with a 'kind', got {spec!r}")
-    interval, point = spec.get("interval"), spec.get("point")
+    kind, interval, point = spec.get("kind"), spec.get("interval"), spec.get("point")
+    if kind in ("scalar_line", "single_point"):  # each reads one field besides its kind
+        field = "interval" if kind == "scalar_line" else "point"
+        violations.unknown("fixed_set.", spec, ("kind", field))
+    violations.unknown("fixed_set.point.", point, _POINT_KEYS)
     fixed_set = FixedSetDescriptor(
-        spec.get("kind"),
+        kind,
         interval=None if interval is None else tuple(json_numbers(interval, "interval")),
         point=None if point is None else point_from_json(point),
     )
@@ -301,6 +322,8 @@ def _fixed_set(spec, domain) -> FixedSetDescriptor:
 
 def _certify(raw: dict, violations: _Violations) -> CertifySpec | None:
     key = "mappings" if "mappings" in raw else "mapping"
+    if "mapping" in raw and "mappings" in raw:
+        violations.append("'mappings': give 'mapping' or 'mappings', not both")
     specs = raw.get(key)
     if specs is None or specs == []:
         violations.append(f"'{key}': expected a mapping or a non-empty list of them")
@@ -308,7 +331,7 @@ def _certify(raw: dict, violations: _Violations) -> CertifySpec | None:
     maps = []
     for i, spec in enumerate(_as_list(specs)):
         path = f"{key}[{i}]" if isinstance(specs, list) else key
-        mapping = violations.read(path, mapping_from_json, spec)
+        mapping = _mapping(violations, path, spec)
         if mapping is not None:
             # s and t_alpha also get the exact identities of T_a
             shift = spec["alpha"] if spec["kind"] in ("s", "t_alpha") else None
@@ -350,8 +373,10 @@ def _witness(raw: dict, violations: _Violations) -> WitnessSpec | None:
 
 def _counterexample(raw: dict, violations: _Violations) -> CounterexampleSpec | None:
     x, key = None, ("x" if "x" in raw else "norm")
+    if "x" in raw and "norm" in raw:
+        violations.append("'norm': give 'x' or 'norm', not both")
     if "x" in raw:
-        x = violations.read("x", point_from_json, raw["x"])
+        x = _point(violations, "x", raw["x"])
     elif "norm" in raw:
         x = violations.read(
             "norm", lambda v: ProductPoint(check_positive(json_number(v), "norm")), raw["norm"]
@@ -370,6 +395,7 @@ def _defects(raw: dict, violations: _Violations) -> DefectSpec | None:
     kappa = violations.read("kappa", lambda v: check_factor(json_number(v)), raw.get("kappa"))
     powers = raw.get("powers", [1, 5, 10, 20])
     if isinstance(powers, dict):
+        violations.unknown("powers.", powers, ("min", "max"))
         powers = violations.read("powers", _power_range, powers.get("min"), powers.get("max"))
     elif isinstance(powers, list) and powers:
         powers = tuple(violations.read("powers", check_power, n) for n in powers)
@@ -389,8 +415,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         the error lists every violation found.
     """
     path = Path(path)
+    objects: list[list] = []  # the (key, value) pairs of every JSON object
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        raw = json.loads(text, object_pairs_hook=lambda o: objects.append(o) or dict(o))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -400,7 +428,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValidationError([f"top level must be a JSON object, got {type(raw).__name__}"])
 
-    violations = _Violations()
+    repeated = (k for o in objects for k, n in Counter(k for k, _ in o).items() if n > 1)
+    violations = _Violations(f"'{key}': repeated key" for key in repeated)
     name = violations.read("name", _file_stem, raw.get("name", path.stem))
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str) or not output_dir:
@@ -410,11 +439,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         violations.append(f"'mode': expected one of {list(MODES)}, got {mode!r}")
         raise ValidationError(violations)
     keys, parse, _ = _MODES[mode]
-    known = ("name", "mode", "seed", "output_dir", *keys)
-    for key in (k for k in raw if k not in known):
-        close = difflib.get_close_matches(key, known, 1)
-        hint = f"; did you mean '{close[0]}'?" if close else ""
-        violations.append(f"'{key}': unknown key{hint}")
+    violations.unknown("", raw, ("name", "mode", "seed", "output_dir", *keys))
     seed = violations.read("seed", check_int, raw.get("seed", 0), 0, "seed")
     dump_states = violations.read("dump_states", json_flag, raw.get("dump_states", False))
     spec = parse(raw, violations)
@@ -464,11 +489,15 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
             if spec.full_checks:
                 samples_dump.append({"map": mapping.name, "sample": sample_idx,
                                      "x": point_to_json(x), "y": point_to_json(y)})
-            checks = check_total_inequalities(mapping, None, mapping.profile, x, y, ns)
+            # each orbit is walked once; every check reads these images
+            tx, ty = mapping.powers(ns, x), mapping.powers(ns, y)
+            checks = check_total_inequalities(mapping, None, mapping.profile, x, y, ns, tx, ty)
             if shift is not None:
                 # the chain does not depend on n; it is reported at every power
                 chain = check_root_gap_chain(x.vec, y.vec)
-                identities = check_iterate_difference_identities(shift, ns, x.vec, y.vec)
+                identities = check_iterate_difference_identities(
+                    shift, ns, x.vec, y.vec, [p.vec for p in tx], [p.vec for p in ty]
+                )
                 checks = [c for pair in zip(checks, identities) for c in (*pair, *chain)]
             for check in checks:
                 total += 1

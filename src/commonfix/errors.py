@@ -28,10 +28,6 @@ class InfeasibleSchedule(CommonFixError):
     """No weight assignment satisfies both the simplex and the box constraint."""
 
 
-class MissingConstants(CommonFixError):
-    """A growth profile lacks the affine-bound constants needed for a computation."""
-
-
 class NotAFixedPoint(CommonFixError):
     """A purported fixed point moves under a family member beyond tolerance."""
 

@@ -98,14 +98,13 @@ class TotalAsymptoticProfile:
 
     ``linear_bound`` holds a pair (M, M_star) with phi(t) <= M_star * t for
     t >= M, which yields the affine envelope phi(t) <= phi(M) + M_star * t
-    for all t >= 0.  It may be ``None`` when no such pair is supplied, in
-    which case bound computations that need it raise ``MissingConstants``.
+    for all t >= 0; the recursion bound of the scheme needs it.
     """
 
     mu: Callable[[int], float]
     lam: Callable[[int], float]
     phi: Callable[[float], float]
-    linear_bound: tuple[float, float] | None = None
+    linear_bound: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -219,22 +218,12 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
     """The k-th power of T_a in closed form: k zeros, then a^k times
     (sqrt(|x_1|), x_2, x_3, ...).
 
-    :raises DomainViolation: ``||v||_1 > 1``.
-    """
-    return powers_t_alpha(alpha, (k,), v)[0]
-
-
-def powers_t_alpha(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector]:
-    """:func:`power_t_alpha` at each of the nondecreasing powers ``ks``,
-    with the factor, the powers and the ball checked once.
-
     :raises DomainViolation: ``||v||_1 > 1``, or it is NaN.
     """
-    alpha = check_factor(alpha)
-    ks = check_powers(ks)
+    alpha, k = check_factor(alpha), check_power(k)
     if not l1_norm(v) <= 1.0:
         raise DomainViolation(f"||v||_1 = {l1_norm(v)!r} exceeds the unit ball")
-    return _shift_powers(alpha, ks, v)
+    return _shift_powers(alpha, (k,), v)[0]
 
 
 def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector]:
@@ -524,15 +513,19 @@ def make_s_f(kappa: float, alpha: float) -> Mapping:
     )
 
 
-_KINDS: dict[str, Callable[..., Mapping]] = {
-    "identity": lambda spec: make_identity(),
+# kind -> (its parameters, in the order build takes them, build)
+_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., Mapping]]] = {
+    "identity": ((), make_identity),
     # T_a on the vector factor is S under another name.
-    "t_alpha": lambda spec: dataclasses.replace(
-        make_s(a := _required(spec, "alpha")), name=f"t_alpha({a})"
+    "t_alpha": (
+        ("alpha",), lambda a: dataclasses.replace(make_s(a), name=f"t_alpha({a})")
     ),
-    "s": lambda spec: make_s(_required(spec, "alpha")),
-    "s_f": lambda spec: make_s_f(_required(spec, "kappa"), _required(spec, "alpha")),
+    "s": (("alpha",), make_s),
+    "s_f": (("kappa", "alpha"), make_s_f),
 }
+
+# The keys a mapping spec of each kind may hold.
+MAPPING_KEYS = {kind: ("kind", *params) for kind, (params, _) in _KINDS.items()}
 
 
 def _required(spec: dict, key: str) -> float:
@@ -544,7 +537,8 @@ def _required(spec: dict, key: str) -> float:
 def mapping_from_json(spec: dict) -> Mapping:
     """Build a zoo mapping from ``{"kind": ..., "alpha": ..., "kappa": ...}``.
 
-    Kinds: ``identity``, ``t_alpha``, ``s``, ``s_f``.
+    Kinds: ``identity``, ``t_alpha``, ``s``, ``s_f``.  A spec is read only
+    at its kind's keys, ``MAPPING_KEYS[kind]``.
 
     :raises ValueError: unknown kind, or a parameter that is missing, not a
         finite JSON number, or out of range.
@@ -556,4 +550,5 @@ def mapping_from_json(spec: dict) -> Mapping:
         raise ValueError(
             f"unknown mapping kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
-    return _KINDS[kind](spec)
+    params, build = _KINDS[kind]
+    return build(*(_required(spec, key) for key in params))

@@ -26,10 +26,10 @@ of statements quantified over infinitely many.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import MissingConstants, NotAFixedPoint
+from .errors import NotAFixedPoint
 from .mappings import (
     Mapping,
     TotalAsymptoticProfile,
@@ -38,7 +38,7 @@ from .mappings import (
     iterate_difference_factor,
     make_s,
     nth_power,
-    powers_t_alpha,
+    power_t_alpha,
 )
 from .scheme import IterationConfig, Trace
 from .space import (
@@ -63,35 +63,20 @@ class InequalityCheck:
 
     lhs: float
     rhs: float
-    slack: float
-    satisfied: bool
     tolerance: float
     context: dict
+    slack: float = field(init=False)
+    satisfied: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slack", self.rhs - self.lhs)
+        object.__setattr__(self, "satisfied", self.slack >= -self.tolerance)
 
     def to_json(self) -> dict:
-        out = {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "tolerance": self.tolerance,
-        }
-        out.update(
-            {k: v for k, v in sorted(self.context.items()) if k not in out}
-        )
+        """The five fields, then the context keys that do not shadow one."""
+        out = {k: getattr(self, k) for k in ("lhs", "rhs", "slack", "satisfied", "tolerance")}
+        out.update((k, v) for k, v in sorted(self.context.items()) if k not in out)
         return out
-
-
-def _check(lhs: float, rhs: float, tol: float, context: dict) -> InequalityCheck:
-    slack = rhs - lhs
-    return InequalityCheck(
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        satisfied=slack >= -tol,
-        tolerance=tol,
-        context=context,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +99,8 @@ def check_total_inequality(
 
     with I the identity when ``i_map`` is None.
     """
-    return check_total_inequalities(t_map, i_map, profile, x, y, (n,))[0]
+    tx, ty = t_map.powers((n,), x), t_map.powers((n,), y)
+    return check_total_inequalities(t_map, i_map, profile, x, y, (n,), tx, ty)[0]
 
 
 def check_total_inequalities(
@@ -124,17 +110,19 @@ def check_total_inequalities(
     x: ProductPoint,
     y: ProductPoint,
     ns: Sequence[int],
+    tx: Sequence[ProductPoint],
+    ty: Sequence[ProductPoint],
 ) -> list[InequalityCheck]:
     """:func:`check_total_inequality` at each of the nondecreasing powers
-    ``ns``, walking each orbit of x and y once."""
-    tx, ty = t_map.powers(ns, x), t_map.powers(ns, y)
+    ``ns``, given the images ``tx``, ``ty`` of x and y under
+    ``t_map.powers(ns, ...)``."""
     if i_map is None:
         base = [distance(x, y)] * len(tx)
     else:
         base = list(map(distance, i_map.powers(ns, x), i_map.powers(ns, y)))
     comparison = i_map.name if i_map is not None else "identity"
     return [
-        _check(
+        InequalityCheck(
             distance(px, py),
             d + profile.mu(n) * profile.phi(d) + profile.lam(n),
             CHECK_TOL,
@@ -166,8 +154,11 @@ def check_iterate_difference_identity(
         ||T_a^k x - T_a^k y||_1 = a^k (||x - y||_1 + |rt(x_1) - rt(y_1)| - |x_1 - y_1|)
 
     with rt(s) = sqrt(|s|).  Encoded as |direct - formula| <= CHECK_TOL.
+
+    :raises DomainViolation: x or y lies outside the unit ball.
     """
-    return check_iterate_difference_identities(alpha, (k,), x, y)[0]
+    tx, ty = [power_t_alpha(alpha, k, x)], [power_t_alpha(alpha, k, y)]
+    return check_iterate_difference_identities(alpha, (k,), x, y, tx, ty)[0]
 
 
 def check_iterate_difference_identities(
@@ -175,31 +166,28 @@ def check_iterate_difference_identities(
     ks: Sequence[int],
     x: L1Vector,
     y: L1Vector,
+    tx: Sequence[L1Vector],
+    ty: Sequence[L1Vector],
 ) -> list[InequalityCheck]:
     """:func:`check_iterate_difference_identity` at each of the
-    nondecreasing powers ``ks``; the factor of a^k in the formula is
-    computed once."""
-    tx, ty = powers_t_alpha(alpha, ks, x), powers_t_alpha(alpha, ks, y)
+    nondecreasing powers ``ks``, given the images ``tx``, ``ty`` of x and y
+    under T_a^k; the factor of a^k in the formula is computed once."""
     a, factor = check_factor(alpha), iterate_difference_factor(x, y)
-    checks = []
-    for k, xk, yk in zip(ks, tx, ty):
-        direct = l1_distance(xk, yk)
-        formula = a**k * factor
-        checks.append(
-            _check(
-                abs(direct - formula),
-                0.0,
-                CHECK_TOL,
-                {
-                    "equation": "iterate-difference-identity",
-                    "alpha": alpha,
-                    "n": k,
-                    "direct": direct,
-                    "formula": formula,
-                },
-            )
+    return [
+        InequalityCheck(
+            abs(direct - formula),
+            0.0,
+            CHECK_TOL,
+            {
+                "equation": "iterate-difference-identity",
+                "alpha": alpha,
+                "n": k,
+                "direct": direct,
+                "formula": formula,
+            },
         )
-    return checks
+        for k, direct, formula in zip(ks, map(l1_distance, tx, ty), (a**k * factor for k in ks))
+    ]
 
 
 def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, InequalityCheck]:
@@ -211,8 +199,8 @@ def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, Ine
     mid = math.sqrt(abs(abs(x.first) - abs(y.first)))
     outer = math.sqrt(l1_distance(x, y))
     return (
-        _check(root_gap, mid, CHECK_TOL, {"equation": "root-gap-inner"}),
-        _check(mid, outer, CHECK_TOL, {"equation": "root-gap-outer"}),
+        InequalityCheck(root_gap, mid, CHECK_TOL, {"equation": "root-gap-inner"}),
+        InequalityCheck(mid, outer, CHECK_TOL, {"equation": "root-gap-outer"}),
     )
 
 
@@ -418,15 +406,9 @@ def compute_recursion_bound(cfg: IterationConfig) -> RecursionBound:
         c_n = sum_i alpha_in ((1 + u_i)((1 + v_i) C + e_i) + g_i),
 
     each summed term by term, so that terms below an ulp of 1 survive.
-
-    :raises MissingConstants: a family profile lacks its constants pair.
     """
     consts = []  # each member's profile with its phi(M) and M*, read once
     for mp in cfg.t_family + cfg.i_family:
-        if mp.profile.linear_bound is None:
-            raise MissingConstants(
-                f"mapping {mp.name or mp!r} has no affine growth constants"
-            )
         big_m, m_star = mp.profile.linear_bound
         consts.append((mp.profile, mp.profile.phi(big_m), m_star))
     m = len(cfg.t_family)
@@ -476,7 +458,7 @@ def check_run_bound(
     for idx, rec in enumerate(trace.records):
         b_n, c_n = bound.coeffs(rec.n)
         checks.append(
-            _check(
+            InequalityCheck(
                 dists[idx + 1],
                 (1.0 + b_n) * dists[idx] + c_n,
                 RUN_BOUND_TOL,

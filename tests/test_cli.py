@@ -276,13 +276,11 @@ class TestMainExitCodes:
         assert not list(tmp_path.rglob("demo_*"))
 
     def test_failed_certificates_exit_1(self, tmp_path, monkeypatch):
-        def doomed(t_map, i_map, profile, x, y, ns, tol=1e-12):
+        def doomed(t_map, i_map, profile, x, y, ns, tx, ty, tol=1e-12):
             return [
                 InequalityCheck(
                     lhs=1.0,
                     rhs=0.0,
-                    slack=-1.0,
-                    satisfied=False,
                     tolerance=tol,
                     context={"equation": "gradual-relaxation", "n": n},
                 )
@@ -309,10 +307,10 @@ class TestMainExitCodes:
     def test_identity_failing_at_one_power_exits_1(self, tmp_path, monkeypatch, full_checks):
         real = cli.check_iterate_difference_identities
 
-        def doomed_at_2(alpha, ks, x, y):
-            checks = real(alpha, ks, x, y)
+        def doomed_at_2(alpha, ks, x, y, tx, ty):
+            checks = real(alpha, ks, x, y, tx, ty)
             return [
-                InequalityCheck(1.0, 0.0, -1.0, False, c.tolerance, c.context)
+                InequalityCheck(1.0, 0.0, c.tolerance, c.context)
                 if c.context["n"] == 2
                 else c
                 for c in checks
@@ -384,6 +382,106 @@ class TestMainExitCodes:
         assert code == 2, err
         assert [v.split(":")[0] for v in violations] == [f"'{field}'"]
         assert not (tmp_path / "out").exists()
+
+
+class TestStrictConfigs:
+    """Every key of every object is read, once."""
+
+    def test_nested_unknown_keys_each_named(self, tmp_path):
+        payload = _malformed("run", {}, tmp_path)
+        payload["t_family"] = [{"kind": "s", "alpha": 0.5, "kappa": 0.5}]
+        payload["i_family"] = [{"kind": "identity", "alpha": 0.5}]
+        payload["alpha_schedule"] = {"kind": "custom", "wieghts": [0.5, 0.5]}
+        payload["fixed_set"] = {
+            "kind": "scalar_line", "interval": [0, 1], "point": {"scalar": 0.0, "vec": []}
+        }
+        payload["x0"]["junk"] = 1
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2, err
+        unknown = [v for v in violations if "unknown key" in v]
+        assert unknown == [
+            "'t_family[0].kappa': unknown key; did you mean 'alpha'?",
+            "'i_family[0].alpha': unknown key",
+            "'alpha_schedule.wieghts': unknown key; did you mean 'weights'?",
+            "'fixed_set.point': unknown key",
+            "'x0.junk': unknown key",
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mode, path",
+        [
+            ("run", ("t_family", 0)),
+            ("run", ("alpha_schedule",)),
+            ("run", ("x0",)),
+            ("run_with_errors", ("error_v",)),
+            ("certify", ("mapping",)),
+        ],
+        ids=["t_family", "schedule", "x0", "error_v", "mapping"],
+    )
+    def test_unknown_key_in_each_object_exits_2(self, tmp_path, mode, path):
+        payload = _malformed(mode, {}, tmp_path)
+        target = payload
+        for key in path:
+            target = target[key]
+        target["junk"] = 0
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2, err
+        dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        assert violations == [f"'{dotted[1:]}.junk': unknown key"]
+
+    @pytest.mark.parametrize(
+        "mode, patch, violation",
+        [
+            ("defect_profile", {"powers": {"min": 1, "max": 3, "step": 2}},
+             "'powers.step': unknown key"),
+            ("run", {"fixed_set": {"kind": "single_point", "interval": [0, 1],
+                                   "point": {"scalar": 0.0, "vec": [], "vex": []}}},
+             "'fixed_set.interval': unknown key"),
+            ("certify", {"mappings": [{"kind": "identity"}]},
+             "'mappings': give 'mapping' or 'mappings', not both"),
+            ("counterexample", {"x": {"scalar": 1.0, "vec": []}},
+             "'norm': give 'x' or 'norm', not both"),
+        ],
+        ids=["defect-powers", "fixed-set-kind", "mapping-and-mappings", "x-and-norm"],
+    )
+    def test_dropped_value_exits_2(self, tmp_path, mode, patch, violation):
+        code, violations, err = _main_on(_malformed(mode, patch, tmp_path), tmp_path)
+        assert code == 2, err
+        assert violation in violations
+
+    def test_repeated_key_exits_2(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"mode": "counterexample", "norm": 1.0, "horizon": 3, "horizon": 5,'
+            f' "output_dir": {json.dumps(str(tmp_path / "out"))}}}'
+        )
+        assert cli.main([str(path), "--quiet"]) == 2
+        with pytest.raises(ValidationError) as info:
+            cli.parse_config(path)
+        assert info.value.violations == ["'horizon': repeated key"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["s", "t_alpha"])
+    def test_certify_walks_each_point_once(self, tmp_path, monkeypatch, kind):
+        real, calls = mappings._shift_powers, []
+
+        def counted(alpha, ks, v):
+            calls.append(list(ks))
+            return real(alpha, ks, v)
+
+        monkeypatch.setattr(mappings, "_shift_powers", counted)
+        payload = {
+            "name": "orbits",
+            "mode": "certify",
+            "mapping": {"kind": kind, "alpha": 0.5},
+            "samples": 3,
+            "powers": [1, 4],
+            "output_dir": str(tmp_path),
+        }
+        assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 0
+        # x and y of each sample, each walked once over the power range
+        assert calls == [[1, 2, 3, 4]] * (2 * 3)
 
 
 class TestDefectRoute:
@@ -749,6 +847,10 @@ MALFORMED = {
         "run", {"fixed_set": {"kind": "scalar_line", "interval": [0.5, 2.0]}}, ["fixed_set"]
     ),
     "unknown-key-with-hint": ("run", {"max_step": 3}, ["max_step", "max_steps"]),
+    "constant-schedule-weights": (
+        "run", {"alpha_schedule": {"kind": "constant", "weights": [0.5, 0.5]}},
+        ["alpha_schedule.weights"],
+    ),
     "unknown-keys-of-other-modes": (
         "certify", {"dump_states": True, "tol": 5}, ["dump_states", "tol"]
     ),

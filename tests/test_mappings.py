@@ -28,7 +28,6 @@ from commonfix.mappings import (
     oscillator_defect_envelope,
     oscillator_product_profile,
     power_t_alpha,
-    powers_t_alpha,
     shift_root_profile,
 )
 from commonfix.sampling import sample_pair, sample_point
@@ -327,10 +326,9 @@ class TestPowers:
 
     def test_t_alpha_powers_match_single_powers(self):
         v = L1Vector((0.3, 0.0, -0.2))
-        got = powers_t_alpha(0.6, (1, 2, 2, 9), v)
+        t_alpha = mapping_from_json({"kind": "t_alpha", "alpha": 0.6})
+        got = [p.vec for p in t_alpha.powers((1, 2, 2, 9), ProductPoint(0.5, v))]
         assert got == [power_t_alpha(0.6, k, v) for k in (1, 2, 2, 9)]
-        with pytest.raises(ValueError):
-            powers_t_alpha(0.6, (2, 1), v)
 
 
 class TestDefectEstimator:

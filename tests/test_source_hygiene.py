@@ -1,0 +1,62 @@
+"""Static checks of the package source: every import and every private
+module-level name of a ``commonfix`` module is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "commonfix"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    """The names the module reads, including those it exports by ``__all__``."""
+    names = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = _loaded_names(tree)
+    assert [n for n in _imported(tree) if n not in loaded] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_name_is_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    loaded = _loaded_names(tree)
+    assert [n for n in _private_definitions(tree) if n not in loaded] == []
+
+
+def test_modules_found():
+    assert {"cli.py", "mappings.py", "verifier.py"} <= {p.name for p in MODULES}

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from commonfix.errors import DomainViolation, MissingConstants, NotAFixedPoint
+from commonfix.errors import DomainViolation, NotAFixedPoint
 from commonfix.mappings import (
     OSCILLATOR_DOMAIN,
-    Mapping,
     TotalAsymptoticProfile,
     UNIT_DOMAIN,
     make_identity,
@@ -21,6 +20,7 @@ from commonfix.scheme import IterationConfig, make_schedule, run
 from commonfix.space import L1Vector, ProductPoint, product_norm
 from commonfix.verifier import (
     CHECK_TOL,
+    InequalityCheck,
     antipodal_pair_counterexample,
     check_iterate_difference_identities,
     check_iterate_difference_identity,
@@ -108,22 +108,17 @@ class TestTotalInequality:
             s_f = dataclasses.replace(s_f, domain=UNIT_DOMAIN)
             x, y = ProductPoint(0.2, x.vec), ProductPoint(0.3, y.vec)
         ns = (1, 2, 2, 5, 13)
-        many = check_total_inequalities(s_f, comparison, s_f.profile, x, y, ns)
+        tx, ty = s_f.powers(ns, x), s_f.powers(ns, y)
+        many = check_total_inequalities(s_f, comparison, s_f.profile, x, y, ns, tx, ty)
         assert many == [
             check_total_inequality(s_f, comparison, s_f.profile, x, y, n) for n in ns
         ]
-
-    def test_range_rejects_decreasing_powers(self):
-        s_map = make_s(0.5)
-        x = y = ProductPoint(0.2, (0.1,))
-        with pytest.raises(ValueError):
-            check_total_inequalities(s_map, None, s_map.profile, x, y, (2, 1))
 
     def test_violation_reported_not_raised(self):
         # a profile with no slack at all turns the strict expansion of the
         # square root near 0 into a failed check
         rigid = TotalAsymptoticProfile(
-            mu=lambda n: 0.0, lam=lambda n: 0.0, phi=lambda t: t
+            mu=lambda n: 0.0, lam=lambda n: 0.0, phi=lambda t: t, linear_bound=(1.0, 1.0)
         )
         s_map = make_s(0.9)
         x = ProductPoint(0.0, (1e-6,))
@@ -145,14 +140,15 @@ class TestExactIdentities:
     def test_identity_range_matches_single_powers(self):
         x, y = L1Vector((0.3, -0.1)), L1Vector((0.04, 0.2, 0.1))
         ks = range(1, 26)
-        many = check_iterate_difference_identities(0.7, ks, x, y)
+        s_map = make_s(0.7)
+        tx = [p.vec for p in s_map.powers(ks, ProductPoint(0.5, x))]
+        ty = [p.vec for p in s_map.powers(ks, ProductPoint(0.5, y))]
+        many = check_iterate_difference_identities(0.7, ks, x, y, tx, ty)
         assert many == [check_iterate_difference_identity(0.7, k, x, y) for k in ks]
 
     def test_identity_range_rejects_point_outside_ball(self):
         with pytest.raises(DomainViolation):
-            check_iterate_difference_identities(
-                0.7, (1, 2), L1Vector((0.6, 0.6)), L1Vector(())
-            )
+            check_iterate_difference_identity(0.7, 2, L1Vector((0.6, 0.6)), L1Vector(()))
 
     def test_root_gap_chain_checks(self):
         inner, outer = check_root_gap_chain(L1Vector((0.25, 0.3)), L1Vector((0.04,)))
@@ -325,21 +321,6 @@ class TestRecursionBound:
         bound = compute_recursion_bound(cfg)
         assert bound.b(1) == 0.0 and bound.c(1) == 0.0
 
-    def test_missing_constants(self):
-        bare_profile = TotalAsymptoticProfile(
-            mu=lambda n: 0.5**n, lam=lambda n: 0.0, phi=lambda t: t
-        )
-        s_map = make_s(0.5)
-        bare = Mapping(
-            kernel=s_map.kernel,
-            domain=UNIT_DOMAIN,
-            profile=bare_profile,
-            name="bare",
-        )
-        cfg = _two_family_config(t_family=(bare, make_s(0.3)))
-        with pytest.raises(MissingConstants):
-            compute_recursion_bound(cfg)
-
 
 class TestRunBound:
     def test_every_step_certified_along_real_run(self):
@@ -407,10 +388,16 @@ class TestSerialization:
         assert set(blob) >= {"lhs", "rhs", "slack", "satisfied", "tolerance", "equation"}
         assert blob["satisfied"] is True
 
-    def test_context_cannot_shadow_core_fields(self):
-        from commonfix.verifier import _check
+    @pytest.mark.parametrize(
+        "lhs, rhs, tol, slack, satisfied",
+        [(1.0, 2.0, 0.0, 1.0, True), (1.0, 0.5, 0.5, -0.5, True), (1.0, 0.5, 0.25, -0.5, False)],
+    )
+    def test_slack_and_satisfied_follow_from_the_sides(self, lhs, rhs, tol, slack, satisfied):
+        chk = InequalityCheck(lhs, rhs, tol, {})
+        assert (chk.slack, chk.satisfied) == (slack, satisfied)
 
-        chk = _check(1.0, 2.0, 1e-12, {"lhs": "bogus", "equation": "demo"})
+    def test_context_cannot_shadow_core_fields(self):
+        chk = InequalityCheck(1.0, 2.0, 1e-12, {"lhs": "bogus", "equation": "demo"})
         blob = chk.to_json()
         assert blob["lhs"] == 1.0
         assert blob["equation"] == "demo"
