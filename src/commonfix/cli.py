@@ -95,6 +95,7 @@ from .space import (
     product_norm,
 )
 from .verifier import (
+    CheckColumn,
     antipodal_norm,
     antipodal_pair_counterexample,
     check_horizon,
@@ -114,8 +115,7 @@ COUNTEREXAMPLE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class CertifySpec:
-    # each mapping with its factor alpha when it is s or t_alpha, else None
-    maps: tuple[tuple[Mapping, float | None], ...]
+    maps: tuple[Mapping, ...]
     samples: int
     powers: range
     full_checks: bool
@@ -331,11 +331,7 @@ def _certify(raw: dict, violations: _Violations) -> CertifySpec | None:
     maps = []
     for i, spec in enumerate(_as_list(specs)):
         path = f"{key}[{i}]" if isinstance(specs, list) else key
-        mapping = _mapping(violations, path, spec)
-        if mapping is not None:
-            # s and t_alpha also get the exact identities of T_a
-            shift = spec["alpha"] if spec["kind"] in ("s", "t_alpha") else None
-            maps.append((mapping, shift))
+        maps.append(_mapping(violations, path, spec))
     samples = raw.get("samples", DEFAULT_SAMPLES)
     samples = violations.read("samples", check_int, samples, 1, "samples")
     powers = raw.get("powers", list(DEFAULT_POWERS))
@@ -407,6 +403,41 @@ def _defects(raw: dict, violations: _Violations) -> DefectSpec | None:
     return DefectSpec(kappa, powers, grid)
 
 
+def _json_loads(text: str) -> tuple[object, list[str]]:
+    """``json.loads(text)``, and the path of each key repeated inside one
+    JSON object, such as ``x0.scalar`` or ``t_family[0].alpha``.
+
+    The paths are found top-down from the parsed value, through every
+    value, the ones a repeat dropped too.  The walk keeps its own stack, so
+    no nesting depth that JSON accepts can exhaust the interpreter's.
+
+    :raises ValueError: malformed JSON.
+    :raises RecursionError: nesting too deep for the parser.
+    """
+    # id of every object -> the object and its (key, value) pairs; both are
+    # kept, so no id is reused while the walk reads them
+    objects: dict[int, tuple[dict, list]] = {}
+
+    def hook(pairs: list) -> dict:
+        obj = dict(pairs)
+        objects[id(obj)] = obj, pairs
+        return obj
+
+    raw = json.loads(text, object_pairs_hook=hook)
+    found: list[str] = []
+    stack = [("", raw)] if any(len(o) < len(p) for o, p in objects.values()) else []
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, list):
+            stack += reversed([(f"{path}[{i}]", v) for i, v in enumerate(value)])
+        elif isinstance(value, dict):
+            prefix = f"{path}." if path else ""
+            pairs = objects[id(value)][1]
+            found += [prefix + k for k, n in Counter(k for k, _ in pairs).items() if n > 1]
+            stack += reversed([(prefix + k, v) for k, v in pairs])
+    return raw, found
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and validate an experiment config.
 
@@ -415,10 +446,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         the error lists every violation found.
     """
     path = Path(path)
-    objects: list[list] = []  # the (key, value) pairs of every JSON object
     try:
-        text = path.read_text(encoding="utf-8")
-        raw = json.loads(text, object_pairs_hook=lambda o: objects.append(o) or dict(o))
+        raw, repeated = _json_loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
@@ -428,7 +457,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ValidationError([f"top level must be a JSON object, got {type(raw).__name__}"])
 
-    repeated = (k for o in objects for k, n in Counter(k for k, _ in o).items() if n > 1)
     violations = _Violations(f"'{key}': repeated key" for key in repeated)
     name = violations.read("name", _file_stem, raw.get("name", path.stem))
     output_dir = raw.get("output_dir", ".")
@@ -477,49 +505,70 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
     rng = np.random.default_rng(seed)
     ns = spec.powers
-    total = 0
     by_equation: dict[str, dict] = {}
     worst: dict[tuple[str, str], dict] = {}
     failed: list[dict] = []
     all_rows: list[dict] = []
     samples_dump: list[dict] = []
-    for mapping, shift in spec.maps:
+    for mapping in spec.maps:
+        # s and t_alpha also get the exact identities of T_a
+        shift = mapping.alpha if mapping.kappa is None else None
+        # the powers are checked, and mu_n and lam_n taken, once per mapping
+        gaps = mapping.gaps(ns)
+        mu, lam = [mapping.profile.mu(n) for n in ns], [mapping.profile.lam(n) for n in ns]
         for sample_idx in range(spec.samples):
             x, y = sample_pair(rng, mapping.domain)
             if spec.full_checks:
                 samples_dump.append({"map": mapping.name, "sample": sample_idx,
                                      "x": point_to_json(x), "y": point_to_json(y)})
-            # each orbit is walked once; every check reads these images
-            tx, ty = mapping.powers(ns, x), mapping.powers(ns, y)
-            checks = check_total_inequalities(mapping, None, mapping.profile, x, y, ns, tx, ty)
-            if shift is not None:
-                # the chain does not depend on n; it is reported at every power
-                chain = check_root_gap_chain(x.vec, y.vec)
-                identities = check_iterate_difference_identities(
-                    shift, ns, x.vec, y.vec, [p.vec for p in tx], [p.vec for p in ty]
+            # every check reads the pair's gaps; no image is built
+            pair_gaps = gaps(x, y)
+            columns = [
+                check_total_inequalities(
+                    mapping, None, x, y, ns, pair_gaps, mu, lam, mapping.profile.phi
                 )
-                checks = [c for pair in zip(checks, identities) for c in (*pair, *chain)]
-            for check in checks:
-                total += 1
-                eq = check.context["equation"]
+            ]
+            if shift is not None:
+                columns.append(
+                    check_iterate_difference_identities(shift, ns, x.vec, y.vec, pair_gaps[1])
+                )
+                # the chain does not depend on n; it is reported at every power
+                columns += [
+                    CheckColumn([c.lhs] * len(ns), [c.rhs] * len(ns), c.tolerance, c.context)
+                    for c in check_root_gap_chain(x.vec, y.vec)
+                ]
+            failing = False
+            for column in columns:
+                slacks = column.slacks
+                eq = column.context["equation"]
                 agg = by_equation.setdefault(
                     eq, {"checks": 0, "min_slack": math.inf, "satisfied": True}
                 )
-                agg["checks"] += 1
-                agg["min_slack"] = min(agg["min_slack"], check.slack)
-                agg["satisfied"] = agg["satisfied"] and check.satisfied
+                agg["checks"] += len(slacks)
+                agg["min_slack"] = min(agg["min_slack"], *slacks)
+                satisfied = all(slack >= -column.tolerance for slack in slacks)
+                agg["satisfied"] = agg["satisfied"] and satisfied
+                failing = failing or not satisfied
+                # the first strict minimum in check order: seeded with the
+                # worst slack so far, min returns that very seed unless a
+                # slack lies below it
                 key = (mapping.name, eq)
-                new_worst = key not in worst or check.slack < worst[key]["slack"]
-                # a row is built only where the report shows it
-                if new_worst or not check.satisfied or spec.full_checks:
-                    row = dict(check.to_json(), map=mapping.name, sample=sample_idx)
-                    if new_worst:
-                        worst[key] = row
-                    if not check.satisfied:
-                        failed.append(row)
-                    if spec.full_checks:
-                        all_rows.append(row)
+                low = min(slacks) if key not in worst else min(worst[key]["slack"], *slacks)
+                if key not in worst or low is not worst[key]["slack"]:
+                    check = column.check(slacks.index(low))
+                    worst[key] = dict(check.to_json(), map=mapping.name, sample=sample_idx)
+            # rows in check order, by power and then by column, built only
+            # where the report shows them
+            if failing or spec.full_checks:
+                for i in range(len(ns)):
+                    for check in (column.check(i) for column in columns):
+                        row = dict(check.to_json(), map=mapping.name, sample=sample_idx)
+                        if not check.satisfied:
+                            failed.append(row)
+                        if spec.full_checks:
+                            all_rows.append(row)
 
+    total = sum(agg["checks"] for agg in by_equation.values())
     report = {
         "seed": seed,
         "samples": spec.samples,

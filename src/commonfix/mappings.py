@@ -33,11 +33,16 @@ formula and all iterate-difference identities hold on the whole space, so
 certificates may use any a in (0, 1); self-mapped iteration schemes should
 stay at or below 4/5.
 
-A mapping has one route to its powers, ``Mapping.powers(ks, p)``, which
-returns the images at several nondecreasing powers.  It checks the powers
-and the point once, then walks each orbit once: the vector factor takes
-the closed form a^k at each k, the scalar oscillator advances from one
-requested power to the next.  :func:`nth_power` is its one-power case.
+A mapping has one route to its images, ``Mapping.powers(ks, p)``, and
+one to the distances between two orbits, ``Mapping.gaps(ks)(x, y)``,
+which gives the scalar and the vector gap at each power without building
+an image.  Each checks the powers once and each point once, then walks
+each orbit once: the vector factor takes the closed form a^k at each k,
+the scalar oscillator advances from one requested power to the next.
+The vector gap of T_a^k is one merge of the two tails, split into head
+and tail as the images are, so it adds the very terms that
+``l1_distance`` adds for the images.  :func:`nth_power` is the
+one-power case of ``powers``.
 
 The oscillator's grid defect has one route too, :func:`oscillator_defect`:
 one cached grid orbit per (kappa, grid size) serves the profile term lam_n
@@ -146,20 +151,30 @@ class FixedSetDescriptor:
 
 @dataclass(frozen=True)
 class Mapping:
-    """A self-map of an admissible set, with its growth profile.
+    """A self-map of an admissible set that acts factor by factor, with its
+    growth profile.
 
-    :meth:`powers` is the one route to its powers.  ``kernel(ks, p)``
-    returns the images of p at the checked, nondecreasing powers ``ks``
-    and trusts its input; each kernel of this module walks p's orbit once
-    and takes the closed form of T_a^k for the vector factor, exact up to
-    rounding, so no per-step error compounds.
+    The scalar factor is f_kappa, or fixed when ``kappa`` is None; the
+    vector factor is T_a for a = ``alpha``, or fixed when ``alpha`` is
+    None.  :meth:`powers` is the one route to its images and :meth:`gaps`
+    the one route to the distances between two orbits.  Both walk each
+    scalar orbit once and take the closed form of T_a^k for the vector
+    factor, exact up to rounding, so no per-step error compounds.
     """
 
-    kernel: Callable[[Sequence[int], ProductPoint], list[ProductPoint]]
     domain: AdmissibleSet
     profile: TotalAsymptoticProfile
+    kappa: float | None = None
+    alpha: float | None = None
     fixed_set: FixedSetDescriptor | None = None
     name: str = ""
+
+    def _check_point(self, p: ProductPoint) -> None:
+        if not in_set(p, self.domain):
+            raise DomainViolation(f"{p!r} outside the domain of {self.name or self!r}")
+
+    def _scalars(self, ks: Sequence[int], s: float) -> list[float]:
+        return [s] * len(ks) if self.kappa is None else _f_orbit(self.kappa, ks, s)
 
     def powers(self, ks: Sequence[int], p: ProductPoint) -> list[ProductPoint]:
         """The images of p at the powers ``ks``, in order.
@@ -169,9 +184,40 @@ class Mapping:
         :raises DomainViolation: ``p`` is outside the domain.
         """
         ks = check_powers(ks)
-        if not in_set(p, self.domain):
-            raise DomainViolation(f"{p!r} outside the domain of {self.name or self!r}")
-        return self.kernel(ks, p)
+        self._check_point(p)
+        if self.kappa is None and self.alpha is None:  # the identity gives p itself
+            return [p] * len(ks)
+        vecs = [p.vec] * len(ks) if self.alpha is None else _shift_powers(self.alpha, ks, p.vec)
+        return list(map(ProductPoint, self._scalars(ks, p.scalar), vecs))
+
+    def gaps(
+        self, ks: Sequence[int]
+    ) -> Callable[[ProductPoint, ProductPoint], tuple[list[float], list[float]]]:
+        """The gaps of two orbits at the powers ``ks``, without their images.
+
+        Returns a function of a pair (x, y) that gives, for each k, the
+        scalar gap |F^k x - F^k y| and the vector gap ||F^k x - F^k y||_1:
+        the two terms that ``distance`` adds for :meth:`powers`' images,
+        bit for bit.  The powers are checked, and a^k taken, once, here;
+        each point is checked when the function is called.
+
+        :raises ValueError: a power is not a positive integer, or the
+            powers decrease.
+        :raises DomainViolation: (when called) x or y is outside the domain.
+        """
+        ks = check_powers(ks)
+        aks = None if self.alpha is None else [self.alpha**k for k in ks]
+
+        def gaps(x: ProductPoint, y: ProductPoint) -> tuple[list[float], list[float]]:
+            self._check_point(x)
+            self._check_point(y)
+            sx, sy = self._scalars(ks, x.scalar), self._scalars(ks, y.scalar)
+            scalar = [abs(a - b) for a, b in zip(sx, sy)]
+            if aks is None:
+                return scalar, [l1_distance(x.vec, y.vec)] * len(ks)
+            return scalar, _shift_gaps(aks, x.vec, y.vec)
+
+        return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +272,22 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
     return _shift_powers(alpha, (k,), v)[0]
 
 
+def _head_tail(v: L1Vector) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
+    """The head sqrt(|x_1|) of v and the stored entries of its tail
+    x_2, x_3, ...: T_a^k scales both by a^k, puts the head at position k
+    and moves the tail k places right."""
+    # x_1, stored first when it is not +0.0, gives way to the head.
+    rest = 1 if v.indices[:1] == (0,) else 0
+    return math.sqrt(abs(v.first)), v.indices[rest:], v.values[rest:]
+
+
 def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector]:
     """T_a^k(v) for each k of ``ks``, trusting a checked alpha and ks.
 
-    The k zeros are not stored: the entries of x_2, x_3, ... move k places
-    right, so the cost is independent of k.  Each power takes a^k = a**k
-    afresh; a product a * a^(k-1) rounds differently.
+    The k zeros are not stored, so the cost is independent of k.  Each
+    power takes a^k = a**k afresh; a product a * a^(k-1) rounds differently.
     """
-    root = math.sqrt(abs(v.first))
-    # x_1, stored first when it is not +0.0, gives way to the head at k.
-    rest = 1 if v.indices[:1] == (0,) else 0
-    indices, values = v.indices[rest:], v.values[rest:]
+    root, indices, values = _head_tail(v)
     length = max(len(v), 1)
     out = []
     for k in ks:
@@ -248,6 +299,32 @@ def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector
                 k + length,
             )
         )
+    return out
+
+
+def _shift_gaps(aks: Sequence[float], x: L1Vector, y: L1Vector) -> list[float]:
+    """||T_a^k x - T_a^k y||_1 for each a^k of ``aks``, bit for bit the
+    ``l1_distance`` of :func:`_shift_powers`' images, from one merge of
+    the two tails.
+
+    Shifting both images by k keeps their entries aligned, so each gap is
+    the sum, in index order, of abs(a^k cx - a^k cy) over the merged
+    [sqrt(|x_1|), x_2, x_3, ...], with 0.0 where one side stores nothing.
+    Those are the terms the merge of the images adds: a^k * 0.0 is +0.0,
+    and an entry the image drops as +0.0 adds abs(+0.0), which leaves a
+    running total that starts at +0.0 unchanged.
+    """
+    rx, ix, vx = _head_tail(x)
+    ry, iy, vy = _head_tail(y)
+    dx, dy = dict(zip(ix, vx)), dict(zip(iy, vy))
+    merged = sorted(dx.keys() | dy.keys())
+    pairs = [(rx, ry)] + [(dx.get(i, 0.0), dy.get(i, 0.0)) for i in merged]
+    out = []
+    for ak in aks:
+        total = 0.0
+        for cx, cy in pairs:
+            total += abs(ak * cx - ak * cy)
+        out.append(total)
     return out
 
 
@@ -288,19 +365,16 @@ def apply_f_kappa(kappa: float, x: float) -> float:
     return kappa * x * math.sin(inv)
 
 
-def _s_f_powers(
-    kappa: float, alpha: float, ks: Sequence[int], p: ProductPoint
-) -> list[ProductPoint]:
-    """S_f^k(p) for each k of ``ks``: one scalar orbit, advanced from each
-    power to the next, so ``max(ks)`` applications of f_k in all."""
-    s, done = p.scalar, 0
-    scalars = []
+def _f_orbit(kappa: float, ks: Sequence[int], s: float) -> list[float]:
+    """f_k^k(s) for each k of ``ks``: one orbit, advanced from each power
+    to the next, so ``max(ks)`` applications of f_k in all."""
+    done, out = 0, []
     for k in ks:
         for _ in range(k - done):
             s = apply_f_kappa(kappa, s)
         done = k
-        scalars.append(s)
-    return list(map(ProductPoint, scalars, _shift_powers(alpha, ks, p.vec)))
+        out.append(s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +544,7 @@ def oscillator_product_profile(kappa: float, alpha: float) -> TotalAsymptoticPro
 
 
 def make_identity(domain: AdmissibleSet = UNIT_DOMAIN) -> Mapping:
-    return Mapping(
-        kernel=lambda ks, p: [p] * len(ks),
-        domain=domain,
-        profile=identity_profile(),
-        name="identity",
-    )
+    return Mapping(domain, identity_profile(), name="identity")
 
 
 def make_s(alpha: float) -> Mapping:
@@ -485,11 +554,9 @@ def make_s(alpha: float) -> Mapping:
     """
     alpha = check_factor(alpha)
     return Mapping(
-        kernel=lambda ks, p: [
-            ProductPoint(p.scalar, v) for v in _shift_powers(alpha, ks, p.vec)
-        ],
-        domain=UNIT_DOMAIN,
-        profile=shift_root_profile(alpha),
+        UNIT_DOMAIN,
+        shift_root_profile(alpha),
+        alpha=alpha,
         fixed_set=FixedSetDescriptor("scalar_line", interval=(0.0, 1.0)),
         name=f"s({alpha})",
     )
@@ -505,9 +572,10 @@ def make_s_f(kappa: float, alpha: float) -> Mapping:
     kappa = check_factor(kappa)
     alpha = check_factor(alpha)
     return Mapping(
-        kernel=lambda ks, p: _s_f_powers(kappa, alpha, ks, p),
-        domain=OSCILLATOR_DOMAIN,
-        profile=oscillator_product_profile(kappa, alpha),
+        OSCILLATOR_DOMAIN,
+        oscillator_product_profile(kappa, alpha),
+        kappa=kappa,
+        alpha=alpha,
         fixed_set=FixedSetDescriptor("single_point", point=ProductPoint(0.0, ())),
         name=f"s_f({kappa},{alpha})",
     )

@@ -4,7 +4,10 @@ Every check produces an :class:`InequalityCheck` with explicit left and
 right sides, the signed slack ``rhs - lhs``, and a satisfied flag defined
 as ``slack >= -tolerance``.  Identities are encoded as a check of
 ``|lhs - rhs|`` against zero so the same satisfied/slack convention
-applies everywhere.
+applies everywhere.  The plural checks, one pair at many powers, read the
+pair's gaps from ``Mapping.gaps``, never its images, and return a
+:class:`CheckColumn`: sides and slacks as columns, with a check built only
+when asked for.
 
 The module covers four layers:
 
@@ -79,6 +82,32 @@ class InequalityCheck:
         return out
 
 
+@dataclass(frozen=True)
+class CheckColumn:
+    """Checks of one equation at several powers, held as columns.
+
+    The i-th check has the sides ``lhs[i]`` and ``rhs[i]`` and the context
+    ``context`` plus the i-th value of each entry of ``per_check``.
+    ``slacks`` holds rhs[i] - lhs[i], the slack of each check, so that a
+    report can fold the column before building any check; :meth:`check`
+    builds one.
+    """
+
+    lhs: Sequence[float]
+    rhs: Sequence[float]
+    tolerance: float
+    context: dict
+    per_check: dict = field(default_factory=dict)
+    slacks: list[float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "slacks", [r - l for l, r in zip(self.lhs, self.rhs)])
+
+    def check(self, i: int) -> InequalityCheck:
+        context = dict(self.context, **{k: v[i] for k, v in self.per_check.items()})
+        return InequalityCheck(self.lhs[i], self.rhs[i], self.tolerance, context)
+
+
 # ---------------------------------------------------------------------------
 # per-pair growth certificates
 # ---------------------------------------------------------------------------
@@ -99,43 +128,43 @@ def check_total_inequality(
 
     with I the identity when ``i_map`` is None.
     """
-    tx, ty = t_map.powers((n,), x), t_map.powers((n,), y)
-    return check_total_inequalities(t_map, i_map, profile, x, y, (n,), tx, ty)[0]
+    gaps, mu, lam = t_map.gaps((n,))(x, y), [profile.mu(n)], [profile.lam(n)]
+    return check_total_inequalities(t_map, i_map, x, y, (n,), gaps, mu, lam, profile.phi).check(0)
 
 
 def check_total_inequalities(
     t_map: Mapping,
     i_map: Mapping | None,
-    profile: TotalAsymptoticProfile,
     x: ProductPoint,
     y: ProductPoint,
     ns: Sequence[int],
-    tx: Sequence[ProductPoint],
-    ty: Sequence[ProductPoint],
-) -> list[InequalityCheck]:
+    gaps: tuple[Sequence[float], Sequence[float]],
+    mu: Sequence[float],
+    lam: Sequence[float],
+    phi: Callable[[float], float],
+) -> CheckColumn:
     """:func:`check_total_inequality` at each of the nondecreasing powers
-    ``ns``, given the images ``tx``, ``ty`` of x and y under
-    ``t_map.powers(ns, ...)``."""
+    ``ns``, given the scalar and vector gaps of x and y under
+    ``t_map.gaps(ns)`` and the profile's mu_n, lam_n at ``ns`` and its
+    phi.  The left side is the sum of the gaps, as ``distance`` adds them;
+    phi(d) is taken once when I is the identity."""
     if i_map is None:
-        base = [distance(x, y)] * len(tx)
+        d = distance(x, y)
+        base, phis = [d] * len(ns), [phi(d)] * len(ns)
     else:
-        base = list(map(distance, i_map.powers(ns, x), i_map.powers(ns, y)))
-    comparison = i_map.name if i_map is not None else "identity"
-    return [
-        InequalityCheck(
-            distance(px, py),
-            d + profile.mu(n) * profile.phi(d) + profile.lam(n),
-            CHECK_TOL,
-            {
-                "equation": "gradual-relaxation",
-                "n": n,
-                "map": t_map.name,
-                "comparison": comparison,
-                "base_distance": d,
-            },
-        )
-        for n, px, py, d in zip(ns, tx, ty, base)
-    ]
+        base = [s + v for s, v in zip(*i_map.gaps(ns)(x, y))]
+        phis = list(map(phi, base))
+    return CheckColumn(
+        [s + v for s, v in zip(*gaps)],
+        [d + m * p + l for d, m, p, l in zip(base, mu, phis, lam)],
+        CHECK_TOL,
+        {
+            "equation": "gradual-relaxation",
+            "map": t_map.name,
+            "comparison": i_map.name if i_map is not None else "identity",
+        },
+        {"n": ns, "base_distance": base},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +186,8 @@ def check_iterate_difference_identity(
 
     :raises DomainViolation: x or y lies outside the unit ball.
     """
-    tx, ty = [power_t_alpha(alpha, k, x)], [power_t_alpha(alpha, k, y)]
-    return check_iterate_difference_identities(alpha, (k,), x, y, tx, ty)[0]
+    direct = l1_distance(power_t_alpha(alpha, k, x), power_t_alpha(alpha, k, y))
+    return check_iterate_difference_identities(alpha, (k,), x, y, [direct]).check(0)
 
 
 def check_iterate_difference_identities(
@@ -166,28 +195,21 @@ def check_iterate_difference_identities(
     ks: Sequence[int],
     x: L1Vector,
     y: L1Vector,
-    tx: Sequence[L1Vector],
-    ty: Sequence[L1Vector],
-) -> list[InequalityCheck]:
-    """:func:`check_iterate_difference_identity` at each of the
-    nondecreasing powers ``ks``, given the images ``tx``, ``ty`` of x and y
-    under T_a^k; the factor of a^k in the formula is computed once."""
-    a, factor = check_factor(alpha), iterate_difference_factor(x, y)
-    return [
-        InequalityCheck(
-            abs(direct - formula),
-            0.0,
-            CHECK_TOL,
-            {
-                "equation": "iterate-difference-identity",
-                "alpha": alpha,
-                "n": k,
-                "direct": direct,
-                "formula": formula,
-            },
-        )
-        for k, direct, formula in zip(ks, map(l1_distance, tx, ty), (a**k * factor for k in ks))
-    ]
+    direct: Sequence[float],
+) -> CheckColumn:
+    """:func:`check_iterate_difference_identity` for a checked a = ``alpha``
+    at each of the nondecreasing powers ``ks``, given the vector gaps
+    ``direct`` of x and y under T_a^k, as ``Mapping.gaps`` gives them; the
+    factor of a^k in the formula is computed once."""
+    factor = iterate_difference_factor(x, y)
+    formula = [alpha**k * factor for k in ks]
+    return CheckColumn(
+        [abs(d - f) for d, f in zip(direct, formula)],
+        [0.0] * len(formula),
+        CHECK_TOL,
+        {"equation": "iterate-difference-identity", "alpha": alpha},
+        {"n": ks, "direct": direct, "formula": formula},
+    )
 
 
 def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, InequalityCheck]:

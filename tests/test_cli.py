@@ -1,6 +1,7 @@
 """End-to-end tests of the command line driver and config parsing."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from commonfix import cli, mappings
 from commonfix.errors import ParseError, ValidationError
 from commonfix.mappings import make_s_f
-from commonfix.verifier import InequalityCheck
+from commonfix.verifier import CheckColumn
 
 from helpers import read_trace_csv
 
@@ -276,16 +278,14 @@ class TestMainExitCodes:
         assert not list(tmp_path.rglob("demo_*"))
 
     def test_failed_certificates_exit_1(self, tmp_path, monkeypatch):
-        def doomed(t_map, i_map, profile, x, y, ns, tx, ty, tol=1e-12):
-            return [
-                InequalityCheck(
-                    lhs=1.0,
-                    rhs=0.0,
-                    tolerance=tol,
-                    context={"equation": "gradual-relaxation", "n": n},
-                )
-                for n in ns
-            ]
+        def doomed(t_map, i_map, x, y, ns, gaps, mu, lam, phi, tol=1e-12):
+            return CheckColumn(
+                lhs=[1.0] * len(ns),
+                rhs=[0.0] * len(ns),
+                tolerance=tol,
+                context={"equation": "gradual-relaxation"},
+                per_check={"n": ns},
+            )
 
         monkeypatch.setattr(cli, "check_total_inequalities", doomed)
         payload = {
@@ -307,14 +307,10 @@ class TestMainExitCodes:
     def test_identity_failing_at_one_power_exits_1(self, tmp_path, monkeypatch, full_checks):
         real = cli.check_iterate_difference_identities
 
-        def doomed_at_2(alpha, ks, x, y, tx, ty):
-            checks = real(alpha, ks, x, y, tx, ty)
-            return [
-                InequalityCheck(1.0, 0.0, c.tolerance, c.context)
-                if c.context["n"] == 2
-                else c
-                for c in checks
-            ]
+        def doomed_at_2(alpha, ks, x, y, direct):
+            column = real(alpha, ks, x, y, direct)
+            lhs = [1.0 if k == 2 else c for k, c in zip(ks, column.lhs)]
+            return dataclasses.replace(column, lhs=lhs)
 
         monkeypatch.setattr(cli, "check_iterate_difference_identities", doomed_at_2)
         payload = {
@@ -462,26 +458,51 @@ class TestStrictConfigs:
         assert info.value.violations == ["'horizon': repeated key"]
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_key_named_with_its_path(self, tmp_path):
+        # a key repeated inside a value that a repeat dropped is found too
+        path = tmp_path / "config.json"
+        path.write_text(
+            '{"mode": "run", "t_family": [{"kind": "s", "alpha": 0.5, "alpha": 0.4}],'
+            ' "x0": {"scalar": 0.5, "scalar": 0.6, "vec": []},'
+            ' "fixed_set": {"kind": "single_point", "point": {"scalar": 0, "scalar": 1,'
+            ' "vec": []}, "point": {"scalar": 0, "vec": []}}}'
+        )
+        with pytest.raises(ValidationError) as info:
+            cli.parse_config(path)
+        assert [v for v in info.value.violations if v.endswith("repeated key")] == [
+            "'t_family[0].alpha': repeated key",
+            "'x0.scalar': repeated key",
+            "'fixed_set.point': repeated key",
+            "'fixed_set.point.scalar': repeated key",
+        ]
+
     @pytest.mark.parametrize("kind", ["s", "t_alpha"])
     def test_certify_walks_each_point_once(self, tmp_path, monkeypatch, kind):
-        real, calls = mappings._shift_powers, []
+        calls = Counter()
 
-        def counted(alpha, ks, v):
-            calls.append(list(ks))
-            return real(alpha, ks, v)
+        def count(name):
+            real = getattr(mappings, name)
+            monkeypatch.setattr(
+                mappings, name, lambda *args: calls.update([name]) or real(*args)
+            )
 
-        monkeypatch.setattr(mappings, "_shift_powers", counted)
+        for name in ("_shift_powers", "_shift_gaps", "check_powers"):
+            count(name)
         payload = {
             "name": "orbits",
             "mode": "certify",
-            "mapping": {"kind": kind, "alpha": 0.5},
+            "mappings": [
+                {"kind": kind, "alpha": 0.5},
+                {"kind": "s_f", "kappa": 0.5, "alpha": 0.5},
+            ],
             "samples": 3,
             "powers": [1, 4],
             "output_dir": str(tmp_path),
         }
         assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 0
-        # x and y of each sample, each walked once over the power range
-        assert calls == [[1, 2, 3, 4]] * (2 * 3)
+        # no image is built: each pair's gaps are one merge per mapping, and
+        # the power range is checked once per mapping, not once per point
+        assert calls == {"_shift_gaps": 2 * 3, "check_powers": 2}
 
 
 class TestDefectRoute:
@@ -604,6 +625,39 @@ class TestArtifacts:
         config = write_config(tmp_path, payload)
         assert cli.main([config, "--output-dir", str(tmp_path), "--quiet"]) == 0
         data = (tmp_path / "frozen_certificates.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    # SHA-256 of a failing certificate: with mu_n = 0 in the profile of T_a,
+    # 8 checks of 200 samples fail.  Recorded before certify folded its
+    # slacks by column, so the failure and worst rows, which it now builds
+    # only on demand, must keep every byte.
+    @pytest.mark.parametrize(
+        "full_checks, digest",
+        [
+            (False, "83abe06f62bbd993f5a3cddb494b96051d2d2576fe7011efc09fbf5dc93572c2"),
+            (True, "571524b2757e06f3f82661f01a8c8935b1f257649536faacdcd46de829863030"),
+        ],
+    )
+    def test_failing_certify_artifact_frozen(self, tmp_path, monkeypatch, full_checks, digest):
+        real = mappings.shift_root_profile
+        monkeypatch.setattr(
+            mappings,
+            "shift_root_profile",
+            lambda alpha: dataclasses.replace(real(alpha), mu=lambda n: 0.0),
+        )
+        payload = {
+            "name": "negative",
+            "mode": "certify",
+            "mappings": [{"kind": "t_alpha", "alpha": 0.6}, {"kind": "s", "alpha": 0.5}],
+            "samples": 200,
+            "powers": [1, 6],
+            "seed": 3,
+            "full_checks": full_checks,
+        }
+        config = write_config(tmp_path, payload)
+        assert cli.main([config, "--output-dir", str(tmp_path), "--quiet"]) == 1
+        data = (tmp_path / "negative_certificates.json").read_bytes()
+        assert json.loads(data)["summary"]["failed"] == 8
         assert hashlib.sha256(data).hexdigest() == digest
 
     # SHA-256 of every artifact of one small config per remaining mode,

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commonfix import mappings
@@ -31,7 +31,15 @@ from commonfix.mappings import (
     shift_root_profile,
 )
 from commonfix.sampling import sample_pair, sample_point
-from commonfix.space import L1Vector, ProductPoint, in_set, l1_norm, product_norm
+from commonfix.space import (
+    L1Vector,
+    ProductPoint,
+    distance,
+    in_set,
+    l1_distance,
+    l1_norm,
+    product_norm,
+)
 
 _TOL = 1e-12
 
@@ -329,6 +337,79 @@ class TestPowers:
         t_alpha = mapping_from_json({"kind": "t_alpha", "alpha": 0.6})
         got = [p.vec for p in t_alpha.powers((1, 2, 2, 9), ProductPoint(0.5, v))]
         assert got == [power_t_alpha(0.6, k, v) for k in (1, 2, 2, 9)]
+
+
+# Coordinates for the gap route: signed zeros, subnormals and the smallest
+# normal float beside ordinary values, at most 6 of them within 0.15, so
+# that ||v||_1 <= 0.9.
+_TINY = 2.2250738585072014e-308
+_GAP_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, _TINY, -_TINY / 3]),
+    st.floats(min_value=-0.15, max_value=0.15),
+)
+
+
+@st.composite
+def _gap_pairs(draw):
+    """Two points whose vectors have any, equal or disjoint stored supports."""
+    x = draw(st.lists(_GAP_COORDS, max_size=6))
+    y = draw(st.lists(_GAP_COORDS, max_size=6))
+    support = draw(st.sampled_from(["any", "equal", "disjoint"]))
+    y += [0.15] * (len(x) - len(y))
+    stored = [c != 0.0 or math.copysign(1.0, c) < 0.0 for c in x]
+    if support == "equal":
+        y = [(b if b != 0.0 else 0.1) if keep else 0.0 for keep, b in zip(stored, y)]
+    elif support == "disjoint":
+        y = [0.0 if keep else b for keep, b in zip(stored, y)] + y[len(x):]
+    scalars = st.sampled_from([0.0, -0.0, 5e-324, 0.3]) | st.floats(-0.3, 0.3)
+    return ProductPoint(draw(scalars), x), ProductPoint(draw(scalars), y)
+
+
+_GAP_KINDS = [
+    {"kind": "identity"},
+    {"kind": "t_alpha", "alpha": 0.8},
+    {"kind": "s", "alpha": 0.5},
+    {"kind": "s_f", "kappa": 0.7, "alpha": 0.8},
+]
+
+
+class TestGaps:
+    @given(
+        spec=st.sampled_from(_GAP_KINDS),
+        pair=_gap_pairs(),
+        ks=st.sampled_from([(1, 3, 3, 40), range(1, 26), (7,)])
+        | st.lists(st.integers(1, 60), min_size=1, max_size=5).map(sorted),
+    )
+    @example(spec=_GAP_KINDS[2], pair=(ProductPoint(0.5, (0.0, 0.2)), ProductPoint(0.5, ())),
+             ks=(1, 3, 3, 40))
+    @example(spec=_GAP_KINDS[1], pair=(ProductPoint(0.0, (-0.0, 5e-324, -0.0, 0.1)),
+                                       ProductPoint(0.0, (5e-324, 0.0, -5e-324))), ks=(1, 2))
+    @example(spec=_GAP_KINDS[3], pair=(ProductPoint(5e-324, ()), ProductPoint(-0.0, ())),
+             ks=(1, 3, 3, 40))
+    @settings(max_examples=300)
+    def test_equal_distances_of_images_bit_for_bit(self, spec, pair, ks):
+        mapping = mapping_from_json(spec)
+        x, y = pair
+        assume(in_set(x, mapping.domain) and in_set(y, mapping.domain))
+        scalar, vec = mapping.gaps(ks)(x, y)
+        tx, ty = mapping.powers(ks, x), mapping.powers(ks, y)
+
+        def hexes(values):
+            return [v.hex() for v in values]
+
+        assert hexes(vec) == hexes(map(l1_distance, [p.vec for p in tx], [p.vec for p in ty]))
+        assert hexes(scalar) == hexes(abs(p.scalar - q.scalar) for p, q in zip(tx, ty))
+        assert hexes(s + v for s, v in zip(scalar, vec)) == hexes(map(distance, tx, ty))
+
+    def test_checks_each_point(self):
+        gaps = make_s(0.5).gaps((1, 2))
+        with pytest.raises(DomainViolation):
+            gaps(ProductPoint(0.5, (0.1,)), ProductPoint(0.5, (0.8, 0.8)))
+
+    @pytest.mark.parametrize("ks", [(3, 2), (True,), (0, 1), range(0, 3), range(3, 0, -1)])
+    def test_rejects_bad_powers_before_any_pair(self, ks):
+        with pytest.raises(ValueError):
+            make_s_f(0.5, 0.5).gaps(ks)
 
 
 class TestDefectEstimator:

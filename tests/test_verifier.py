@@ -108,11 +108,14 @@ class TestTotalInequality:
             s_f = dataclasses.replace(s_f, domain=UNIT_DOMAIN)
             x, y = ProductPoint(0.2, x.vec), ProductPoint(0.3, y.vec)
         ns = (1, 2, 2, 5, 13)
-        tx, ty = s_f.powers(ns, x), s_f.powers(ns, y)
-        many = check_total_inequalities(s_f, comparison, s_f.profile, x, y, ns, tx, ty)
-        assert many == [
-            check_total_inequality(s_f, comparison, s_f.profile, x, y, n) for n in ns
-        ]
+        p = s_f.profile
+        mu, lam = [p.mu(n) for n in ns], [p.lam(n) for n in ns]
+        many = check_total_inequalities(
+            s_f, comparison, x, y, ns, s_f.gaps(ns)(x, y), mu, lam, p.phi
+        )
+        checks = [many.check(i) for i in range(len(ns))]
+        assert checks == [check_total_inequality(s_f, comparison, p, x, y, n) for n in ns]
+        assert many.slacks == [c.slack for c in checks]
 
     def test_violation_reported_not_raised(self):
         # a profile with no slack at all turns the strict expansion of the
@@ -141,13 +144,13 @@ class TestExactIdentities:
         x, y = L1Vector((0.3, -0.1)), L1Vector((0.04, 0.2, 0.1))
         ks = range(1, 26)
         s_map = make_s(0.7)
-        tx = [p.vec for p in s_map.powers(ks, ProductPoint(0.5, x))]
-        ty = [p.vec for p in s_map.powers(ks, ProductPoint(0.5, y))]
-        many = check_iterate_difference_identities(0.7, ks, x, y, tx, ty)
-        assert many == [check_iterate_difference_identity(0.7, k, x, y) for k in ks]
+        _, direct = s_map.gaps(ks)(ProductPoint(0.5, x), ProductPoint(0.5, y))
+        many = check_iterate_difference_identities(0.7, ks, x, y, direct)
+        checks = [many.check(i) for i in range(len(ks))]
+        assert checks == [check_iterate_difference_identity(0.7, k, x, y) for k in ks]
 
     def test_identity_range_rejects_point_outside_ball(self):
-        with pytest.raises(DomainViolation):
+        with pytest.raises(DomainViolation, match=r"\|\|v\|\|_1 = 1\.2 exceeds the unit ball"):
             check_iterate_difference_identity(0.7, 2, L1Vector((0.6, 0.6)), L1Vector(()))
 
     def test_root_gap_chain_checks(self):
