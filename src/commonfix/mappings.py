@@ -272,20 +272,21 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
     return _shift_powers(alpha, (k,), v)[0]
 
 
-def _head_tail(v: L1Vector) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
+def _head_tail(v: L1Vector) -> tuple[float, np.ndarray, np.ndarray]:
     """The head sqrt(|x_1|) of v and the stored entries of its tail
     x_2, x_3, ...: T_a^k scales both by a^k, puts the head at position k
     and moves the tail k places right."""
-    # x_1, stored first when it is not +0.0, gives way to the head.
-    rest = 1 if v.indices[:1] == (0,) else 0
-    return math.sqrt(abs(v.first)), v.indices[rest:], v.values[rest:]
+    if len(v.idx) and v.idx[0] == 0:  # x_1 is stored: it gives way to the head
+        return math.sqrt(abs(v.first)), v.idx[1:], v.val[1:]
+    return 0.0, v.idx, v.val
 
 
 def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector]:
     """T_a^k(v) for each k of ``ks``, trusting a checked alpha and ks.
 
     The k zeros are not stored, so the cost is independent of k.  Each
-    power takes a^k = a**k afresh; a product a * a^(k-1) rounds differently.
+    power takes a^k = alpha**k afresh, a Python float power; a product
+    a * a^(k-1) rounds differently.
     """
     root, indices, values = _head_tail(v)
     length = max(len(v), 1)
@@ -294,8 +295,8 @@ def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector
         ak = alpha**k
         out.append(
             L1Vector.from_sparse(
-                [k] + [i + k for i in indices],
-                [ak * root] + [ak * c for c in values],
+                np.concatenate(([k], indices + k)),
+                np.concatenate(([ak * root], ak * values)),
                 k + length,
             )
         )
@@ -316,7 +317,8 @@ def _shift_gaps(aks: Sequence[float], x: L1Vector, y: L1Vector) -> list[float]:
     """
     rx, ix, vx = _head_tail(x)
     ry, iy, vy = _head_tail(y)
-    dx, dy = dict(zip(ix, vx)), dict(zip(iy, vy))
+    dx = dict(zip(ix.tolist(), vx.tolist()))
+    dy = dict(zip(iy.tolist(), vy.tolist()))
     merged = sorted(dx.keys() | dy.keys())
     pairs = [(rx, ry)] + [(dx.get(i, 0.0), dy.get(i, 0.0)) for i in merged]
     out = []
@@ -351,9 +353,15 @@ def apply_f_kappa(kappa: float, x: float) -> float:
     least the factor k, so |f_k^n(x)| <= k^n / pi, yet no single power is
     nonexpansive near the origin because the derivative is unbounded there.
 
+    :raises ValueError: ``kappa`` is not in (0, 1).
     :raises DomainViolation: ``|x| > 1/pi``, or x is NaN.
     """
-    kappa = check_factor(kappa)
+    return _f_kappa(check_factor(kappa), x)
+
+
+def _f_kappa(kappa: float, x: float) -> float:
+    """f_k(x) for a checked kappa: the orbits check kappa once, and every
+    point here, so a NaN or an escaped point still raises."""
     if not abs(x) <= OSCILLATOR_HALF_WIDTH:
         raise DomainViolation(f"|{x!r}| exceeds 1/pi")
     if x == 0.0:
@@ -368,10 +376,11 @@ def apply_f_kappa(kappa: float, x: float) -> float:
 def _f_orbit(kappa: float, ks: Sequence[int], s: float) -> list[float]:
     """f_k^k(s) for each k of ``ks``: one orbit, advanced from each power
     to the next, so ``max(ks)`` applications of f_k in all."""
+    kappa = check_factor(kappa)
     done, out = 0, []
     for k in ks:
         for _ in range(k - done):
-            s = apply_f_kappa(kappa, s)
+            s = _f_kappa(kappa, s)
         done = k
         out.append(s)
     return out
@@ -487,7 +496,8 @@ def _oscillator_walk(
     """The defects of f_k found so far, for the powers 1, 2, ..., and the
     grid walk that yields the next one; one pair per (kappa, grid_size)."""
     interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
-    return [], _grid_defects(lambda x: apply_f_kappa(kappa, x), interval, grid_size)
+    # oscillator_defect has checked kappa
+    return [], _grid_defects(lambda x: _f_kappa(kappa, x), interval, grid_size)
 
 
 def oscillator_defect_envelope(kappa: float, n: int) -> float:

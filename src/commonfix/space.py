@@ -11,25 +11,41 @@ coordinate past it, is +0.0.  The product norm is
 which makes R x l1 a Banach space and keeps every norm computation exact
 up to ordinary float rounding (sums of absolute values, no squares).
 
-Arithmetic visits the stored entries only, yet returns the floats that a
-loop over the zero-padded dense coordinates gives: an entry stored on one
-side is combined with +0.0 from the other, and the skipped positions, +0.0
-against +0.0, give +0.0 there too.  ``len()`` and :func:`point_to_json`
+The stored entries are two read-only numpy arrays, int64 indices and
+float64 values; ``indices`` and ``values`` give them as tuples.  The
+kernels a run spends its time in, the norm, :func:`l1_distance` and
+:func:`convex_combine`, work in whole-array passes yet return the floats
+of a loop over the zero-padded dense coordinates, in that loop's order;
+``+``, ``-`` and ``*`` stay Python loops.  Sums run through
+``np.add.accumulate``, a left fold, so its last element is the loop's
+running total; a running total that starts at +0.0 never becomes -0.0, so
+the terms a sparse pass skips, abs(+0.0) or w * (+0.0), could not have
+changed it.  An entry stored on one side only meets +0.0 on the other, and
+x - 0.0 = x, so its term is the one the dense loop forms.
+
+Numpy's fixed cost per call outweighs a loop over a handful of entries.
+The two kinds of traffic differ in size: certify samples vectors of at
+most 8 entries and measures distances between them thousands of times,
+while a run combines and measures states of about a thousand.  So the
+norm and :func:`l1_distance` loop in Python while each vector they read
+stores fewer than ``ARRAY_MIN_ENTRIES`` entries, and take the array pass
+from there; both give the same bits.  ``len()`` and :func:`point_to_json`
 keep the dense length, trailing zeros and signed zeros, so the wire form
 lists every coordinate.
 
 Distances are measured without building the difference.
-:func:`l1_distance` walks the two index lists once and adds
-abs(a_i - b_i) in index order; an entry c stored on one side only adds
-abs(c), which equals abs(c - 0.0) and abs(0.0 - c), the terms the
-subtraction would form.  That is the same sequence of additions that
-``l1_norm(a - b)`` makes, except for the terms where a_i - b_i is +0.0,
-which the subtraction drops; adding abs(+0.0) to a running total that
-starts at +0.0 never changes it, so the two give the same bits, and with
-an infinite or NaN coordinate both are inf or both NaN.  :func:`distance`
-adds |p.s - q.s| in front, as ``product_norm(p - q)`` does.  Against a
-vector with no stored entry, such as a point of a scalar fixed set, the
-merge adds exactly the terms of ``l1_norm(a)``, so it returns a's kept norm.
+:func:`l1_distance` merges the two index lists and adds abs(a_i - b_i) in
+index order; an entry c stored on one side only adds abs(c), which equals
+abs(c - 0.0) and abs(0.0 - c), the terms the subtraction would form.
+That is the same sequence of additions that ``l1_norm(a - b)`` makes,
+except for the terms where a_i - b_i is +0.0, which the subtraction drops;
+adding abs(+0.0) to a running total that starts at +0.0 never changes it,
+so the two give the same bits, and with an infinite or NaN coordinate both
+are inf or both NaN.  :func:`distance` adds |p.s - q.s| in front, as
+``product_norm(p - q)`` does.  Against a vector with no stored entry, such
+as a point of a scalar fixed set, the merge adds exactly the terms of
+``l1_norm(a)``, so it returns a's kept norm; against itself, with a finite
+norm, every term is abs(c - c) = +0.0, so it returns 0.0 without merging.
 
 A vector is immutable, so it sums its l1 norm once, on first use, and
 keeps it: :func:`l1_norm` on an :class:`L1Vector` is a lookup after the
@@ -48,65 +64,89 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import LengthMismatch, WeightSumViolation
 
 # Convex weights must sum to 1 within this tolerance.
 WEIGHT_TOL = 1e-12
 
+# The norm and l1_distance loop in Python while each vector they read
+# stores fewer entries than this, and take the array pass from here on.
+# Measured with numpy 2.4.6 on a 2-core x86-64 machine, one process: the
+# loop and the array pass cost the same, about 2.2 us, for a norm of 48-56
+# entries, and about 12 us for a distance between two vectors of 64-96
+# entries each; one cutoff serves both, at the cost of a few us for a
+# distance between vectors of 48-96 entries.  Certify samples hold at
+# most 8 entries, a run's state about a thousand.
+ARRAY_MIN_ENTRIES = 48
+
 
 @dataclass(frozen=True, eq=False)
 class L1Vector:
     """A finite-support vector in l1, stored sparsely.
 
-    ``indices`` are the sorted 0-based positions of the coordinates that
-    are not +0.0 and ``values`` their values; ``len()`` is the stored
-    dense length.  Coordinates are 1-based in the mathematical reading:
-    position 0 is the first coordinate x_1.  Instances are immutable;
-    every operation returns a new vector.
+    ``idx`` holds the sorted 0-based positions of the coordinates that are
+    not +0.0 and ``val`` their values, as read-only int64 and float64
+    arrays; ``indices`` and ``values`` give them as tuples, and ``len()``
+    is the stored dense length.  Coordinates are 1-based in the
+    mathematical reading: position 0 is the first coordinate x_1.
+    Instances are immutable; every operation returns a new vector.
     """
 
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
+    idx: np.ndarray
+    val: np.ndarray
     length: int
 
     def __init__(self, coords: Iterable[float] = ()) -> None:
-        values = [float(c) for c in coords]
-        _store(self, range(len(values)), values, len(values))
+        values = np.array([float(c) for c in coords], dtype=np.float64)
+        _store(self, np.arange(len(values), dtype=np.int64), values, len(values))
 
     @classmethod
     def from_sparse(
         cls, indices: Sequence[int], values: Sequence[float], length: int
     ) -> "L1Vector":
         """Build from entries at sorted ``indices`` below ``length``;
-        entries equal to +0.0 are dropped."""
+        entries equal to +0.0 are dropped.  The entries are copied."""
         v = object.__new__(cls)
-        _store(v, indices, values, length)
+        _store(
+            v,
+            np.array(indices, dtype=np.int64),
+            np.array(values, dtype=np.float64),
+            length,
+        )
         return v
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(self.idx.tolist())
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        return tuple(self.val.tolist())
 
     @property
     def coords(self) -> tuple[float, ...]:
         """The dense coordinates, zero-filled up to ``len()``."""
-        dense = [0.0] * self.length
-        for i, c in zip(self.indices, self.values):
-            dense[i] = c
-        return tuple(dense)
+        dense = np.zeros(self.length)
+        dense[self.idx] = self.val
+        return tuple(dense.tolist())
 
     def __len__(self) -> int:
         return self.length
 
-    @property
+    @cached_property
     def first(self) -> float:
         """The first coordinate x_1, or 0.0 for an empty prefix."""
-        return self.values[0] if self.indices and self.indices[0] == 0 else 0.0
+        return float(self.val[0]) if len(self.idx) and self.idx[0] == 0 else 0.0
 
     @cached_property
     def _norm(self) -> float:
         # Kept in the instance __dict__, which the frozen __setattr__ leaves
         # alone; the first call per vector sums, later ones look it up.
-        return _abs_sum(self.values)
+        return _abs_sum(self.val)
 
     def _nonzero(self) -> tuple[tuple[int, float], ...]:
         return tuple((i, c) for i, c in zip(self.indices, self.values) if c != 0.0)
@@ -140,17 +180,35 @@ class L1Vector:
         return f"L1Vector({list(self.coords)!r})"
 
 
-def _store(
-    v: L1Vector, indices: Iterable[int], values: Sequence[float], length: int
-) -> None:
-    """Set the fields of a new vector, keeping the entries that are not
-    +0.0, the one value left implicit."""
-    if 0.0 in values:
-        keep = [c != 0.0 or math.copysign(1.0, c) < 0.0 for c in values]
-        indices, values = compress(indices, keep), compress(values, keep)
-    object.__setattr__(v, "indices", tuple(indices))
-    object.__setattr__(v, "values", tuple(values))
+def _store(v: L1Vector, idx: np.ndarray, val: np.ndarray, length: int) -> None:
+    """Set the fields of a new vector from arrays it then owns, keeping the
+    entries that are not +0.0, the one value left implicit."""
+    if np.count_nonzero(val) < len(val):
+        keep = (val != 0.0) | np.signbit(val)
+        idx, val = idx[keep], val[keep]
+    idx.setflags(write=False)
+    val.setflags(write=False)
+    object.__setattr__(v, "idx", idx)
+    object.__setattr__(v, "val", val)
     object.__setattr__(v, "length", length)
+
+
+def _union(indices: Sequence[np.ndarray]) -> np.ndarray:
+    """The sorted union of index arrays, by concatenate, sort and a mask of
+    repeats; ``np.union1d`` is about 13x slower on 2 x 1,000 indices."""
+    u = np.sort(np.concatenate(indices))
+    keep = np.empty(len(u), dtype=bool)
+    keep[:1] = True
+    np.not_equal(u[1:], u[:-1], out=keep[1:])
+    return u[keep]
+
+
+def _on(union: np.ndarray, v: L1Vector) -> np.ndarray:
+    """v's values at the positions of ``union``, a sorted superset of its
+    indices, with +0.0 where v stores nothing."""
+    out = np.zeros(len(union))
+    out[np.searchsorted(union, v.idx)] = v.val
+    return out
 
 
 def _pointwise(
@@ -215,9 +273,13 @@ class AdmissibleSet:
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
 
 
-def _abs_sum(coords: Iterable[float]) -> float:
+def _abs_sum(values: np.ndarray) -> float:
+    """The running total of abs(c) over ``values``, in order, from +0.0."""
+    if len(values) >= ARRAY_MIN_ENTRIES:
+        with np.errstate(over="ignore"):
+            return float(np.add.accumulate(np.abs(values))[-1])
     total = 0.0
-    for c in coords:
+    for c in values.tolist():
         total += abs(c)
     return total
 
@@ -228,7 +290,9 @@ def l1_norm(v: L1Vector | Sequence[float]) -> float:
     Only stored entries are summed: skipped terms are abs(+0.0), which
     leave the running total unchanged.  An :class:`L1Vector` sums once and
     keeps the result."""
-    return v._norm if isinstance(v, L1Vector) else _abs_sum(v)
+    if isinstance(v, L1Vector):
+        return v._norm
+    return _abs_sum(np.array(v, dtype=np.float64))
 
 
 def product_norm(p: ProductPoint) -> float:
@@ -239,9 +303,16 @@ def product_norm(p: ProductPoint) -> float:
 def l1_distance(a: L1Vector, b: L1Vector) -> float:
     """||a - b||_1 in one merge of the stored entries, bit-identical to
     ``l1_norm(a - b)`` and without building a - b (see the module note)."""
-    if not b.indices:
+    if a is b and a._norm < math.inf:
+        return 0.0  # abs(c - c) is +0.0 for every finite c
+    if not len(b.idx):
         return l1_norm(a)  # the kept sum of the terms the merge would add
-    ai, av, bi, bv = a.indices, a.values, b.indices, b.values
+    if max(len(a.idx), len(b.idx)) >= ARRAY_MIN_ENTRIES:
+        union = _union((a.idx, b.idx))
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = np.abs(_on(union, a) - _on(union, b))
+            return float(np.add.accumulate(terms)[-1])
+    ai, av, bi, bv = a.idx.tolist(), a.val.tolist(), b.idx.tolist(), b.val.tolist()
     na, nb = len(ai), len(bi)
     total = 0.0
     i = j = 0
@@ -296,19 +367,16 @@ def convex_combine(
         )
     # Each coordinate accumulates from +0.0 in point order, as in the dense
     # loop.  A sum started at +0.0 never becomes -0.0, so the skipped terms
-    # w * (+0.0) cannot change it.  A left fold of ``acc + p.vec * w`` gives
-    # the same bits but is slower, since it builds two vectors per point.
+    # w * (+0.0) cannot change it.
     scalar = 0.0
-    acc: dict[int, float] = {}
-    get = acc.get
-    for w, p in zip(weights, points):
-        scalar += w * p.scalar
-        for j, c in zip(p.vec.indices, p.vec.values):
-            acc[j] = get(j, 0.0) + w * c
-    indices = sorted(acc)
-    vec = L1Vector.from_sparse(
-        indices, [acc[j] for j in indices], max(len(p.vec) for p in points)
-    )
+    union = _union([p.vec.idx for p in points])
+    acc = np.zeros(len(union))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for w, p in zip(weights, points):
+            scalar += w * p.scalar
+            pos = np.searchsorted(union, p.vec.idx)
+            acc[pos] = acc[pos] + w * p.vec.val
+    vec = L1Vector.from_sparse(union, acc, max(len(p.vec) for p in points))
     return ProductPoint(scalar, vec)
 
 

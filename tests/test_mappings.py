@@ -278,10 +278,12 @@ class TestNthPower:
 
 @pytest.fixture
 def f_calls(monkeypatch):
-    """The arguments of the calls of f_k made inside the mappings module."""
+    """The arguments of the calls of f_k made inside the mappings module,
+    all of which reach the per-point kernel ``_f_kappa``."""
     calls = []
+    f_kappa = mappings._f_kappa
     monkeypatch.setattr(
-        mappings, "apply_f_kappa", lambda kappa, x: calls.append(x) or apply_f_kappa(kappa, x)
+        mappings, "_f_kappa", lambda kappa, x: calls.append(x) or f_kappa(kappa, x)
     )
     return calls
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from commonfix import space
 from commonfix.errors import LengthMismatch, WeightSumViolation
-from commonfix.mappings import power_t_alpha
+from commonfix.mappings import iterate_difference_factor, make_s, power_t_alpha
 from commonfix.space import (
     AdmissibleSet,
     L1Vector,
@@ -313,10 +313,36 @@ _oracle_coord = st.one_of(
     st.floats(min_value=-1e-300, max_value=1e-300),
     st.floats(min_value=-10.0, max_value=10.0),
 )
-_dense = st.lists(_oracle_coord, max_size=10).map(tuple)
-_dense_ball = st.lists(
-    st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.12, 0.12)), max_size=8
-).map(tuple)
+
+
+@st.composite
+def _mostly_zeros(draw, coord):
+    """100 to 400 coordinates, +0.0 but for up to 80 drawn from ``coord``
+    at drawn positions: vectors that store more and fewer than
+    ``ARRAY_MIN_ENTRIES`` entries, on either side of the kernels' choice
+    between the loop and the array pass."""
+    dense = [0.0] * draw(st.integers(100, 400))
+    k = draw(st.integers(0, 80))
+    positions = st.integers(0, len(dense) - 1)
+    for i, c in draw(st.lists(st.tuples(positions, coord), min_size=k, max_size=k)):
+        dense[i] = c
+    return tuple(dense)
+
+
+def _short_or_long(coord, short_max, long_coord=None):
+    return st.one_of(
+        st.lists(coord, max_size=short_max).map(tuple),
+        _mostly_zeros(coord if long_coord is None else long_coord),
+    )
+
+
+_dense = _short_or_long(_oracle_coord, 10)
+# Within the unit ball: 8 entries of at most 0.12, or 80 of at most 0.012.
+_dense_ball = _short_or_long(
+    st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.12, 0.12)),
+    8,
+    st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.012, 0.012)),
+)
 
 
 class TestDenseOracle:
@@ -379,7 +405,7 @@ _wide_coord = st.one_of(
         [5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
     ),
 )
-_dense_wide = st.lists(_wide_coord, max_size=10).map(tuple)
+_dense_wide = _short_or_long(_wide_coord, 10)
 _wide_scalar = st.one_of(scalars, st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
 
 
@@ -396,12 +422,15 @@ class TestDistanceKernel:
     @example((0.5, -0.0, 0.0, 3.0, -1e-310), (0.25,))
     @example((1.0, 0.0, -2.0, 0.0, 0.0, 4.0), (0.5, 3.0))
     @example((math.inf,), (math.inf, 1.0))
+    # 80 and 60 stored entries: the array pass, with inf - inf and NaN
+    @example((0.5, -0.0, math.inf, 5e-324) * 20, (0.0, 0.25, math.inf, math.nan) * 20)
     def test_l1_distance_is_the_norm_of_the_difference(self, a, b):
         u, v = L1Vector(a), L1Vector(b)
         got = l1_distance(u, v)
         assert _same_float(got, l1_norm(u - v))
         assert _same_float(got, _dense_norm(_dense_sub(a, b)))
         assert _same_float(l1_distance(v, u), l1_norm(v - u))
+        assert _same_float(l1_distance(u, u), l1_norm(u - u))
 
     @given(_wide_scalar, _dense_wide, _wide_scalar, _dense_wide)
     @example(0.0, (), -0.0, ())
@@ -453,3 +482,31 @@ class TestNormMemo:
     def test_plain_sequences_are_summed(self):
         assert l1_norm([1.0, -2.0, 0.5]) == 3.5
         assert l1_norm(()) == 0.0
+
+
+class TestPythonFloats:
+    """Every float a kernel returns is a Python float, never np.float64,
+    whose repr under numpy 2 is 'np.float64(0.5)': the CSV writer formats
+    floats by repr."""
+
+    @given(_dense_wide, _dense_wide)
+    def test_space_kernels(self, a, b):
+        u, v = L1Vector(a), L1Vector(b)
+        p, q = ProductPoint(0.5, u), ProductPoint(-0.25, v)
+        mid = convex_combine((0.5, 0.5), (p, q))
+        got = [
+            l1_norm(u), l1_norm(a), l1_distance(u, v), l1_distance(u, u),
+            distance(p, q), product_norm(p), u.first, mid.scalar,
+            *u.values, *u.coords, *mid.vec.values, *point_to_json(p)["vec"],
+        ]
+        assert all(type(x) is float for x in got)
+        assert all(type(i) is int for i in u.indices + mid.vec.indices)
+
+    @given(_dense_ball, _dense_ball, st.floats(0.01, 0.99))
+    def test_mapping_kernels(self, a, b, alpha):
+        x, y = ProductPoint(0.5, a), ProductPoint(0.25, b)
+        s = make_s(alpha)
+        image = power_t_alpha(alpha, 3, x.vec)
+        scalar, vector = s.gaps([1, 3, 3])(x, y)
+        got = [*image.values, *scalar, *vector, iterate_difference_factor(x.vec, y.vec)]
+        assert all(type(v) is float for v in got)
