@@ -41,7 +41,6 @@ import argparse
 import difflib
 import functools
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -96,6 +95,7 @@ from .space import (
 )
 from .verifier import (
     CheckColumn,
+    Tally,
     antipodal_norm,
     antipodal_pair_counterexample,
     check_horizon,
@@ -505,10 +505,7 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
     rng = np.random.default_rng(seed)
     ns = spec.powers
-    by_equation: dict[str, dict] = {}
-    worst: dict[tuple[str, str], dict] = {}
-    failed: list[dict] = []
-    all_rows: list[dict] = []
+    tally = Tally(keep_all=spec.full_checks)
     samples_dump: list[dict] = []
     for mapping in spec.maps:
         # s and t_alpha also get the exact identities of T_a
@@ -537,55 +534,14 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
                     CheckColumn([c.lhs] * len(ns), [c.rhs] * len(ns), c.tolerance, c.context)
                     for c in check_root_gap_chain(x.vec, y.vec)
                 ]
-            failing = False
-            for column in columns:
-                slacks = column.slacks
-                eq = column.context["equation"]
-                agg = by_equation.setdefault(
-                    eq, {"checks": 0, "min_slack": math.inf, "satisfied": True}
-                )
-                agg["checks"] += len(slacks)
-                agg["min_slack"] = min(agg["min_slack"], *slacks)
-                satisfied = all(slack >= -column.tolerance for slack in slacks)
-                agg["satisfied"] = agg["satisfied"] and satisfied
-                failing = failing or not satisfied
-                # the first strict minimum in check order: seeded with the
-                # worst slack so far, min returns that very seed unless a
-                # slack lies below it
-                key = (mapping.name, eq)
-                low = min(slacks) if key not in worst else min(worst[key]["slack"], *slacks)
-                if key not in worst or low is not worst[key]["slack"]:
-                    check = column.check(slacks.index(low))
-                    worst[key] = dict(check.to_json(), map=mapping.name, sample=sample_idx)
-            # rows in check order, by power and then by column, built only
-            # where the report shows them
-            if failing or spec.full_checks:
-                for i in range(len(ns)):
-                    for check in (column.check(i) for column in columns):
-                        row = dict(check.to_json(), map=mapping.name, sample=sample_idx)
-                        if not check.satisfied:
-                            failed.append(row)
-                        if spec.full_checks:
-                            all_rows.append(row)
+            tally.add(columns, map=mapping.name, sample=sample_idx)
 
-    total = sum(agg["checks"] for agg in by_equation.values())
-    report = {
-        "seed": seed,
-        "samples": spec.samples,
-        "powers": [ns[0], ns[-1]],
-        "summary": {
-            "total_checks": total,
-            "failed": len(failed),
-            "all_satisfied": not failed,
-            "by_equation": by_equation,
-        },
-        "worst": [worst[k] for k in sorted(worst)],
-        "failures": failed,
-    }
+    report = {"seed": seed, "samples": spec.samples, "powers": [ns[0], ns[-1]], **tally.report()}
     if spec.full_checks:
-        report["checks"] = all_rows
         report["sampled_points"] = samples_dump
-    return not failed, f"{total} checks, {len(failed)} failed", {"certificates.json": report}
+    summary = report["summary"]
+    message = f"{summary['total_checks']} checks, {summary['failed']} failed"
+    return summary["all_satisfied"], message, {"certificates.json": report}
 
 
 # The WitnessResult attributes in table order; lam_k is headed lambda_k.

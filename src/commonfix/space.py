@@ -12,16 +12,15 @@ which makes R x l1 a Banach space and keeps every norm computation exact
 up to ordinary float rounding (sums of absolute values, no squares).
 
 The stored entries are two read-only numpy arrays, int64 indices and
-float64 values; ``indices`` and ``values`` give them as tuples.  The
-kernels a run spends its time in, the norm, :func:`l1_distance` and
-:func:`convex_combine`, work in whole-array passes yet return the floats
-of a loop over the zero-padded dense coordinates, in that loop's order;
-``+``, ``-`` and ``*`` stay Python loops.  Sums run through
-``np.add.accumulate``, a left fold, so its last element is the loop's
-running total; a running total that starts at +0.0 never becomes -0.0, so
-the terms a sparse pass skips, abs(+0.0) or w * (+0.0), could not have
-changed it.  An entry stored on one side only meets +0.0 on the other, and
-x - 0.0 = x, so its term is the one the dense loop forms.
+float64 values.  The norm, :func:`l1_distance` and :func:`convex_combine`,
+the kernels a run spends its time in, work in whole-array passes yet
+return the floats of a loop over the zero-padded dense coordinates, in
+that loop's order; ``+``, ``-`` and ``*`` apply their operator per entry
+in Python.  Sums run through ``np.add.accumulate``, a left fold, so its
+last element is the loop's running total; a total that starts at +0.0
+never becomes -0.0, so the terms a sparse pass skips, abs(+0.0) or
+w * (+0.0), could not have changed it.  An entry stored on one side only
+meets +0.0 on the other, and x - 0.0 = x: its term is the dense loop's.
 
 Numpy's fixed cost per call outweighs a loop over a handful of entries.
 The two kinds of traffic differ in size: certify samples vectors of at
@@ -90,10 +89,10 @@ class L1Vector:
 
     ``idx`` holds the sorted 0-based positions of the coordinates that are
     not +0.0 and ``val`` their values, as read-only int64 and float64
-    arrays; ``indices`` and ``values`` give them as tuples, and ``len()``
-    is the stored dense length.  Coordinates are 1-based in the
-    mathematical reading: position 0 is the first coordinate x_1.
-    Instances are immutable; every operation returns a new vector.
+    arrays, and ``len()`` is the stored dense length.  Coordinates are
+    1-based in the mathematical reading: position 0 is the first
+    coordinate x_1.  Instances are immutable; every operation returns a
+    new vector.
     """
 
     idx: np.ndarray
@@ -120,14 +119,6 @@ class L1Vector:
         return v
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self.idx.tolist())
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(self.val.tolist())
-
-    @property
     def coords(self) -> tuple[float, ...]:
         """The dense coordinates, zero-filled up to ``len()``."""
         dense = np.zeros(self.length)
@@ -149,7 +140,7 @@ class L1Vector:
         return _abs_sum(self.val)
 
     def _nonzero(self) -> tuple[tuple[int, float], ...]:
-        return tuple((i, c) for i, c in zip(self.indices, self.values) if c != 0.0)
+        return tuple((i, c) for i, c in zip(self.idx.tolist(), self.val.tolist()) if c != 0.0)
 
     # Value equality ignores trailing zeros and the sign of zero.
     def __eq__(self, other: object) -> bool:
@@ -168,9 +159,7 @@ class L1Vector:
 
     def __mul__(self, t: float) -> "L1Vector":
         if 0.0 < t < math.inf:
-            return L1Vector.from_sparse(
-                self.indices, [t * c for c in self.values], self.length
-            )
+            return L1Vector.from_sparse(self.idx, [t * c for c in self.val.tolist()], self.length)
         # t * (+0.0) is not +0.0 here, so every coordinate is computed.
         return L1Vector(t * c for c in self.coords)
 
@@ -217,10 +206,9 @@ def _pointwise(
     """Coordinatewise ``op`` over the union of stored entries, in index
     order.  A coordinate stored on one side only meets +0.0 on the other,
     exactly as in the zero-padded dense loop."""
-    da, db = dict(zip(a.indices, a.values)), dict(zip(b.indices, b.values))
-    indices = sorted(da.keys() | db.keys())
-    values = [op(da.get(i, 0.0), db.get(i, 0.0)) for i in indices]
-    return L1Vector.from_sparse(indices, values, max(a.length, b.length))
+    union = _union((a.idx, b.idx))
+    values = list(map(op, _on(union, a).tolist(), _on(union, b).tolist()))
+    return L1Vector.from_sparse(union, values, max(a.length, b.length))
 
 
 @dataclass(frozen=True)

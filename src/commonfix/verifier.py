@@ -7,7 +7,8 @@ as ``slack >= -tolerance``.  Identities are encoded as a check of
 applies everywhere.  The plural checks, one pair at many powers, read the
 pair's gaps from ``Mapping.gaps``, never its images, and return a
 :class:`CheckColumn`: sides and slacks as columns, with a check built only
-when asked for.
+when asked for.  A :class:`Tally` folds the columns of many pairs into a
+certificate's report.
 
 The module covers four layers:
 
@@ -106,6 +107,61 @@ class CheckColumn:
     def check(self, i: int) -> InequalityCheck:
         context = dict(self.context, **{k: v[i] for k, v in self.per_check.items()})
         return InequalityCheck(self.lhs[i], self.rhs[i], self.tolerance, context)
+
+
+class Tally:
+    """Folds the check columns of many pairs into a certificate's report:
+    per equation, the count, the least slack and whether all held; per
+    (``map``, equation), the first check of strictly least slack; and a
+    row, a check's JSON with the keys given to :meth:`add`, for each
+    failure, or for every check under ``keep_all``, power-major."""
+
+    def __init__(self, keep_all: bool = False) -> None:
+        self.keep_all = keep_all
+        self.by_equation: dict[str, dict] = {}
+        self.worst: dict[tuple[str, str], dict] = {}
+        self.failures: list[dict] = []
+        self.checks: list[dict] = []
+
+    def add(self, columns: Sequence[CheckColumn], **row) -> None:
+        """Fold one pair's columns, all over the same powers."""
+        failing = False
+        for column in columns:
+            slacks, eq = column.slacks, column.context["equation"]
+            new = {"checks": 0, "min_slack": math.inf, "satisfied": True}
+            agg = self.by_equation.setdefault(eq, new)
+            agg["checks"] += len(slacks)
+            agg["min_slack"] = min(agg["min_slack"], *slacks)
+            satisfied = all(slack >= -column.tolerance for slack in slacks)
+            agg["satisfied"] = agg["satisfied"] and satisfied
+            failing = failing or not satisfied
+            # seeded with the worst slack so far, min returns that seed
+            # unless a slack lies strictly below it, NaN or not
+            kept = self.worst.get((row["map"], eq))
+            low = min(slacks) if kept is None else min(kept["slack"], *slacks)
+            if kept is None or low < kept["slack"]:
+                check = column.check(slacks.index(low))
+                self.worst[row["map"], eq] = dict(check.to_json(), **row)
+        if failing or self.keep_all:
+            for check in (c.check(i) for i in range(len(columns[0].slacks)) for c in columns):
+                out = dict(check.to_json(), **row)
+                if not check.satisfied:
+                    self.failures.append(out)
+                if self.keep_all:
+                    self.checks.append(out)
+
+    def report(self) -> dict:
+        """The summary, worst and failures entries, and checks under keep_all."""
+        total = sum(agg["checks"] for agg in self.by_equation.values())
+        failed = len(self.failures)
+        summary = {"total_checks": total, "failed": failed, "all_satisfied": not failed,
+                   "by_equation": self.by_equation}
+        out = {
+            "summary": summary,
+            "worst": [self.worst[k] for k in sorted(self.worst)],
+            "failures": self.failures,
+        }
+        return dict(out, checks=self.checks) if self.keep_all else out
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ class TestClosedPower:
         v = L1Vector(coords)
         out = power_t_alpha(alpha, k, v)
         assert len(out) == k + max(len(v), 1)
-        assert len(out.indices) <= sum(1 for c in coords if c != 0.0)
+        assert len(out.idx) <= sum(1 for c in coords if c != 0.0)
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, "3"])
     def test_power_must_be_positive_integer(self, k):
@@ -290,7 +290,7 @@ def f_calls(monkeypatch):
 
 def _bits(p):
     """Every bit of a point: a signed zero or a last ulp that differs shows."""
-    return (p.scalar.hex(), p.vec.indices, [c.hex() for c in p.vec.values], len(p.vec))
+    return (p.scalar.hex(), p.vec.idx.tolist(), [c.hex() for c in p.vec.val.tolist()], len(p.vec))
 
 
 class TestPowers:

@@ -20,7 +20,9 @@ from commonfix.scheme import IterationConfig, make_schedule, run
 from commonfix.space import L1Vector, ProductPoint, product_norm
 from commonfix.verifier import (
     CHECK_TOL,
+    CheckColumn,
     InequalityCheck,
+    Tally,
     antipodal_pair_counterexample,
     check_iterate_difference_identities,
     check_iterate_difference_identity,
@@ -404,3 +406,60 @@ class TestSerialization:
         blob = chk.to_json()
         assert blob["lhs"] == 1.0
         assert blob["equation"] == "demo"
+
+
+def _column(slacks, equation="demo"):
+    """A column whose i-th check, at n = i + 1, has exactly the slack
+    ``slacks[i]``: rhs - 0.0 keeps every float, -0.0 and NaN included."""
+    n = list(range(1, len(slacks) + 1))
+    return CheckColumn([0.0] * len(slacks), list(slacks), 0.0, {"equation": equation}, {"n": n})
+
+
+class TestTally:
+    def test_a_tie_keeps_the_earlier_worst(self):
+        tally = Tally()
+        tally.add([_column([1.0, 0.5, 0.5])], map="m", sample=0)
+        tally.add([_column([0.5, 0.75])], map="m", sample=1)
+        (worst,) = tally.report()["worst"]
+        assert (worst["slack"], worst["n"], worst["sample"]) == (0.5, 2, 0)
+
+    def test_a_nan_first_column_moves_the_worst_as_seeded_min_does(self):
+        tally = Tally()
+        tally.add([_column([1.0])], map="m", sample=0)
+        tally.add([_column([math.nan, 0.5])], map="m", sample=1)
+        report = tally.report()
+        (worst,) = report["worst"]
+        assert (worst["slack"], worst["n"], worst["sample"]) == (0.5, 2, 1)
+        assert report["summary"]["by_equation"]["demo"]["min_slack"] == 0.5
+        # NaN >= -tol is false, so the NaN check is the one failure
+        (failure,) = report["failures"]
+        assert math.isnan(failure["slack"]) and failure["n"] == 1
+
+    def test_no_row_is_built_for_a_passing_column(self, monkeypatch):
+        tally = Tally()
+        tally.add([_column([0.25, 0.5])], map="m", sample=0)
+        built = []
+        real = CheckColumn.check
+        monkeypatch.setattr(CheckColumn, "check", lambda self, i: built.append(i) or real(self, i))
+        tally.add([_column([0.5, 0.75])], map="m", sample=1)
+        assert built == []
+        report = tally.report()
+        assert report["failures"] == [] and "checks" not in report
+        assert report["summary"] == {
+            "total_checks": 4,
+            "failed": 0,
+            "all_satisfied": True,
+            "by_equation": {"demo": {"checks": 4, "min_slack": 0.25, "satisfied": True}},
+        }
+
+    def test_kept_rows_come_out_power_major(self):
+        tally = Tally(keep_all=True)
+        tally.add([_column([1.0, -1.0, 2.0], "a"), _column([3.0, 4.0, 5.0], "b")], map="m", sample=7)
+        report = tally.report()
+        rows = report["checks"]
+        assert [(row["n"], row["equation"]) for row in rows] == [
+            (1, "a"), (1, "b"), (2, "a"), (2, "b"), (3, "a"), (3, "b"),
+        ]
+        assert all((row["map"], row["sample"]) == ("m", 7) for row in rows)
+        assert report["failures"] == [rows[2]]
+        assert report["summary"]["failed"] == 1 and not report["summary"]["all_satisfied"]
