@@ -16,9 +16,9 @@ The config selects one of six modes:
 Exit codes: 0 success, 1 a certificate or table check failed, 2 bad
 configuration (an unknown or repeated key among them), 3 runtime failure.
 A mode computes all its artifacts before any is written, so a runtime
-failure writes none.  Every JSON artifact carries the config's ``name``
-and ``mode``.  Outputs are deterministic: the same config and seed
-produce byte-identical files.
+failure writes none and creates no directory.  Every JSON artifact
+carries the config's ``name`` and ``mode``.  Outputs are deterministic:
+the same config and seed produce byte-identical files.
 
 Example run config:
 
@@ -280,9 +280,7 @@ def _iteration(
 
 
 def _schedule(raw: dict, key: str, m: int, with_errors: bool, violations: _Violations):
-    spec = raw.get(key)
-    if spec is None:
-        spec = {}
+    spec = {} if raw.get(key) is None else raw[key]
     if not isinstance(spec, dict):
         violations.append(f"'{key}': expected an object, got {spec!r}")
         return None
@@ -469,7 +467,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     keys, parse, _ = _MODES[mode]
     violations.unknown("", raw, ("name", "mode", "seed", "output_dir", *keys))
     seed = violations.read("seed", check_int, raw.get("seed", 0), 0, "seed")
-    dump_states = violations.read("dump_states", json_flag, raw.get("dump_states", False))
+    flag = raw.get("dump_states", False) if "dump_states" in keys else False
+    dump_states = violations.read("dump_states", json_flag, flag)
     spec = parse(raw, violations)
     if violations:
         raise ValidationError(violations)
@@ -657,11 +656,11 @@ def execute(
     seed: int | None = None,
     quiet: bool = False,
 ) -> int:
-    """Run one experiment; write its artifacts, in the order the mode lists
-    them, as ``{name}_{suffix}``; return the process exit code."""
+    """Run one experiment, then make the output directory and write the artifacts,
+    in the order the mode lists them, as ``{name}_{suffix}``; return the exit code."""
+    ok, message, files = _MODES[cfg.mode][2](cfg, cfg.seed if seed is None else seed)
     out = Path(output_dir if output_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ok, message, files = _MODES[cfg.mode][2](cfg, cfg.seed if seed is None else seed)
     for suffix, artifact in files.items():
         path = out / f"{cfg.name}_{suffix}"
         if isinstance(artifact, dict):

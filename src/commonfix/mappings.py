@@ -44,19 +44,18 @@ and tail as the images are, so it adds the very terms that
 ``l1_distance`` adds for the images.  :func:`nth_power` is the
 one-power case of ``powers``.
 
-The oscillator's grid defect has one route too, :func:`oscillator_defect`:
-one cached grid orbit per (kappa, grid size) serves the profile term lam_n
-and the CLI's defect table alike, each estimate held to its ceiling.
+The oscillator's grid defect has one route too, :func:`oscillator_defect`: one
+cached ``_GridWalk`` per (kappa, grid size) walks the orbit on only as far as a
+power is asked for, and serves lam_n and the defect table, each held to its ceiling.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -429,27 +428,30 @@ def estimate_intermediate_defect(
     ``grid_size * n`` evaluations in all.
     """
     n = check_power(n)
-    return next(itertools.islice(_grid_defects(f, interval, grid_size), n - 1, None))
+    return _GridWalk(f, interval, grid_size).defect(n)
 
 
-def _grid_defects(
-    f: Callable[[float], float], interval: tuple[float, float], grid_size: int
-) -> Iterator[float]:
-    """The grid defects of f^1, f^2, ..., one orbit pass per power, with
-    the grid checked now and the orbit walked only as far as it is read."""
-    check_grid_size(grid_size)
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError(f"degenerate interval [{lo}, {hi}]")
-    xs = np.linspace(lo, hi, grid_size)
+class _GridWalk:
+    """The grid defects of f^1, f^2, ... on a checked grid: ``defect(n)`` walks the
+    orbit on from the highest power reached and keeps each defect it finds.  n is
+    checked by the caller."""
 
-    def walk() -> Iterator[float]:
-        orbit = xs.tolist()
-        while True:
-            orbit = [float(f(v)) for v in orbit]
-            yield _sorted_grid_defect(xs, np.array(orbit))
+    def __init__(self, f: Callable[[float], float], interval: tuple[float, float], grid_size: int):
+        check_grid_size(grid_size)
+        lo, hi = interval
+        if not lo < hi:
+            raise ValueError(f"degenerate interval [{lo}, {hi}]")
+        self.f = f
+        self.xs = np.linspace(lo, hi, grid_size)
+        self.orbit = self.xs.tolist()
+        self.defects: list[float] = []
 
-    return walk()
+    def defect(self, n: int) -> float:
+        f = self.f
+        while len(self.defects) < n:
+            self.orbit = [float(f(v)) for v in self.orbit]
+            self.defects.append(_sorted_grid_defect(self.xs, np.array(self.orbit)))
+        return self.defects[n - 1]
 
 
 def _sorted_grid_defect(xs: np.ndarray, u: np.ndarray) -> float:
@@ -467,9 +469,8 @@ def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -
     """Cached defect estimate for f_k on its interval, with envelope check.
 
     The value is :func:`estimate_intermediate_defect`'s, bit for bit, but
-    one grid orbit per (kappa, grid_size) serves every n: a miss extends
-    it from the highest power reached so far, so the powers 1..N cost
-    ``grid_size * N`` calls of f_k in all, in any order of request.
+    one :class:`_GridWalk` per (kappa, grid_size) serves every n, so the
+    powers 1..N cost ``grid_size * N`` calls of f_k in all.
 
     The analytic ceiling :func:`oscillator_defect_envelope` must dominate
     any grid estimate, up to ``ENVELOPE_TOL``; a violation would mean the
@@ -477,10 +478,7 @@ def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -
     """
     kappa = check_factor(kappa)
     check_power(n)
-    defects, walk = _oscillator_walk(kappa, grid_size)
-    while len(defects) < n:
-        defects.append(next(walk))
-    est = defects[n - 1]
+    est = _oscillator_walk(kappa, grid_size).defect(n)
     ceiling = oscillator_defect_envelope(kappa, n)
     if not est <= ceiling + ENVELOPE_TOL:
         raise ArithmeticError(
@@ -489,15 +487,13 @@ def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -
     return est
 
 
+# typed, so that grid_size = 257.0 misses the walk of 257 and is rejected
 @functools.lru_cache(maxsize=None, typed=True)
-def _oscillator_walk(
-    kappa: float, grid_size: int
-) -> tuple[list[float], Iterator[float]]:
-    """The defects of f_k found so far, for the powers 1, 2, ..., and the
-    grid walk that yields the next one; one pair per (kappa, grid_size)."""
+def _oscillator_walk(kappa: float, grid_size: int) -> _GridWalk:
+    """The one grid walk of f_k per (kappa, grid_size)."""
     interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
     # oscillator_defect has checked kappa
-    return [], _grid_defects(lambda x: _f_kappa(kappa, x), interval, grid_size)
+    return _GridWalk(lambda x: _f_kappa(kappa, x), interval, grid_size)
 
 
 def oscillator_defect_envelope(kappa: float, n: int) -> float:
@@ -540,16 +536,11 @@ def identity_profile() -> TotalAsymptoticProfile:
 
 
 def oscillator_product_profile(kappa: float, alpha: float) -> TotalAsymptoticProfile:
-    """Profile of S_f: the vector factor contributes mu_n = a^n with
-    phi(t) = t + sqrt(t); the scalar factor contributes the additive term
-    lam_n set to the grid defect estimate of f_k^n."""
+    """Profile of S_f: the vector factor's is S's, :func:`shift_root_profile`;
+    the scalar factor adds lam_n, the grid defect estimate of f_k^n."""
     kappa = check_factor(kappa)
-    alpha = check_factor(alpha)
-    return TotalAsymptoticProfile(
-        mu=lambda n: alpha**n,
-        lam=lambda n: oscillator_defect(kappa, n),
-        phi=_root_relaxation_phi,
-        linear_bound=_ROOT_RELAXATION_BOUND,
+    return dataclasses.replace(
+        shift_root_profile(alpha), lam=lambda n: oscillator_defect(kappa, n)
     )
 
 

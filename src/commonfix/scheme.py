@@ -230,19 +230,13 @@ def _validate_config(cfg: IterationConfig) -> None:
         raise LengthMismatch(
             f"t_family has {m} members, i_family has {len(cfg.i_family)}"
         )
-    if cfg.alpha.m != m or cfg.beta.m != m:
-        raise LengthMismatch(
-            f"schedules sized for m={cfg.alpha.m}/{cfg.beta.m}, families have m={m}"
-        )
-    has_error_slots = cfg.alpha.includes_error_term or cfg.beta.includes_error_term
-    if (cfg.error_sequences is not None) != has_error_slots:
-        raise LengthMismatch(
-            "error sequences and error weight slots must be supplied together"
-        )
-    if cfg.error_sequences is not None and not (
-        cfg.alpha.includes_error_term and cfg.beta.includes_error_term
-    ):
-        raise LengthMismatch("both schedules need the error slot, not just one")
+    want = (m, cfg.error_sequences is not None)
+    for label, sched in (("alpha", cfg.alpha), ("beta", cfg.beta)):
+        if (sched.m, sched.includes_error_term) != want:
+            raise LengthMismatch(
+                f"{label} schedule has (m, error slot) = "
+                f"{(sched.m, sched.includes_error_term)}, the config needs {want}"
+            )
     check_tol(cfg.tol)
     check_max_steps(cfg.max_steps)
     domain = common_domain(cfg.t_family + cfg.i_family)

@@ -276,6 +276,7 @@ class TestMainExitCodes:
         assert code == 3
         assert "DomainViolation" in capsys.readouterr().err
         assert not list(tmp_path.rglob("demo_*"))
+        assert not (tmp_path / "out").exists()
 
     def test_failed_certificates_exit_1(self, tmp_path, monkeypatch):
         def doomed(t_map, i_map, x, y, ns, gaps, mu, lam, phi, tol=1e-12):
@@ -382,6 +383,12 @@ class TestMainExitCodes:
 
 class TestStrictConfigs:
     """Every key of every object is read, once."""
+
+    def test_flag_of_another_mode_is_one_violation(self, tmp_path):
+        payload = _malformed("certify", {"dump_states": "x"}, tmp_path)
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2, err
+        assert violations == ["'dump_states': unknown key"]
 
     def test_nested_unknown_keys_each_named(self, tmp_path):
         payload = _malformed("run", {}, tmp_path)
@@ -552,7 +559,7 @@ class TestDefectRoute:
         assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 3
         err = capsys.readouterr().err
         assert "runtime error: ArithmeticError" in err and "ceiling" in err
-        assert not (tmp_path / "out" / "broken_defects.csv").exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestArtifacts:
@@ -856,6 +863,17 @@ def test_example_config_parses(tmp_path, source):
     path.write_text(_example_configs()[source])
     cfg = cli.parse_config(path)
     assert cfg.mode == "run" and len(cfg.spec.t_family) == 2
+
+
+@pytest.mark.parametrize("source", ["README.md", "cli docstring"])
+def test_example_config_runs(tmp_path, source):
+    path = tmp_path / "example.json"
+    path.write_text(_example_configs()[source])
+    out = tmp_path / "out"
+    assert cli.main([str(path), "--output-dir", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "two-family_summary.json", "two-family_trace.csv"
+    ]
 
 
 def test_readme_library_quickstart_runs():

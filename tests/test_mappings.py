@@ -482,9 +482,10 @@ class TestOscillatorDefectOrbit:
 
     def test_bad_arguments_raise_and_leave_no_walk(self):
         oscillator_defect(0.3, 1, self.GRID)
-        # True must not hit the cached n = 1; each bad call raises again
+        # True must not hit the cached n = 1, nor 257.0 the walk of 257;
+        # each bad call raises again
         g = self.GRID
-        bad = [(1.5, 2, g), (0.3, 0, g), (0.3, True, g), (0.5, 2, 1)]
+        bad = [(1.5, 2, g), (0.3, 0, g), (0.3, True, g), (0.5, 2, 1), (0.3, 2, float(g))]
         for args in bad * 2:
             with pytest.raises(ValueError):
                 oscillator_defect(*args)
