@@ -15,10 +15,12 @@ The config selects one of six modes:
 
 Exit codes: 0 success, 1 a certificate or table check failed, 2 bad
 configuration (an unknown or repeated key among them), 3 runtime failure.
-A mode computes all its artifacts before any is written, so a runtime
-failure writes none and creates no directory.  Every JSON artifact
-carries the config's ``name`` and ``mode``.  Outputs are deterministic:
-the same config and seed produce byte-identical files.
+A mode computes all its artifacts before any is written, so a failure
+while computing writes none and creates no directory.  Artifacts are
+``{name}_{suffix}``, ``name`` a file-name stem of at most 236 bytes
+encoded, and every JSON artifact carries the config's ``name`` and
+``mode``.  Outputs are deterministic: the same config and seed produce
+byte-identical files.
 
 Example run config:
 
@@ -111,6 +113,7 @@ DEFAULT_SAMPLES = 500
 DEFAULT_POWERS = (1, 25)
 DEFAULT_HORIZON = 2000
 COUNTEREXAMPLE_TOL = 1e-14
+_STEM_BYTES = 255 - len("_counterexample.csv")  # the longest artifact name fits in 255 bytes
 
 
 @dataclass(frozen=True)
@@ -189,11 +192,14 @@ def _as_list(value) -> list:
 
 def _file_stem(value) -> str:
     """``value`` if it is a non-empty string that names a file inside the
-    output directory: no path separator, no NUL, not ``.`` or ``..``."""
+    output directory: no path separator, no NUL, not ``.`` or ``..``, and
+    at most ``_STEM_BYTES`` bytes once encoded, if it can be encoded."""
     if not isinstance(value, str) or not value:
         raise ValueError(f"expected a non-empty string, got {value!r}")
     if value in (".", "..") or any(c and c in value for c in ("/", os.sep, os.altsep, "\0")):
         raise ValueError(f"expected a file-name stem without a path, got {value!r}")
+    if (size := len(os.fsencode(value))) > _STEM_BYTES:
+        raise ValueError(f"expected at most {_STEM_BYTES} bytes as a file name, got {size}")
     return value
 
 
@@ -460,6 +466,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     output_dir = raw.get("output_dir", ".")
     if not isinstance(output_dir, str) or not output_dir:
         violations.append(f"'output_dir': expected a non-empty string, got {output_dir!r}")
+    else:
+        violations.read("output_dir", os.fsencode, output_dir)
     mode = raw.get("mode")
     if mode not in MODES:
         violations.append(f"'mode': expected one of {list(MODES)}, got {mode!r}")

@@ -33,16 +33,15 @@ formula and all iterate-difference identities hold on the whole space, so
 certificates may use any a in (0, 1); self-mapped iteration schemes should
 stay at or below 4/5.
 
-A mapping has one route to its images, ``Mapping.powers(ks, p)``, and
-one to the distances between two orbits, ``Mapping.gaps(ks)(x, y)``,
-which gives the scalar and the vector gap at each power without building
-an image.  Each checks the powers once and each point once, then walks
-each orbit once: the vector factor takes the closed form a^k at each k,
-the scalar oscillator advances from one requested power to the next.
-The vector gap of T_a^k is one merge of the two tails, split into head
-and tail as the images are, so it adds the very terms that
-``l1_distance`` adds for the images.  :func:`nth_power` is the
-one-power case of ``powers``.
+A mapping has one route to an image, :func:`nth_power`, which applies
+one power to one point, and one route to the distances between two
+orbits, ``Mapping.gaps(ks)(x, y)``, which gives the scalar and the vector
+gap at each power without building an image.  Both take the closed form
+a^k for the vector factor and walk the scalar oscillator's orbit; the
+gaps check the powers once and advance each orbit from one requested
+power to the next.  The vector gap of T_a^k is one merge of the two
+tails, split into head and tail as the images are, so it adds the very
+terms that ``l1_distance`` adds for :func:`nth_power`'s images.
 
 The oscillator's grid defect has one route too, :func:`oscillator_defect`: one
 cached ``_GridWalk`` per (kappa, grid size) walks the orbit on only as far as a
@@ -155,10 +154,10 @@ class Mapping:
 
     The scalar factor is f_kappa, or fixed when ``kappa`` is None; the
     vector factor is T_a for a = ``alpha``, or fixed when ``alpha`` is
-    None.  :meth:`powers` is the one route to its images and :meth:`gaps`
-    the one route to the distances between two orbits.  Both walk each
-    scalar orbit once and take the closed form of T_a^k for the vector
-    factor, exact up to rounding, so no per-step error compounds.
+    None.  :func:`nth_power` is the one route to its images and
+    :meth:`gaps` the one route to the distances between two orbits.  Both
+    take the closed form of T_a^k for the vector factor, exact up to
+    rounding, so no per-step error compounds.
     """
 
     domain: AdmissibleSet
@@ -175,20 +174,6 @@ class Mapping:
     def _scalars(self, ks: Sequence[int], s: float) -> list[float]:
         return [s] * len(ks) if self.kappa is None else _f_orbit(self.kappa, ks, s)
 
-    def powers(self, ks: Sequence[int], p: ProductPoint) -> list[ProductPoint]:
-        """The images of p at the powers ``ks``, in order.
-
-        :raises ValueError: a power is not a positive integer, or the
-            powers decrease.
-        :raises DomainViolation: ``p`` is outside the domain.
-        """
-        ks = check_powers(ks)
-        self._check_point(p)
-        if self.kappa is None and self.alpha is None:  # the identity gives p itself
-            return [p] * len(ks)
-        vecs = [p.vec] * len(ks) if self.alpha is None else _shift_powers(self.alpha, ks, p.vec)
-        return list(map(ProductPoint, self._scalars(ks, p.scalar), vecs))
-
     def gaps(
         self, ks: Sequence[int]
     ) -> Callable[[ProductPoint, ProductPoint], tuple[list[float], list[float]]]:
@@ -196,7 +181,7 @@ class Mapping:
 
         Returns a function of a pair (x, y) that gives, for each k, the
         scalar gap |F^k x - F^k y| and the vector gap ||F^k x - F^k y||_1:
-        the two terms that ``distance`` adds for :meth:`powers`' images,
+        the two terms that ``distance`` adds for :func:`nth_power`'s images,
         bit for bit.  The powers are checked, and a^k taken, once, here;
         each point is checked when the function is called.
 
@@ -268,7 +253,7 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
     alpha, k = check_factor(alpha), check_power(k)
     if not l1_norm(v) <= 1.0:
         raise DomainViolation(f"||v||_1 = {l1_norm(v)!r} exceeds the unit ball")
-    return _shift_powers(alpha, (k,), v)[0]
+    return _shift_power(alpha, k, v)
 
 
 def _head_tail(v: L1Vector) -> tuple[float, np.ndarray, np.ndarray]:
@@ -280,31 +265,24 @@ def _head_tail(v: L1Vector) -> tuple[float, np.ndarray, np.ndarray]:
     return 0.0, v.idx, v.val
 
 
-def _shift_powers(alpha: float, ks: Sequence[int], v: L1Vector) -> list[L1Vector]:
-    """T_a^k(v) for each k of ``ks``, trusting a checked alpha and ks.
+def _shift_power(alpha: float, k: int, v: L1Vector) -> L1Vector:
+    """T_a^k(v), trusting a checked alpha and k.
 
-    The k zeros are not stored, so the cost is independent of k.  Each
-    power takes a^k = alpha**k afresh, a Python float power; a product
-    a * a^(k-1) rounds differently.
+    The k zeros are not stored, so the cost is independent of k.  a^k is
+    alpha**k, a Python float power; a product a * a^(k-1) rounds differently.
     """
     root, indices, values = _head_tail(v)
-    length = max(len(v), 1)
-    out = []
-    for k in ks:
-        ak = alpha**k
-        out.append(
-            L1Vector.from_sparse(
-                np.concatenate(([k], indices + k)),
-                np.concatenate(([ak * root], ak * values)),
-                k + length,
-            )
-        )
-    return out
+    ak = alpha**k
+    return L1Vector.from_sparse(
+        np.concatenate(([k], indices + k)),
+        np.concatenate(([ak * root], ak * values)),
+        k + max(len(v), 1),
+    )
 
 
 def _shift_gaps(aks: Sequence[float], x: L1Vector, y: L1Vector) -> list[float]:
     """||T_a^k x - T_a^k y||_1 for each a^k of ``aks``, bit for bit the
-    ``l1_distance`` of :func:`_shift_powers`' images, from one merge of
+    ``l1_distance`` of :func:`_shift_power`'s images, from one merge of
     the two tails.
 
     Shifting both images by k keeps their entries aligned, so each gap is
@@ -391,15 +369,21 @@ def _f_orbit(kappa: float, ks: Sequence[int], s: float) -> list[float]:
 
 
 def nth_power(mapping: Mapping, k: int, p: ProductPoint) -> ProductPoint:
-    """The k-th power of a mapping at a domain point: ``mapping.powers((k,), p)``.
+    """The k-th power of a mapping at a domain point, the one route to an image.
 
     For the maps of this module it agrees with k applications of the
     first power: the scalar factor bit for bit, the vector factor within
     1e-12.
 
+    :raises ValueError: ``k`` is not a positive integer.
     :raises DomainViolation: ``p`` is outside the mapping's domain.
     """
-    return mapping.powers((k,), p)[0]
+    k = check_power(k)
+    mapping._check_point(p)
+    if mapping.kappa is None and mapping.alpha is None:  # the identity gives p itself
+        return p
+    vec = p.vec if mapping.alpha is None else _shift_power(mapping.alpha, k, p.vec)
+    return ProductPoint(mapping._scalars((k,), p.scalar)[0], vec)
 
 
 def estimate_intermediate_defect(

@@ -329,7 +329,10 @@ def witness_start(
     check_factor(alpha)
     check_power(k)
     check_positive(lam_k, "slack lambda_k")
-    bound = 4.0 * alpha ** (2 * k) / (9.0 * (1.0 + lam_k) ** 2)
+    try:
+        bound = 4.0 * alpha ** (2 * k) / (9.0 * (1.0 + lam_k) ** 2)
+    except OverflowError:  # a power past the float range: the bound is below every float
+        bound = 0.0
     if not bound > 0.0:
         raise ValueError(
             f"the x0 bound 4 alpha^(2k) / (9 (1 + lambda_k)^2) rounds to 0 at"

@@ -265,6 +265,32 @@ class TestMainExitCodes:
         assert "config validation failed" in err and "'name'" in err
         assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("name", "a" * 250),
+            ("name", "a\ud800b"),
+            # 237 bytes: one past 255 less "_counterexample.csv"
+            ("name", "é" * 118 + "a"),
+            ("output_dir", "x\ud800"),
+        ],
+        ids=["name-too-long", "name-surrogate", "name-237-bytes", "output-dir-surrogate"],
+    )
+    def test_name_that_cannot_name_a_file_exits_2(self, tmp_path, field, value):
+        payload = {**BASE["counterexample"], "name": "ce", "output_dir": str(tmp_path / "out")}
+        payload[field] = str(tmp_path / value) if field == "output_dir" else value
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2, err
+        assert len(violations) == 1 and violations[0].startswith(f"'{field}': "), violations
+        assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
+
+    def test_name_of_236_bytes_runs(self, tmp_path):
+        name = "é" * 118
+        payload = {**BASE["counterexample"], "name": name, "output_dir": str(tmp_path / "out")}
+        code, _, err = _main_on(payload, tmp_path)
+        assert code == 0, err
+        assert (tmp_path / "out" / f"{name}_counterexample.csv").exists()
+
     def test_runtime_failure_exits_3(self, tmp_path, capsys):
         payload = run_config(tmp_path)
         # valid config whose iterate escapes the ball: alpha = 0.9 breaks
@@ -493,7 +519,7 @@ class TestStrictConfigs:
                 mappings, name, lambda *args: calls.update([name]) or real(*args)
             )
 
-        for name in ("_shift_powers", "_shift_gaps", "check_powers"):
+        for name in ("_shift_power", "_shift_gaps", "check_powers"):
             count(name)
         payload = {
             "name": "orbits",
@@ -906,6 +932,7 @@ MALFORMED = {
     ),
     "ill-typed-x0": ("run", {"x0": {"scalar": True, "vec": ["0.5"]}}, ["x0"]),
     "witness-bound-underflows": ("witness", {"alpha": 0.1, "k": 200}, ["k=200"]),
+    "witness-bound-overflows": ("witness", {"lambda_k": 1e200}, ["lambda_k"]),
     "fixed-set-three-ends": (
         "run", {"fixed_set": {"kind": "scalar_line", "interval": [0, 0.5, 1]}},
         ["fixed_set", "[lo, hi]"],

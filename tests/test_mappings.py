@@ -16,6 +16,7 @@ from commonfix.mappings import (
     UNIT_DOMAIN,
     apply_f_kappa,
     apply_t_alpha,
+    check_powers,
     estimate_intermediate_defect,
     identity_profile,
     iterate_difference_factor,
@@ -270,10 +271,19 @@ class TestNthPower:
     def test_rejects_input_outside_domain(self):
         with pytest.raises(DomainViolation):
             nth_power(make_s(0.5), 2, ProductPoint(-0.2, ()))
+        with pytest.raises(DomainViolation):
+            nth_power(make_s_f(0.5, 0.5), 1, ProductPoint(float("nan"), ()))
 
     def test_rejects_bad_power(self):
-        with pytest.raises(ValueError):
-            nth_power(make_s(0.5), 0, ProductPoint(0.0, ()))
+        for k in (0, -1, True, 1.0):
+            with pytest.raises(ValueError):
+                nth_power(make_s(0.5), k, ProductPoint(0.0, ()))
+
+    def test_t_alpha_powers_match_single_powers(self):
+        v = L1Vector((0.3, 0.0, -0.2))
+        t_alpha = mapping_from_json({"kind": "t_alpha", "alpha": 0.6})
+        got = [nth_power(t_alpha, k, ProductPoint(0.5, v)).vec for k in (1, 2, 2, 9)]
+        assert got == [power_t_alpha(0.6, k, v) for k in (1, 2, 2, 9)]
 
 
 @pytest.fixture
@@ -288,57 +298,13 @@ def f_calls(monkeypatch):
     return calls
 
 
-def _bits(p):
-    """Every bit of a point: a signed zero or a last ulp that differs shows."""
-    return (p.scalar.hex(), p.vec.idx.tolist(), [c.hex() for c in p.vec.val.tolist()], len(p.vec))
-
-
 class TestPowers:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            {"kind": "identity"},
-            {"kind": "t_alpha", "alpha": 0.8},
-            {"kind": "s", "alpha": 0.5},
-            {"kind": "s_f", "kappa": 0.7, "alpha": 0.8},
-        ],
-        ids=lambda spec: spec["kind"],
-    )
-    @pytest.mark.parametrize("ks", [(1, 4, 4, 25), range(1, 26), (7,)], ids=str)
-    def test_matches_nth_power_bit_for_bit(self, spec, ks):
-        mapping = mapping_from_json(spec)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            p = sample_point(rng, mapping.domain)
-            images = mapping.powers(ks, p)
-            assert len(images) == len(ks)
-            assert [_bits(q) for q in images] == [
-                _bits(nth_power(mapping, k, p)) for k in ks
-            ]
-
-    def test_rejects_point_outside_domain(self):
-        with pytest.raises(DomainViolation):
-            make_s(0.5).powers((1, 2), ProductPoint(0.5, (0.8, 0.8)))
-        with pytest.raises(DomainViolation):
-            mapping_from_json({"kind": "s_f", "kappa": 0.5, "alpha": 0.5}).powers(
-                (1,), ProductPoint(float("nan"), ())
-            )
+    """check_powers, which validates the list of powers given to Mapping.gaps."""
 
     @pytest.mark.parametrize("ks", [(3, 2), (1, 5, 4), (True,), (1, True), (0, 1), (1.0,)])
     def test_rejects_bad_powers(self, ks):
         with pytest.raises(ValueError):
-            make_s(0.5).powers(ks, ProductPoint(0.5, (0.1,)))
-
-    def test_scalar_orbit_walked_once(self, f_calls):
-        s_f = make_s_f(0.5, 0.5)
-        s_f.powers(range(1, 26), ProductPoint(0.2, (0.1,)))
-        assert len(f_calls) == 25
-
-    def test_t_alpha_powers_match_single_powers(self):
-        v = L1Vector((0.3, 0.0, -0.2))
-        t_alpha = mapping_from_json({"kind": "t_alpha", "alpha": 0.6})
-        got = [p.vec for p in t_alpha.powers((1, 2, 2, 9), ProductPoint(0.5, v))]
-        assert got == [power_t_alpha(0.6, k, v) for k in (1, 2, 2, 9)]
+            check_powers(ks)
 
 
 # Coordinates for the gap route: signed zeros, subnormals and the smallest
@@ -394,7 +360,8 @@ class TestGaps:
         x, y = pair
         assume(in_set(x, mapping.domain) and in_set(y, mapping.domain))
         scalar, vec = mapping.gaps(ks)(x, y)
-        tx, ty = mapping.powers(ks, x), mapping.powers(ks, y)
+        tx = [nth_power(mapping, k, x) for k in ks]
+        ty = [nth_power(mapping, k, y) for k in ks]
 
         def hexes(values):
             return [v.hex() for v in values]
@@ -408,10 +375,17 @@ class TestGaps:
         with pytest.raises(DomainViolation):
             gaps(ProductPoint(0.5, (0.1,)), ProductPoint(0.5, (0.8, 0.8)))
 
-    @pytest.mark.parametrize("ks", [(3, 2), (True,), (0, 1), range(0, 3), range(3, 0, -1)])
+    @pytest.mark.parametrize(
+        "ks",
+        [(3, 2), (True,), (0, 1), range(0, 3), range(3, 0, -1), (1, 5, 4), (1, True), (1.0,)],
+    )
     def test_rejects_bad_powers_before_any_pair(self, ks):
         with pytest.raises(ValueError):
             make_s_f(0.5, 0.5).gaps(ks)
+
+    def test_scalar_orbits_walked_once(self, f_calls):
+        make_s_f(0.5, 0.5).gaps(range(1, 26))(ProductPoint(0.2, (0.1,)), ProductPoint(-0.1, ()))
+        assert len(f_calls) == 2 * 25
 
 
 class TestDefectEstimator:
@@ -674,7 +648,6 @@ class TestJsonConstruction:
     def test_identity_fixes_everything(self):
         ident = make_identity()
         p = ProductPoint(0.62, (0.1, -0.2))
-        assert ident.powers((1,), p)[0] is p
         assert nth_power(ident, 9, p) is p
 
 
