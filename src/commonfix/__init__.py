@@ -46,7 +46,6 @@ from .scheme import (
     TraceRecord,
     WeightSchedule,
     distance_to_fixset,
-    i_images,
     make_schedule,
     run,
     step,
@@ -110,7 +109,6 @@ __all__ = [
     "distance",
     "distance_to_fixset",
     "estimate_intermediate_defect",
-    "i_images",
     "in_set",
     "l1_distance",
     "l1_norm",

@@ -113,7 +113,8 @@ DEFAULT_SAMPLES = 500
 DEFAULT_POWERS = (1, 25)
 DEFAULT_HORIZON = 2000
 COUNTEREXAMPLE_TOL = 1e-14
-_STEM_BYTES = 255 - len("_counterexample.csv")  # the longest artifact name fits in 255 bytes
+_NAME_BYTES = 255  # the longest file or directory name common file systems accept
+_STEM_BYTES = _NAME_BYTES - len("_counterexample.csv")  # so the longest artifact name fits
 
 
 @dataclass(frozen=True)
@@ -200,6 +201,19 @@ def _file_stem(value) -> str:
         raise ValueError(f"expected a file-name stem without a path, got {value!r}")
     if (size := len(os.fsencode(value))) > _STEM_BYTES:
         raise ValueError(f"expected at most {_STEM_BYTES} bytes as a file name, got {size}")
+    return value
+
+
+def _output_dir(value) -> str:
+    """``value`` if it is a non-empty string without NUL that can be encoded
+    and whose every path component is at most ``_NAME_BYTES`` bytes encoded."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty string, got {value!r}")
+    if "\0" in value:
+        raise ValueError(f"expected a path without NUL, got {value!r}")
+    size = max((len(os.fsencode(part)) for part in Path(value).parts), default=0)
+    if size > _NAME_BYTES:
+        raise ValueError(f"expected path components of at most {_NAME_BYTES} bytes, got {size}")
     return value
 
 
@@ -463,11 +477,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     violations = _Violations(f"'{key}': repeated key" for key in repeated)
     name = violations.read("name", _file_stem, raw.get("name", path.stem))
-    output_dir = raw.get("output_dir", ".")
-    if not isinstance(output_dir, str) or not output_dir:
-        violations.append(f"'output_dir': expected a non-empty string, got {output_dir!r}")
-    else:
-        violations.read("output_dir", os.fsencode, output_dir)
+    output_dir = violations.read("output_dir", _output_dir, raw.get("output_dir", "."))
     mode = raw.get("mode")
     if mode not in MODES:
         violations.append(f"'mode': expected one of {list(MODES)}, got {mode!r}")
@@ -702,6 +712,8 @@ def main(argv: list[str] | None = None) -> int:
         violations += exc.violations
     if args.seed is not None:
         violations.read("--seed", check_int, args.seed, 0, "seed")
+    if args.output_dir is not None:
+        violations.read("--output-dir", _output_dir, args.output_dir)
     if violations:
         print("config validation failed:", file=sys.stderr)
         for violation in violations:

@@ -10,10 +10,12 @@ with the n-th step using the n-th powers of the maps.  Step indices start
 at n = 1, so the supplied start point is x_1.  With schedules carrying
 m + 2 weights, each stage takes one extra perturbation point.
 
-Runs record a full trace: iterates, auxiliary points, step norms,
-displacement defects ||x_n - T_i^n x_n|| and ||x_n - I_i^n x_n||, and
-distances to a described fixed-point set.  Termination is by step norm
-falling under the configured tolerance or by the step budget running out.
+``step(x, n, cfg)`` is that step: it returns x_{n+1} together with x_n's
+record, which holds the auxiliary point, the step norm, the displacement
+defects ||x_n - T_i^n x_n|| and ||x_n - I_i^n x_n||, and the distances to
+a described fixed-point set.  ``run`` collects the records of steps
+n = 1, 2, ... until the step norm falls under the configured tolerance or
+the step budget runs out.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -164,6 +167,12 @@ class IterationConfig:
         object.__setattr__(self, "t_family", tuple(self.t_family))
         object.__setattr__(self, "i_family", tuple(self.i_family))
 
+    @cached_property
+    def reference(self) -> ProductPoint | None:
+        """The trace's reference fixed point, when a fixed set is described:
+        the point of the set nearest to the start point."""
+        return None if self.fixed_set is None else self.fixed_set.nearest(self.x0)
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -245,31 +254,21 @@ def _validate_config(cfg: IterationConfig) -> None:
         check_fixed_set(cfg.fixed_set, domain)
 
 
-def i_images(x: ProductPoint, n: int, cfg: IterationConfig) -> list[ProductPoint]:
-    """The points I_i^n(x) for the members of ``cfg.i_family``, in order."""
-    return [nth_power(im, n, x) for im in cfg.i_family]
+def step(x: ProductPoint, n: int, cfg: IterationConfig) -> tuple[ProductPoint, TraceRecord]:
+    """One iteration step at index n >= 1.  Returns x_{n+1} and x_n's record.
 
-
-def step(
-    x: ProductPoint,
-    n: int,
-    cfg: IterationConfig,
-    images: Sequence[ProductPoint],
-    errors: tuple[ProductPoint, ProductPoint] | None = None,
-) -> tuple[ProductPoint, ProductPoint]:
-    """One iteration step at index n >= 1.  Returns (x_{n+1}, y_n).
-
-    ``images`` are the points I_i^n(x_n), as :func:`i_images` gives them.
-    ``errors``, when given, is the pair (u_n, v_n) of perturbation points:
-    v_n joins the y-stage and u_n the x-stage as one extra weighted point
-    each, so both schedules must carry m + 2 weights.  Intermediates are
-    never clamped: if y_n or x_{n+1} leaves the common admissible set, the
-    configuration is broken and ``DomainViolation`` is raised.
+    Each I_i^n(x_n) is computed once and serves both y_n and its defect.
+    With ``cfg.error_sequences``, the pair (u_n, v_n) it gives joins the
+    x-stage and the y-stage as one extra weighted point each.
+    Intermediates are never clamped: if a perturbation point, y_n or
+    x_{n+1} leaves the common admissible set, the configuration is broken
+    and ``DomainViolation`` is raised.
     """
     domain = cfg.t_family[0].domain
+    images = [nth_power(im, n, x) for im in cfg.i_family]
     extra_x = extra_y = ()
-    if errors is not None:
-        u_n, v_n = errors
+    if cfg.error_sequences is not None:
+        u_n, v_n = cfg.error_sequences[0](n), cfg.error_sequences[1](n)
         check_in_domain(u_n, domain, f"perturbation point u_{n}")
         check_in_domain(v_n, domain, f"perturbation point v_{n}")
         extra_x, extra_y = (u_n,), (v_n,)
@@ -278,19 +277,23 @@ def step(
     t_points = [x, *(nth_power(tm, n, y) for tm in cfg.t_family), *extra_x]
     x_next = convex_combine(cfg.alpha.weights_at(n), t_points)
     check_in_domain(x_next, domain, f"iterate at step {n}")
-    return x_next, y
+    fs, ref = cfg.fixed_set, cfg.reference
+    return x_next, TraceRecord(
+        n=n,
+        x=x,
+        y=y,
+        step_norm=distance(x_next, x),
+        t_defects=tuple(distance(x, nth_power(tm, n, x)) for tm in cfg.t_family),
+        i_defects=tuple(distance(x, ix) for ix in images),
+        dist_to_fixset=None if fs is None else distance_to_fixset(x, fs),
+        dist_to_ref=None if ref is None else distance(x, ref),
+    )
 
 
 def distance_to_fixset(p: ProductPoint, descriptor: FixedSetDescriptor) -> float:
     """Distance from p to the described set in the product norm: the
     distance to its nearest point."""
     return distance(p, descriptor.nearest(p))
-
-
-def reference_point(cfg: IterationConfig) -> ProductPoint | None:
-    """The trace's reference fixed point, when a fixed set is described:
-    the point of the set nearest to the start point."""
-    return None if cfg.fixed_set is None else cfg.fixed_set.nearest(cfg.x0)
 
 
 def check_fixed_set(descriptor: FixedSetDescriptor, domain: AdmissibleSet) -> None:
@@ -312,40 +315,14 @@ def run(cfg: IterationConfig) -> Trace:
     returned separately as ``Trace.final``.
     """
     _validate_config(cfg)
-    ref = reference_point(cfg)
     x = cfg.x0
     records: list[TraceRecord] = []
-    terminated = "max_steps"
     for n in range(1, cfg.max_steps + 1):
-        images = i_images(x, n, cfg)
-        errors = (
-            None if cfg.error_sequences is None
-            else (cfg.error_sequences[0](n), cfg.error_sequences[1](n))
-        )
-        x_next, y = step(x, n, cfg, images, errors)
-        t_defects = tuple(
-            distance(x, nth_power(tm, n, x)) for tm in cfg.t_family
-        )
-        i_defects = tuple(distance(x, ix) for ix in images)
-        records.append(
-            TraceRecord(
-                n=n,
-                x=x,
-                y=y,
-                step_norm=distance(x_next, x),
-                t_defects=t_defects,
-                i_defects=i_defects,
-                dist_to_fixset=(
-                    distance_to_fixset(x, cfg.fixed_set) if cfg.fixed_set else None
-                ),
-                dist_to_ref=(distance(x, ref) if ref is not None else None),
-            )
-        )
-        x = x_next
-        if records[-1].step_norm < cfg.tol:
-            terminated = "tolerance"
-            break
-    return Trace(tuple(records), terminated, x, cfg)
+        x, record = step(x, n, cfg)
+        records.append(record)
+        if record.step_norm < cfg.tol:
+            return Trace(tuple(records), "tolerance", x, cfg)
+    return Trace(tuple(records), "max_steps", x, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -216,7 +216,7 @@ class ProductPoint:
     """A point (scalar, vec) of R x l1."""
 
     scalar: float
-    vec: L1Vector = field(default_factory=L1Vector)
+    vec: L1Vector
 
     def __init__(self, scalar: float, vec: L1Vector | Sequence[float] = ()) -> None:
         object.__setattr__(self, "scalar", float(scalar))
@@ -272,15 +272,13 @@ def _abs_sum(values: np.ndarray) -> float:
     return total
 
 
-def l1_norm(v: L1Vector | Sequence[float]) -> float:
+def l1_norm(v: L1Vector) -> float:
     """The l1 norm, a plain sum of absolute values in input order.
 
     Only stored entries are summed: skipped terms are abs(+0.0), which
-    leave the running total unchanged.  An :class:`L1Vector` sums once and
-    keeps the result."""
-    if isinstance(v, L1Vector):
-        return v._norm
-    return _abs_sum(np.array(v, dtype=np.float64))
+    leave the running total unchanged.  The vector sums once and keeps
+    the result."""
+    return v._norm
 
 
 def product_norm(p: ProductPoint) -> float:

@@ -284,6 +284,32 @@ class TestMainExitCodes:
         assert len(violations) == 1 and violations[0].startswith(f"'{field}': "), violations
         assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("output_dir", "x/" + "a" * 300),
+            ("--output-dir", "y/" + "b" * 300),
+            ("--output-dir", ""),
+            ("--output-dir", "x\ud800"),
+            ("output_dir", "x\0y"),
+            ("--output-dir", "x\0y"),
+        ],
+        ids=["key-too-long", "flag-too-long", "flag-empty", "flag-surrogate", "key-nul", "flag-nul"],
+    )
+    def test_bad_output_dir_exits_2_before_any_directory(
+        self, tmp_path, monkeypatch, field, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        payload = {**BASE["counterexample"], "name": "ce"}
+        if field == "output_dir":
+            payload["output_dir"] = value
+            code, violations, err = _main_on(payload, tmp_path)
+        else:
+            code, violations, err = _main_on(payload, tmp_path, field, value)
+        assert code == 2, err
+        assert len(violations) == 1 and violations[0].startswith(f"'{field}': "), violations
+        assert [p.name for p in tmp_path.rglob("*")] == ["config.json"]
+
     def test_name_of_236_bytes_runs(self, tmp_path):
         name = "é" * 118
         payload = {**BASE["counterexample"], "name": name, "output_dir": str(tmp_path / "out")}
@@ -996,13 +1022,13 @@ def _malformed(mode, patch, tmp_path):
     return payload
 
 
-def _main_on(payload, directory):
+def _main_on(payload, directory, *flags):
     """(exit code, violations, stderr) of the CLI on one config."""
     path = Path(directory) / "config.json"
     path.write_text(json.dumps(payload))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = cli.main([str(path), "--quiet"])
+        code = cli.main([str(path), "--quiet", *flags])
     lines = err.getvalue().splitlines()
     return code, [line[4:] for line in lines if line.startswith("  - ")], err.getvalue()
 

@@ -437,7 +437,7 @@ class TestDefectEstimator:
 
 
 class TestOscillatorDefectOrbit:
-    # a grid size no other test uses, so the orbit starts fresh here
+    # conftest empties the oscillator caches before each test, so the orbit starts fresh
     GRID = 257
 
     def test_one_orbit_serves_every_power(self, f_calls):

@@ -25,9 +25,7 @@ from commonfix.scheme import (
     IterationConfig,
     WeightSchedule,
     distance_to_fixset,
-    i_images,
     make_schedule,
-    reference_point,
     run,
     step,
     write_states_jsonl,
@@ -143,28 +141,29 @@ class TestMakeSchedule:
 class TestStep:
     def test_hand_computed_first_step(self):
         cfg = _pair_config()
-        x_next, y = step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
+        x_next, record = step(cfg.x0, 1, cfg)
+        y = record.y
         # identity partner and equal weights leave y = x exactly
         assert y.scalar == 0.0 and y.vec == L1Vector((1.0,))
         assert x_next.vec == L1Vector((0.5, 0.25))
 
     def test_second_step_uses_squared_power(self):
         cfg = _pair_config()
-        x2, _ = step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
-        x3, _ = step(x2, 2, cfg, i_images(x2, 2, cfg))
+        x2, _ = step(cfg.x0, 1, cfg)
+        x3, _ = step(x2, 2, cfg)
         expected_vec = 0.5 * x2.vec + 0.5 * power_t_alpha(0.5, 2, x2.vec)
         assert l1_norm(x3.vec - expected_vec) == 0.0
 
     def test_scalar_factor_preserved_exactly(self):
         cfg = _pair_config(x0=ProductPoint(0.7, (0.3,)))
-        x_next, y = step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
-        assert y.scalar == 0.7 and x_next.scalar == 0.7
+        x_next, record = step(cfg.x0, 1, cfg)
+        assert record.y.scalar == 0.7 and x_next.scalar == 0.7
 
     def test_escaping_iterate_raises_rather_than_clamps(self):
         # alpha = 0.9 breaks ball invariance at (1/4, 3/4)
         cfg = _pair_config(factor=0.9, x0=ProductPoint(0.0, (0.25, 0.75)))
         with pytest.raises(DomainViolation, match="step 1"):
-            step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg))
+            step(cfg.x0, 1, cfg)
 
 
 class TestStepWithErrors:
@@ -183,7 +182,7 @@ class TestStepWithErrors:
         bad = ProductPoint(2.0, ())
         cfg = self._cfg(bad, bad)
         with pytest.raises(DomainViolation, match="perturbation"):
-            step(cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg), (bad, bad))
+            step(cfg.x0, 1, cfg)
 
     def test_error_terms_absorbed_when_equal_to_iterate(self):
         """With u_n = v_n = x_n and the error weight folded back into the
@@ -205,16 +204,14 @@ class TestStepWithErrors:
             error_sequences=(lambda n: x, lambda n: x),
         )
         cfg2 = _pair_config(x0=x)
-        perturbed, _ = step(x, 2, cfg3, i_images(x, 2, cfg3), (x, x))
-        plain, _ = step(x, 2, cfg2, i_images(x, 2, cfg2))
+        perturbed, _ = step(x, 2, cfg3)
+        plain, _ = step(x, 2, cfg2)
         assert product_norm(perturbed - plain) <= 1e-14
 
     def test_pull_toward_perturbation_point(self):
         origin = ProductPoint(0.0, ())
         cfg = self._cfg(origin, origin)
-        x_next, _ = step(
-            cfg.x0, 1, cfg, i_images(cfg.x0, 1, cfg), (origin, origin)
-        )
+        x_next, _ = step(cfg.x0, 1, cfg)
         # one third of the mass sits on the origin, so the norm must drop
         assert product_norm(x_next) < product_norm(cfg.x0)
 
@@ -358,6 +355,19 @@ class TestRun:
         assert len(calls) == 6 * len(trace.records)
 
     @pytest.mark.parametrize("perturbed", [False, True])
+    def test_records_come_from_the_step(self, perturbed):
+        """Stepping by hand gives run's records and final point, field for field."""
+        fs = FixedSetDescriptor("scalar_line", interval=(0.0, 1.0))
+        cfg = dataclasses.replace(self._two_member_config(perturbed), fixed_set=fs)
+        trace = run(cfg)
+        x = cfg.x0
+        for want in trace.records:
+            x, got = step(x, want.n, cfg)
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), (want.n, f.name)
+        assert x == trace.final
+
+    @pytest.mark.parametrize("perturbed", [False, True])
     def test_run_never_expands_the_dense_coordinates(self, monkeypatch, perturbed):
         def dense(self):
             raise AssertionError("dense expansion of an iteration state")
@@ -465,15 +475,15 @@ class TestDistances:
             x0=ProductPoint(0.7, (0.3,)),
             fixed_set=self.line,
         )
-        ref = reference_point(cfg)
+        ref = cfg.reference
         assert ref.scalar == 0.7 and ref.vec == L1Vector(())
 
     def test_reference_point_none_without_descriptor(self):
-        assert reference_point(_pair_config()) is None
+        assert _pair_config().reference is None
 
     def test_reference_point_single_point(self):
         fs = FixedSetDescriptor("single_point", point=ProductPoint(0.1, ()))
-        assert reference_point(_pair_config(fixed_set=fs)) == fs.point
+        assert _pair_config(fixed_set=fs).reference == fs.point
 
 
 class TestTraceSerialization:

@@ -1,10 +1,13 @@
 """Static checks of the package source: every import and every private
-module-level name of a ``commonfix`` module is used in that module."""
+module-level name of a ``commonfix`` module is used in that module, and the
+package exports exactly what its ``__init__`` imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import commonfix
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "commonfix"
 MODULES = sorted(SRC.glob("*.py"))
@@ -60,3 +63,12 @@ def test_every_private_name_is_referenced(path):
 
 def test_modules_found():
     assert {"cli.py", "mappings.py", "verifier.py"} <= {p.name for p in MODULES}
+
+
+def test_all_lists_exactly_the_package_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = _imported(tree)
+    assert sorted(commonfix.__all__) == sorted(set(imported)) == sorted(imported)
+    star: dict = {}
+    exec("from commonfix import *", star)
+    assert [n for n in commonfix.__all__ if n not in star] == []
