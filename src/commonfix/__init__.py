@@ -8,7 +8,7 @@ The package provides, in four layers:
   nonexpansiveness gradually (additively), their closed powers, growth
   profiles, and defect estimation;
 * :mod:`commonfix.scheme`: the two-stage weighted iteration with per-step
-  n-th powers, weight schedules, traces, and serialization;
+  n-th powers, fixed weight schedules, traces, and serialization;
 * :mod:`commonfix.verifier`: numerical certificates for the growth
   inequality and the exact identities of the shift-and-root operator,
   witness and counterexample builders, and trajectory recursion bounds.

@@ -7,7 +7,7 @@ Usage:
 The config selects one of six modes:
 
     run             iterate a family and write a trace CSV plus summary JSON
-    run_with_errors same, with one perturbation term per stage
+    run_with_errors same, with one fixed perturbation point per stage
     certify         sample pairs and certify the growth inequalities (JSON)
     witness         tabulate witness pairs and their expansion ratios (CSV)
     counterexample  tabulate the antipodal-pair construction (CSV)
@@ -293,9 +293,7 @@ def _iteration(
         max_steps=max_steps,
         tol=tol,
         fixed_set=fixed_set,
-        error_sequences=(
-            (lambda n: errors[0], lambda n: errors[1]) if with_errors else None
-        ),
+        errors=tuple(errors) or None,
     )
 
 

@@ -529,6 +529,8 @@ def oscillator_product_profile(kappa: float, alpha: float) -> TotalAsymptoticPro
 
 
 def make_identity(domain: AdmissibleSet = UNIT_DOMAIN) -> Mapping:
+    """The identity on ``domain``, every point of which it fixes; its
+    profile has mu_n = lam_n = 0."""
     return Mapping(domain, identity_profile(), name="identity")
 
 

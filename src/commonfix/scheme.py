@@ -3,12 +3,14 @@
 Given families T_1..T_m and I_1..I_m on a common admissible set and
 weight schedules alpha and beta, one step at index n computes
 
-    y_n     = beta_0n * x_n + sum_i beta_in * I_i^n(x_n)
-    x_{n+1} = alpha_0n * x_n + sum_i alpha_in * T_i^n(y_n)
+    y_n     = beta_0 * x_n + sum_i beta_i * I_i^n(x_n)
+    x_{n+1} = alpha_0 * x_n + sum_i alpha_i * T_i^n(y_n)
 
 with the n-th step using the n-th powers of the maps.  Step indices start
-at n = 1, so the supplied start point is x_1.  With schedules carrying
-m + 2 weights, each stage takes one extra perturbation point.
+at n = 1, so the supplied start point is x_1.  A stage's weights are the
+same at every step and are checked once, when its ``WeightSchedule`` is
+built.  With schedules carrying m + 2 weights, each stage takes one
+fixed perturbation point: u in the x-stage, v in the y-stage.
 
 ``step(x, n, cfg)`` is that step: it returns x_{n+1} together with x_n's
 record, which holds the auxiliary point, the step norm, the displacement
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     DomainViolation,
@@ -49,43 +51,38 @@ from .space import (
 
 @dataclass(frozen=True)
 class WeightSchedule:
-    """Convex weights per step for one stage of the iteration.
+    """The convex weights of one stage of the iteration, the same at every step.
 
-    ``values(j, n)`` is the weight of slot j at step n, where slot 0
-    multiplies x_n, slots 1..m multiply the mapped points, and, when
-    ``includes_error_term`` is set, slot m + 1 multiplies a perturbation
-    point.  For every n the weights must be positive, sum to 1 within
-    1e-12, and lie inside the closed box ``bounds``.
+    Slot 0 multiplies x_n, slots 1..m multiply the mapped points, and a
+    slot m + 1, when present, multiplies the stage's perturbation point.
+    The weights are checked once, here: each is positive, they sum to 1
+    within ``WEIGHT_TOL``, and each lies in the closed box ``bounds``,
+    a pair with 0 < lo < hi < 1.
+
+    :raises InfeasibleSchedule: bad bounds, or a weight outside them.
+    :raises WeightSumViolation: the simplex constraint is broken.
     """
 
-    m: int
-    values: Callable[[int, int], float]
+    weights: tuple[float, ...]
     bounds: tuple[float, float]
-    includes_error_term: bool = False
 
-    @property
-    def size(self) -> int:
-        return self.m + (2 if self.includes_error_term else 1)
-
-    def weights_at(self, n: int) -> tuple[float, ...]:
-        """The full weight tuple for step n, validated on the way out.
-
-        :raises WeightSumViolation: simplex constraint broken at this n.
-        :raises InfeasibleSchedule: a weight escapes the box at this n.
-        """
-        w = tuple(float(self.values(j, n)) for j in range(self.size))
+    def __post_init__(self) -> None:
+        if len(self.bounds) != 2:
+            raise InfeasibleSchedule(f"bounds must be a pair (lo, hi), got {self.bounds!r}")
+        lo, hi = float(self.bounds[0]), float(self.bounds[1])
+        if not 0.0 < lo < hi < 1.0:
+            raise InfeasibleSchedule(
+                f"bounds must satisfy 0 < lo < hi < 1, got ({lo}, {hi})"
+            )
+        w = tuple(float(x) for x in self.weights)
         total = math.fsum(w)
         if abs(total - 1.0) > WEIGHT_TOL or any(not x > 0.0 for x in w):
-            raise WeightSumViolation(
-                f"weights {w!r} at step {n} sum to {total!r}"
-            )
-        lo, hi = self.bounds
+            raise WeightSumViolation(f"weights {w!r} sum to {total!r}")
         for j, x in enumerate(w):
             if not lo <= x <= hi:
-                raise InfeasibleSchedule(
-                    f"weight {x!r} (slot {j}, step {n}) outside [{lo}, {hi}]"
-                )
-        return w
+                raise InfeasibleSchedule(f"weight {x!r} (slot {j}) outside [{lo}, {hi}]")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bounds", (lo, hi))
 
 
 def make_schedule(
@@ -93,62 +90,42 @@ def make_schedule(
     m: int,
     bounds: tuple[float, float],
     weights: Sequence[float] | None = None,
-    values: Callable[[int, int], float] | None = None,
     includes_error_term: bool = False,
 ) -> WeightSchedule:
-    """Construct a weight schedule.
+    """Construct a weight schedule for a family of m maps.
 
     kind "constant" assigns every slot the equal weight 1/(m+1), or
-    1/(m+2) with an error slot.  kind "custom" takes either a constant
-    ``weights`` list of the full slot count or a callable ``values(j, n)``.
-    Every schedule is checked by ``weights_at`` at steps 1..8 here and
-    again at every use.
+    1/(m+2) with an error slot.  kind "custom" takes a ``weights`` list
+    of the full slot count.  ``WeightSchedule`` checks the result.
 
-    :raises InfeasibleSchedule: bounds not a pair with 0 < lo < hi < 1, or
-        a weight outside them.
+    :raises InfeasibleSchedule: bad family size, kind or bounds, no
+        custom weights, or a weight outside the bounds.
     :raises WeightSumViolation: custom weights break the simplex constraint.
     :raises LengthMismatch: custom weights list has the wrong slot count.
     """
     if not (isinstance(m, int) and m >= 1):
         raise InfeasibleSchedule(f"family size must be a positive integer, got {m!r}")
-    if len(bounds) != 2:
-        raise InfeasibleSchedule(f"bounds must be a pair (lo, hi), got {bounds!r}")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not 0.0 < lo < hi < 1.0:
-        raise InfeasibleSchedule(
-            f"bounds must satisfy 0 < lo < hi < 1, got ({lo}, {hi})"
-        )
     size = m + (2 if includes_error_term else 1)
     if kind == "constant":
-        w = 1.0 / size
-        values = lambda j, n: w
+        weights = (1.0 / size,) * size
     elif kind == "custom":
-        if (weights is None) == (values is None):
-            raise InfeasibleSchedule(
-                "custom schedule needs exactly one of 'weights' or 'values'"
-            )
-        if weights is not None:
-            ws = tuple(float(x) for x in weights)
-            if len(ws) != size:
-                raise LengthMismatch(
-                    f"{len(ws)} weights supplied, {size} slots required"
-                )
-            values = lambda j, n: ws[j]
+        if weights is None:
+            raise InfeasibleSchedule("custom schedule needs a 'weights' list")
+        if len(weights) != size:
+            raise LengthMismatch(f"{len(weights)} weights supplied, {size} slots required")
     else:
         raise InfeasibleSchedule(f"unknown schedule kind {kind!r}")
-    sched = WeightSchedule(m, values, (lo, hi), includes_error_term)
-    for n in range(1, 9):
-        sched.weights_at(n)
-    return sched
+    return WeightSchedule(weights, bounds)
 
 
 @dataclass(frozen=True)
 class IterationConfig:
     """Everything a run needs: families, schedules, start, stopping rule.
 
-    ``error_sequences``, when present, is a pair of functions n -> (u_n,
-    v_n) supplying the perturbation points for the x-stage and the y-stage
-    respectively; both schedules must then carry the extra weight slot.
+    ``errors``, when present, is the pair (u, v) of fixed perturbation
+    points of the x-stage and the y-stage respectively; both schedules
+    must then carry the extra weight slot.  ``run`` checks both points
+    against the common domain once, before the first step.
     """
 
     t_family: tuple[Mapping, ...]
@@ -159,9 +136,7 @@ class IterationConfig:
     max_steps: int = 10000
     tol: float = 1e-8
     fixed_set: FixedSetDescriptor | None = None
-    error_sequences: (
-        tuple[Callable[[int], ProductPoint], Callable[[int], ProductPoint]] | None
-    ) = None
+    errors: tuple[ProductPoint, ProductPoint] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_family", tuple(self.t_family))
@@ -239,17 +214,19 @@ def _validate_config(cfg: IterationConfig) -> None:
         raise LengthMismatch(
             f"t_family has {m} members, i_family has {len(cfg.i_family)}"
         )
-    want = (m, cfg.error_sequences is not None)
+    want = m + 1 + (cfg.errors is not None)
     for label, sched in (("alpha", cfg.alpha), ("beta", cfg.beta)):
-        if (sched.m, sched.includes_error_term) != want:
+        if len(sched.weights) != want:
             raise LengthMismatch(
-                f"{label} schedule has (m, error slot) = "
-                f"{(sched.m, sched.includes_error_term)}, the config needs {want}"
+                f"{label} schedule has {len(sched.weights)} weights, the config needs {want}"
             )
     check_tol(cfg.tol)
     check_max_steps(cfg.max_steps)
     domain = common_domain(cfg.t_family + cfg.i_family)
     check_in_domain(cfg.x0, domain, "start point")
+    if cfg.errors is not None:
+        for name, p in zip("uv", cfg.errors):
+            check_in_domain(p, domain, f"perturbation point {name}")
     if cfg.fixed_set is not None:
         check_fixed_set(cfg.fixed_set, domain)
 
@@ -258,24 +235,20 @@ def step(x: ProductPoint, n: int, cfg: IterationConfig) -> tuple[ProductPoint, T
     """One iteration step at index n >= 1.  Returns x_{n+1} and x_n's record.
 
     Each I_i^n(x_n) is computed once and serves both y_n and its defect.
-    With ``cfg.error_sequences``, the pair (u_n, v_n) it gives joins the
-    x-stage and the y-stage as one extra weighted point each.
-    Intermediates are never clamped: if a perturbation point, y_n or
-    x_{n+1} leaves the common admissible set, the configuration is broken
-    and ``DomainViolation`` is raised.
+    With ``cfg.errors``, u joins the x-stage and v the y-stage as one
+    extra weighted point each.  The weights and the perturbation points
+    were checked once, by ``WeightSchedule`` and by ``run``; the step
+    checks only what it computes.  Intermediates are never clamped: if
+    y_n or x_{n+1} leaves the common admissible set, the configuration is
+    broken and ``DomainViolation`` is raised.
     """
     domain = cfg.t_family[0].domain
     images = [nth_power(im, n, x) for im in cfg.i_family]
-    extra_x = extra_y = ()
-    if cfg.error_sequences is not None:
-        u_n, v_n = cfg.error_sequences[0](n), cfg.error_sequences[1](n)
-        check_in_domain(u_n, domain, f"perturbation point u_{n}")
-        check_in_domain(v_n, domain, f"perturbation point v_{n}")
-        extra_x, extra_y = (u_n,), (v_n,)
-    y = convex_combine(cfg.beta.weights_at(n), [x, *images, *extra_y])
+    extra_x, extra_y = ((), ()) if cfg.errors is None else ((p,) for p in cfg.errors)
+    y = convex_combine(cfg.beta.weights, [x, *images, *extra_y])
     check_in_domain(y, domain, f"auxiliary point at step {n}")
     t_points = [x, *(nth_power(tm, n, y) for tm in cfg.t_family), *extra_x]
-    x_next = convex_combine(cfg.alpha.weights_at(n), t_points)
+    x_next = convex_combine(cfg.alpha.weights, t_points)
     check_in_domain(x_next, domain, f"iterate at step {n}")
     fs, ref = cfg.fixed_set, cfg.reference
     return x_next, TraceRecord(

@@ -471,7 +471,7 @@ def compute_recursion_bound(cfg: IterationConfig) -> RecursionBound:
     """Compose b_n and c_n from the two stage bounds of the scheme.
 
     Let p be a common fixed point and a_n = ||x_n - p||.  With the stage
-    weights alpha_in, beta_in, the profiles (mu_in, lam_in, phi_i, M_i,
+    weights alpha_i, beta_i, the profiles (mu_in, lam_in, phi_i, M_i,
     M*_i) of T_i and (mu~_in, lam~_in, varphi_i, N_i, N*_i) of I_i, and
     phi(t) <= phi(M) + M* t,
 
@@ -480,23 +480,31 @@ def compute_recursion_bound(cfg: IterationConfig) -> RecursionBound:
         ||T_i^n z - p|| <= (1 + u_i) ||I_i^n z - p|| + g_i,
 
     where v_i = mu~_in N*_i, e_i = mu~_in varphi_i(N_i) + lam~_in,
-    B = sum_i beta_in v_i, C = sum_i beta_in e_i, u_i = mu_in M*_i and
+    B = sum_i beta_i v_i, C = sum_i beta_i e_i, u_i = mu_in M*_i and
     g_i = mu_in phi_i(M_i) + lam_in.  Composing them in the second stage,
 
-        b_n = sum_i alpha_in (u_i + v_i + u_i v_i + B (1 + u_i)(1 + v_i)),
-        c_n = sum_i alpha_in ((1 + u_i)((1 + v_i) C + e_i) + g_i),
+        b_n = sum_i alpha_i (u_i + v_i + u_i v_i + B (1 + u_i)(1 + v_i)),
+        c_n = sum_i alpha_i ((1 + u_i)((1 + v_i) C + e_i) + g_i),
 
     each summed term by term, so that terms below an ulp of 1 survive.
+    The weights are the same at every step, so they are read once.
+
+    :raises ValueError: the config has perturbation points, whose terms
+        this bound does not carry.
     """
+    if cfg.errors is not None:
+        raise ValueError(
+            "the recursion bound has no perturbation terms: "
+            "a config with perturbation points u and v is not covered"
+        )
     consts = []  # each member's profile with its phi(M) and M*, read once
     for mp in cfg.t_family + cfg.i_family:
         big_m, m_star = mp.profile.linear_bound
         consts.append((mp.profile, mp.profile.phi(big_m), m_star))
     m = len(cfg.t_family)
+    aw, bw = cfg.alpha.weights[1 : m + 1], cfg.beta.weights[1 : m + 1]
 
     def coeffs(n: int) -> tuple[float, float]:
-        aw = [cfg.alpha.values(i, n) for i in range(1, m + 1)]
-        bw = [cfg.beta.values(i, n) for i in range(1, m + 1)]
         stages = []  # each member's rate mu_n M* and terms mu_n phi(M), lam_n
         for profile, phi_m, m_star in consts:
             mu = profile.mu(n)

@@ -935,7 +935,7 @@ def test_readme_library_quickstart_runs():
 
 
 # Configs that a type or range check must reject, each with the fields its
-# violations must name.
+# violations must name and, optionally, fields they must not name.
 MALFORMED = {
     "weights-not-numbers": (
         "run", {"alpha_schedule": {"kind": "custom", "weights": ["a", 0.5]}}, ["weights"]
@@ -972,6 +972,10 @@ MALFORMED = {
         "run", {"fixed_set": {"kind": "scalar_line", "interval": [0.5, 2.0]}}, ["fixed_set"]
     ),
     "unknown-key-with-hint": ("run", {"max_step": 3}, ["max_step", "max_steps"]),
+    "custom-schedule-without-weights": (
+        "run", {"alpha_schedule": {"kind": "custom"}}, ["alpha_schedule", "weights"],
+        ["values"],
+    ),
     "constant-schedule-weights": (
         "run", {"alpha_schedule": {"kind": "constant", "weights": [0.5, 0.5]}},
         ["alpha_schedule.weights"],
@@ -1039,12 +1043,14 @@ def _names(field, violations):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_config_exits_2(tmp_path, case):
-    mode, patch, fields = MALFORMED[case]
+    mode, patch, fields, *rest = MALFORMED[case]
     code, violations, err = _main_on(_malformed(mode, patch, tmp_path), tmp_path)
     assert code == 2, err
     assert "Traceback" not in err
     for field in fields:
         assert _names(field, violations), (field, violations)
+    for field in rest[0] if rest else ():
+        assert not _names(field, violations), (field, violations)
     assert not (tmp_path / "out").exists()
 
 

@@ -55,14 +55,13 @@ def _pair_config(factor=0.5, x0=ProductPoint(0.0, (1.0,)), **kw):
 class TestMakeSchedule:
     def test_constant_thirds(self):
         sched = make_schedule("constant", 2, BOUNDS)
-        w = sched.weights_at(5)
+        w = sched.weights
         assert w == (1.0 / 3.0,) * 3
         assert abs(math.fsum(w) - 1.0) <= 1e-12
 
     def test_constant_with_error_slot(self):
         sched = make_schedule("constant", 1, BOUNDS, includes_error_term=True)
-        assert sched.size == 3
-        assert sched.weights_at(1) == (1.0 / 3.0,) * 3
+        assert sched.weights == (1.0 / 3.0,) * 3
 
     def test_constant_weight_must_respect_bounds(self):
         # 1/10 drops below a lower bound of 0.2
@@ -71,7 +70,7 @@ class TestMakeSchedule:
 
     def test_custom_weight_list(self):
         sched = make_schedule("custom", 1, BOUNDS, weights=(0.25, 0.75))
-        assert sched.weights_at(3) == (0.25, 0.75)
+        assert sched.weights == (0.25, 0.75)
 
     def test_custom_list_wrong_slot_count(self):
         with pytest.raises(LengthMismatch):
@@ -89,27 +88,10 @@ class TestMakeSchedule:
         with pytest.raises(InfeasibleSchedule):
             make_schedule("custom", 1, (0.3, 0.7), weights=(0.25, 0.75))
 
-    def test_custom_callable_accepted(self):
-        sched = make_schedule(
-            "custom", 1, BOUNDS, values=lambda j, n: 0.625 if j == 0 else 0.375
-        )
-        assert sched.weights_at(2) == (0.625, 0.375)
-
-    def test_custom_callable_spot_checked_at_construction(self):
-        # breaks the simplex at n = 3, inside the spot-check horizon
-        def values(j, n):
-            return 0.6 if n == 3 else 0.5
-
-        with pytest.raises(WeightSumViolation):
-            make_schedule("custom", 1, BOUNDS, values=values)
-
     def test_custom_needs_exactly_one_source(self):
-        with pytest.raises(InfeasibleSchedule):
+        with pytest.raises(InfeasibleSchedule, match="'weights'") as err:
             make_schedule("custom", 1, BOUNDS)
-        with pytest.raises(InfeasibleSchedule):
-            make_schedule(
-                "custom", 1, BOUNDS, weights=(0.5, 0.5), values=lambda j, n: 0.5
-            )
+        assert "values" not in str(err.value)
 
     def test_bad_bounds(self):
         with pytest.raises(InfeasibleSchedule):
@@ -125,17 +107,15 @@ class TestMakeSchedule:
         with pytest.raises(InfeasibleSchedule):
             make_schedule("adaptive", 1, BOUNDS)
 
-    def test_box_enforced_per_step(self):
-        # sums to one at every n but escapes the box from n = 4 on;
-        # constructed directly to exercise the per-use validation
-        def values(j, n):
-            w0 = 0.96 if n >= 4 else 0.5
-            return w0 if j == 0 else 1.0 - w0
-
-        sched = WeightSchedule(1, values, (0.05, 0.95))
-        assert sched.weights_at(3) == (0.5, 0.5)
-        with pytest.raises(InfeasibleSchedule):
-            sched.weights_at(4)
+    @pytest.mark.parametrize(
+        "weights, error",
+        [((0.96, 0.04), InfeasibleSchedule), ((0.6, 0.6), WeightSumViolation)],
+        ids=["box", "simplex"],
+    )
+    def test_direct_schedule_checked_at_construction(self, weights, error):
+        # built without make_schedule, and refused before any step uses it
+        with pytest.raises(error):
+            WeightSchedule(weights, BOUNDS)
 
 
 class TestStep:
@@ -175,14 +155,20 @@ class TestStepWithErrors:
             alpha=sched,
             beta=sched,
             x0=ProductPoint(0.0, (1.0,)),
-            error_sequences=(lambda n: u, lambda n: v),
+            errors=(u, v),
         )
 
-    def test_perturbation_points_must_be_admissible(self):
-        bad = ProductPoint(2.0, ())
-        cfg = self._cfg(bad, bad)
-        with pytest.raises(DomainViolation, match="perturbation"):
-            step(cfg.x0, 1, cfg)
+    def test_perturbation_points_must_be_admissible(self, monkeypatch):
+        """``run`` checks u and v once, before the first step."""
+
+        def no_step(*args):
+            raise AssertionError("step called with an out-of-domain perturbation point")
+
+        monkeypatch.setattr(scheme, "step", no_step)
+        bad, good = ProductPoint(2.0, ()), ProductPoint(0.0, ())
+        for name, cfg in (("u", self._cfg(bad, good)), ("v", self._cfg(good, bad))):
+            with pytest.raises(DomainViolation, match=f"perturbation point {name}"):
+                run(cfg)
 
     def test_error_terms_absorbed_when_equal_to_iterate(self):
         """With u_n = v_n = x_n and the error weight folded back into the
@@ -201,7 +187,7 @@ class TestStepWithErrors:
             alpha=sched3,
             beta=sched3,
             x0=x,
-            error_sequences=(lambda n: x, lambda n: x),
+            errors=(x, x),
         )
         cfg2 = _pair_config(x0=x)
         perturbed, _ = step(x, 2, cfg3)
@@ -227,11 +213,13 @@ class TestConfigValidation:
         cfg = _pair_config(alpha=wrong, beta=wrong)
         with pytest.raises(LengthMismatch):
             run(cfg)
+        # three weights for one map and no perturbation points, on one stage
+        cfg = _pair_config(beta=WeightSchedule((0.25, 0.25, 0.5), BOUNDS))
+        with pytest.raises(LengthMismatch, match="beta schedule has 3 weights, the config needs 2"):
+            run(cfg)
 
     def test_error_sequences_require_error_slots(self):
-        cfg = _pair_config(
-            error_sequences=(lambda n: ProductPoint(0, ()), lambda n: ProductPoint(0, ()))
-        )
+        cfg = _pair_config(errors=(ProductPoint(0, ()), ProductPoint(0, ())))
         with pytest.raises(LengthMismatch):
             run(cfg)
 
@@ -247,10 +235,7 @@ class TestConfigValidation:
         cfg = _pair_config(
             alpha=with_slot,
             beta=without,
-            error_sequences=(
-                lambda n: ProductPoint(0, ()),
-                lambda n: ProductPoint(0, ()),
-            ),
+            errors=(ProductPoint(0, ()), ProductPoint(0, ())),
         )
         with pytest.raises(LengthMismatch):
             run(cfg)
@@ -326,9 +311,7 @@ class TestRun:
             "constant", 2, BOUNDS, includes_error_term=perturbed
         )
 
-        def probe(n):
-            return ProductPoint(0.3, (0.1,))
-
+        probe = ProductPoint(0.3, (0.1,))
         return IterationConfig(
             t_family=(make_s(0.5), make_s(0.3)),
             i_family=(make_identity(), make_identity()),
@@ -337,7 +320,7 @@ class TestRun:
             x0=ProductPoint(0.7, (0.5, 0.5)),
             tol=1e-300,
             max_steps=12,
-            error_sequences=(probe, probe) if perturbed else None,
+            errors=(probe, probe) if perturbed else None,
         )
 
     @pytest.mark.parametrize("perturbed", [False, True])
@@ -423,15 +406,6 @@ class TestRun:
         for r in trace.records:
             assert r.dist_to_ref == r.dist_to_fixset
 
-    def test_simplex_violation_surfaces_mid_run(self):
-        def values(j, n):
-            return 0.6 if n == 3 else 0.5
-
-        broken = WeightSchedule(1, values, BOUNDS)
-        cfg = _pair_config(alpha=broken, beta=broken, tol=1e-300, max_steps=10)
-        with pytest.raises(WeightSumViolation):
-            run(cfg)
-
     def test_perturbed_run_stalls_at_error_floor(self):
         sched = make_schedule("constant", 1, BOUNDS, includes_error_term=True)
         # the probe carries a vector part, so it sits off the fixed set
@@ -444,7 +418,7 @@ class TestRun:
             x0=ProductPoint(0.0, (1.0,)),
             tol=1e-10,
             max_steps=200,
-            error_sequences=(lambda n: probe, lambda n: probe),
+            errors=(probe, probe),
             fixed_set=FixedSetDescriptor("scalar_line", interval=(0.0, 1.0)),
         )
         trace = run(cfg)

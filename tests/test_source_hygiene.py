@@ -1,8 +1,10 @@
 """Static checks of the package source: every import and every private
-module-level name of a ``commonfix`` module is used in that module, and the
-package exports exactly what its ``__init__`` imports."""
+module-level name of a ``commonfix`` module is used in that module, the
+package exports exactly what its ``__init__`` imports, and every exported
+function and class has a docstring."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,15 @@ def test_all_lists_exactly_the_package_imports():
     star: dict = {}
     exec("from commonfix import *", star)
     assert [n for n in commonfix.__all__ if n not in star] == []
+
+
+def test_every_exported_function_and_class_has_a_docstring():
+    # read from the source, since a dataclass without one gets a generated __doc__
+    docs = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                docs[f"commonfix.{path.stem}", node.name] = ast.get_docstring(node)
+    exported = [getattr(commonfix, name) for name in commonfix.__all__]
+    defined = [o for o in exported if inspect.isfunction(o) or inspect.isclass(o)]
+    assert [o.__name__ for o in defined if not docs.get((o.__module__, o.__name__))] == []

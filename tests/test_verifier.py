@@ -63,10 +63,10 @@ def _composed_coefficients(cfg, n):
         rate = 1 + mu * Fraction(m_star)
         return rate, mu * Fraction(mp.profile.phi(big_m)) + Fraction(mp.profile.lam(n))
 
-    # x_n keeps the weight 1 - sum_i w_in, as the stage bounds assume
+    # x_n keeps the weight 1 - sum_i w_i, as the stage bounds assume
     slots = range(1, len(cfg.t_family) + 1)
-    alpha = [Fraction(cfg.alpha.values(i, n)) for i in slots]
-    beta = [Fraction(cfg.beta.values(i, n)) for i in slots]
+    alpha = [Fraction(cfg.alpha.weights[i]) for i in slots]
+    beta = [Fraction(cfg.beta.weights[i]) for i in slots]
     i_stages = [member(mp) for mp in cfg.i_family]
     y_rate = 1 - sum(beta) + sum(b * r for b, (r, _) in zip(beta, i_stages))
     y_offset = sum(b * k for b, (_, k) in zip(beta, i_stages))
@@ -325,6 +325,22 @@ class TestRecursionBound:
         )
         bound = compute_recursion_bound(cfg)
         assert bound.b(1) == 0.0 and bound.c(1) == 0.0
+
+    def test_perturbation_points_refused(self):
+        """The bound has no u and v terms, so it cannot certify a perturbed
+        run: on this correct run, dropping them fails checks from n = 17 on."""
+        sched = make_schedule("constant", 1, BOUNDS, includes_error_term=True)
+        probe = ProductPoint(0.3, (0.3,))
+        cfg = IterationConfig(
+            t_family=(make_s(0.5),),
+            i_family=(make_identity(),),
+            alpha=sched,
+            beta=sched,
+            x0=ProductPoint(0.0, (1.0,)),
+            errors=(probe, probe),
+        )
+        with pytest.raises(ValueError, match="perturbation"):
+            compute_recursion_bound(cfg)
 
 
 class TestRunBound:
