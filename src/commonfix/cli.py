@@ -96,13 +96,12 @@ from .space import (
     product_norm,
 )
 from .verifier import (
-    CheckColumn,
     Tally,
     antipodal_norm,
     antipodal_pair_counterexample,
     check_horizon,
     check_iterate_difference_identities,
-    check_root_gap_chain,
+    check_root_gap_chains,
     check_total_inequalities,
     witness_non_asymptotic,
     witness_start,
@@ -111,6 +110,9 @@ from .verifier import (
 DEFAULT_BOUNDS = (0.05, 0.95)
 DEFAULT_SAMPLES = 500
 DEFAULT_POWERS = (1, 25)
+# certify checks its pairs in blocks of this many, so that it holds the
+# arrays of one block, not of every sample, at once
+CERTIFY_BLOCK = 64
 DEFAULT_HORIZON = 2000
 COUNTEREXAMPLE_TOL = 1e-14
 _NAME_BYTES = 255  # the longest file or directory name common file systems accept
@@ -528,28 +530,29 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
         # the powers are checked, and mu_n and lam_n taken, once per mapping
         gaps = mapping.gaps(ns)
         mu, lam = [mapping.profile.mu(n) for n in ns], [mapping.profile.lam(n) for n in ns]
-        for sample_idx in range(spec.samples):
-            x, y = sample_pair(rng, mapping.domain)
+        for start in range(0, spec.samples, CERTIFY_BLOCK):
+            block = range(start, min(start + CERTIFY_BLOCK, spec.samples))
+            # drawn pair by pair: the generator's stream fixes the bytes
+            pairs = [sample_pair(rng, mapping.domain) for _ in block]
+            xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
             if spec.full_checks:
-                samples_dump.append({"map": mapping.name, "sample": sample_idx,
-                                     "x": point_to_json(x), "y": point_to_json(y)})
-            # every check reads the pair's gaps; no image is built
-            pair_gaps = gaps(x, y)
+                samples_dump += [
+                    {"map": mapping.name, "sample": i, "x": point_to_json(x), "y": point_to_json(y)}
+                    for i, (x, y) in zip(block, pairs)
+                ]
+            # every check reads the block's gaps; no image is built
+            block_gaps = gaps(xs, ys)
             columns = [
                 check_total_inequalities(
-                    mapping, None, x, y, ns, pair_gaps, mu, lam, mapping.profile.phi
+                    mapping, None, xs, ys, ns, block_gaps, mu, lam, mapping.profile.phi
                 )
             ]
             if shift is not None:
-                columns.append(
-                    check_iterate_difference_identities(shift, ns, x.vec, y.vec, pair_gaps[1])
-                )
-                # the chain does not depend on n; it is reported at every power
-                columns += [
-                    CheckColumn([c.lhs] * len(ns), [c.rhs] * len(ns), c.tolerance, c.context)
-                    for c in check_root_gap_chain(x.vec, y.vec)
-                ]
-            tally.add(columns, map=mapping.name, sample=sample_idx)
+                xv, yv = [x.vec for x in xs], [y.vec for y in ys]
+                direct = block_gaps[1]
+                columns.append(check_iterate_difference_identities(shift, ns, xv, yv, direct))
+                columns += check_root_gap_chains(xv, yv, len(ns))
+            tally.add(columns, map=mapping.name, samples=block)
 
     report = {"seed": seed, "samples": spec.samples, "powers": [ns[0], ns[-1]], **tally.report()}
     if spec.full_checks:

@@ -34,18 +34,26 @@ certificates may use any a in (0, 1); self-mapped iteration schemes should
 stay at or below 4/5.
 
 A mapping has one route to an image, :func:`nth_power`, which applies
-one power to one point, and one route to the distances between two
-orbits, ``Mapping.gaps(ks)(x, y)``, which gives the scalar and the vector
-gap at each power without building an image.  Both take the closed form
-a^k for the vector factor and walk the scalar oscillator's orbit; the
-gaps check the powers once and advance each orbit from one requested
-power to the next.  The vector gap of T_a^k is one merge of the two
-tails, split into head and tail as the images are, so it adds the very
-terms that ``l1_distance`` adds for :func:`nth_power`'s images.
+one power to one point, and one route to the distances between orbits,
+``Mapping.gaps(ks)(xs, ys)``, which gives the scalar and the vector gap of
+each pair (xs[r], ys[r]) at each power without building an image.  Both
+take the closed form a^k for the vector factor and walk the scalar
+oscillator's orbit.  An image takes one point through f_k a step at a
+time; the gaps check the powers once, advance the orbits of all the
+pairs together, as one array, from one requested power to the next, and
+take the vector gaps of all the pairs in one array pass over their
+aligned rows [sqrt(|x_1|), x_2, ...].  That pass adds, row by row and in
+index order, the very terms that ``l1_distance`` adds for
+:func:`nth_power`'s images, so each gap has the bits of the image route.
+
+The array step of f_k, ``_f_step``, is the scalar step applied entry by
+entry, bit for bit: it takes sin(1/x) from ``math.sin`` for each entry,
+never from numpy, whose sine may round otherwise.
 
 The oscillator's grid defect has one route too, :func:`oscillator_defect`: one
-cached ``_GridWalk`` per (kappa, grid size) walks the orbit on only as far as a
-power is asked for, and serves lam_n and the defect table, each held to its ceiling.
+cached ``_GridWalk`` per (kappa, grid size) walks the orbit of the whole grid, an
+array step per power, only as far as a power is asked for, and serves lam_n and the
+defect table, each held to its ceiling.
 """
 
 from __future__ import annotations
@@ -63,10 +71,13 @@ from .space import (
     AdmissibleSet,
     L1Vector,
     ProductPoint,
+    _left_sum,
+    aligned_rows,
     check_int,
     in_set,
     json_number,
     l1_distance,
+    l1_distances,
     l1_norm,
 )
 
@@ -155,7 +166,7 @@ class Mapping:
     The scalar factor is f_kappa, or fixed when ``kappa`` is None; the
     vector factor is T_a for a = ``alpha``, or fixed when ``alpha`` is
     None.  :func:`nth_power` is the one route to its images and
-    :meth:`gaps` the one route to the distances between two orbits.  Both
+    :meth:`gaps` the one route to the distances between orbits.  Both
     take the closed form of T_a^k for the vector factor, exact up to
     rounding, so no per-step error compounds.
     """
@@ -171,35 +182,45 @@ class Mapping:
         if not in_set(p, self.domain):
             raise DomainViolation(f"{p!r} outside the domain of {self.name or self!r}")
 
-    def _scalars(self, ks: Sequence[int], s: float) -> list[float]:
-        return [s] * len(ks) if self.kappa is None else _f_orbit(self.kappa, ks, s)
-
     def gaps(
         self, ks: Sequence[int]
-    ) -> Callable[[ProductPoint, ProductPoint], tuple[list[float], list[float]]]:
-        """The gaps of two orbits at the powers ``ks``, without their images.
+    ) -> Callable[
+        [Sequence[ProductPoint], Sequence[ProductPoint]], tuple[np.ndarray, np.ndarray]
+    ]:
+        """The gaps of pairs of orbits at the powers ``ks``, without their images.
 
-        Returns a function of a pair (x, y) that gives, for each k, the
-        scalar gap |F^k x - F^k y| and the vector gap ||F^k x - F^k y||_1:
-        the two terms that ``distance`` adds for :func:`nth_power`'s images,
-        bit for bit.  The powers are checked, and a^k taken, once, here;
-        each point is checked when the function is called.
+        Returns a function of two sequences of points, xs and ys, that gives
+        two arrays of shape (pairs, powers): at [r, j], the scalar gap
+        |F^k x - F^k y| and the vector gap ||F^k x - F^k y||_1 of the pair
+        x = xs[r], y = ys[r] at k = ks[j], the two terms that ``distance``
+        adds for :func:`nth_power`'s images, bit for bit.  The powers are
+        checked, and a^k taken, once, here; each point is checked when the
+        function is called, and each side's scalar orbits advance together.
 
         :raises ValueError: a power is not a positive integer, or the
             powers decrease.
-        :raises DomainViolation: (when called) x or y is outside the domain.
+        :raises LengthMismatch: (when called) xs and ys differ in length.
+        :raises DomainViolation: (when called) a point is outside the domain.
         """
         ks = check_powers(ks)
         aks = None if self.alpha is None else [self.alpha**k for k in ks]
 
-        def gaps(x: ProductPoint, y: ProductPoint) -> tuple[list[float], list[float]]:
-            self._check_point(x)
-            self._check_point(y)
-            sx, sy = self._scalars(ks, x.scalar), self._scalars(ks, y.scalar)
-            scalar = [abs(a - b) for a, b in zip(sx, sy)]
+        def gaps(
+            xs: Sequence[ProductPoint], ys: Sequence[ProductPoint]
+        ) -> tuple[np.ndarray, np.ndarray]:
+            for p in (*xs, *ys):
+                self._check_point(p)
+            xv, yv = [x.vec for x in xs], [y.vec for y in ys]
             if aks is None:
-                return scalar, [l1_distance(x.vec, y.vec)] * len(ks)
-            return scalar, _shift_gaps(aks, x.vec, y.vec)
+                vector = np.repeat(l1_distances(xv, yv)[:, None], len(ks), axis=1)
+            else:
+                vector = _shift_gaps(aks, xv, yv)
+            scalars = np.array([p.scalar for p in (*xs, *ys)])
+            if self.kappa is None:
+                scalars = np.repeat(scalars[:, None], len(ks), axis=1)
+            else:
+                scalars = _f_orbits(self.kappa, ks, scalars)
+            return np.abs(scalars[: len(xs)] - scalars[len(xs) :]), vector
 
         return gaps
 
@@ -280,30 +301,28 @@ def _shift_power(alpha: float, k: int, v: L1Vector) -> L1Vector:
     )
 
 
-def _shift_gaps(aks: Sequence[float], x: L1Vector, y: L1Vector) -> list[float]:
-    """||T_a^k x - T_a^k y||_1 for each a^k of ``aks``, bit for bit the
-    ``l1_distance`` of :func:`_shift_power`'s images, from one merge of
-    the two tails.
+def _shift_gaps(
+    aks: Sequence[float], xs: Sequence[L1Vector], ys: Sequence[L1Vector]
+) -> np.ndarray:
+    """||T_a^k x - T_a^k y||_1 for each pair (xs[r], ys[r]) and each a^k of
+    ``aks``, as an array of shape (pairs, powers), bit for bit the
+    ``l1_distance`` of :func:`_shift_power`'s images, in one array pass.
 
     Shifting both images by k keeps their entries aligned, so each gap is
-    the sum, in index order, of abs(a^k cx - a^k cy) over the merged
-    [sqrt(|x_1|), x_2, x_3, ...], with 0.0 where one side stores nothing.
+    the sum, in index order, of abs(a^k cx - a^k cy) over the pair's merged
+    [sqrt(|x_1|), x_2, x_3, ...], with 0.0 where one side stores nothing:
+    the :func:`aligned_rows` of the pair with x_1 given way to its head.
     Those are the terms the merge of the images adds: a^k * 0.0 is +0.0,
-    and an entry the image drops as +0.0 adds abs(+0.0), which leaves a
-    running total that starts at +0.0 unchanged.
+    and an entry the image drops as +0.0, or the padding of a row, adds
+    abs(+0.0), which leaves a running total that starts at +0.0 unchanged.
     """
-    rx, ix, vx = _head_tail(x)
-    ry, iy, vy = _head_tail(y)
-    dx = dict(zip(ix.tolist(), vx.tolist()))
-    dy = dict(zip(iy.tolist(), vy.tolist()))
-    merged = sorted(dx.keys() | dy.keys())
-    pairs = [(rx, ry)] + [(dx.get(i, 0.0), dy.get(i, 0.0)) for i in merged]
-    out = []
-    for ak in aks:
-        total = 0.0
-        for cx, cy in pairs:
-            total += abs(ak * cx - ak * cy)
-        out.append(total)
+    rows_x, rows_y = aligned_rows(xs, ys)
+    for rows in (rows_x, rows_y):
+        rows[:, 0] = np.sqrt(np.abs(rows[:, 0]))
+    out = np.empty((len(xs), len(aks)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j, ak in enumerate(aks):
+            out[:, j] = _left_sum(np.abs(ak * rows_x - ak * rows_y))
     return out
 
 
@@ -350,17 +369,38 @@ def _f_kappa(kappa: float, x: float) -> float:
     return kappa * x * math.sin(inv)
 
 
-def _f_orbit(kappa: float, ks: Sequence[int], s: float) -> list[float]:
-    """f_k^k(s) for each k of ``ks``: one orbit, advanced from each power
-    to the next, so ``max(ks)`` applications of f_k in all."""
-    kappa = check_factor(kappa)
+def _f_step(kappa: float, xs: np.ndarray) -> np.ndarray:
+    """f_k at each entry of ``xs`` for a checked kappa, bit for bit
+    :func:`_f_kappa`'s: 1/x and kappa * x * sin(1/x) are formed in numpy,
+    and sin(1/x) by ``math.sin`` for each entry, since numpy's sine need not
+    round as the C library's does.  The domain is checked once for the
+    whole array, so a NaN or an escaped entry still raises; an entry whose
+    1/x is infinite, x = 0 or a subnormal x, maps to 0.0.
+    """
+    with np.errstate(invalid="ignore"):
+        inside = np.abs(xs) <= OSCILLATOR_HALF_WIDTH
+    if not inside.all():
+        raise DomainViolation(f"|{xs[~inside][0].item()!r}| exceeds 1/pi")
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / xs
+    flat = np.isinf(inv)
+    inv[flat] = 0.0
+    out = kappa * xs * np.fromiter(map(math.sin, inv.tolist()), dtype=np.float64, count=len(inv))
+    out[flat] = 0.0
+    return out
+
+
+def _f_orbits(kappa: float, ks: Sequence[int], s: np.ndarray) -> np.ndarray:
+    """f_k^k(s) for each entry of ``s`` and each k of ``ks``, as an array of
+    shape (entries, powers): the orbits advance together, from each power
+    to the next, so ``max(ks)`` array steps in all."""
     done, out = 0, []
     for k in ks:
         for _ in range(k - done):
-            s = _f_kappa(kappa, s)
+            s = _f_step(kappa, s)
         done = k
         out.append(s)
-    return out
+    return np.stack(out, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +423,11 @@ def nth_power(mapping: Mapping, k: int, p: ProductPoint) -> ProductPoint:
     if mapping.kappa is None and mapping.alpha is None:  # the identity gives p itself
         return p
     vec = p.vec if mapping.alpha is None else _shift_power(mapping.alpha, k, p.vec)
-    return ProductPoint(mapping._scalars((k,), p.scalar)[0], vec)
+    scalar = p.scalar
+    if mapping.kappa is not None:  # one point: the array step's fixed cost would dominate
+        for _ in range(k):
+            scalar = _f_kappa(mapping.kappa, scalar)
+    return ProductPoint(scalar, vec)
 
 
 def estimate_intermediate_defect(
@@ -412,29 +456,34 @@ def estimate_intermediate_defect(
     ``grid_size * n`` evaluations in all.
     """
     n = check_power(n)
-    return _GridWalk(f, interval, grid_size).defect(n)
+    walk = _GridWalk(lambda xs: np.array([float(f(v)) for v in xs.tolist()]), interval, grid_size)
+    return walk.defect(n)
 
 
 class _GridWalk:
     """The grid defects of f^1, f^2, ... on a checked grid: ``defect(n)`` walks the
-    orbit on from the highest power reached and keeps each defect it finds.  n is
-    checked by the caller."""
+    orbit on from the highest power reached and keeps each defect it finds.  ``step``
+    applies f to the whole orbit, an array; n is checked by the caller."""
 
-    def __init__(self, f: Callable[[float], float], interval: tuple[float, float], grid_size: int):
+    def __init__(
+        self,
+        step: Callable[[np.ndarray], np.ndarray],
+        interval: tuple[float, float],
+        grid_size: int,
+    ):
         check_grid_size(grid_size)
         lo, hi = interval
         if not lo < hi:
             raise ValueError(f"degenerate interval [{lo}, {hi}]")
-        self.f = f
+        self.step = step
         self.xs = np.linspace(lo, hi, grid_size)
-        self.orbit = self.xs.tolist()
+        self.orbit = self.xs
         self.defects: list[float] = []
 
     def defect(self, n: int) -> float:
-        f = self.f
         while len(self.defects) < n:
-            self.orbit = [float(f(v)) for v in self.orbit]
-            self.defects.append(_sorted_grid_defect(self.xs, np.array(self.orbit)))
+            self.orbit = self.step(self.orbit)
+            self.defects.append(_sorted_grid_defect(self.xs, self.orbit))
         return self.defects[n - 1]
 
 
@@ -477,7 +526,7 @@ def _oscillator_walk(kappa: float, grid_size: int) -> _GridWalk:
     """The one grid walk of f_k per (kappa, grid_size)."""
     interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
     # oscillator_defect has checked kappa
-    return _GridWalk(lambda x: _f_kappa(kappa, x), interval, grid_size)
+    return _GridWalk(lambda xs: _f_step(kappa, xs), interval, grid_size)
 
 
 def oscillator_defect_envelope(kappa: float, n: int) -> float:

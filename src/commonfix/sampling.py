@@ -24,7 +24,7 @@ def sample_vector(rng: np.random.Generator, radius: float) -> L1Vector:
     if norm == 0.0:
         return L1Vector((0.0,))
     target = float(rng.uniform(0.0, radius))
-    return L1Vector(float(c) * (target / norm) for c in coords)
+    return L1Vector.from_sparse(np.arange(k), coords * (target / norm), k)
 
 
 def sample_point(rng: np.random.Generator, domain: AdmissibleSet) -> ProductPoint:

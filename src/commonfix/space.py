@@ -23,14 +23,15 @@ w * (+0.0), could not have changed it.  An entry stored on one side only
 meets +0.0 on the other, and x - 0.0 = x: its term is the dense loop's.
 
 Numpy's fixed cost per call outweighs a loop over a handful of entries.
-The two kinds of traffic differ in size: certify samples vectors of at
-most 8 entries and measures distances between them thousands of times,
-while a run combines and measures states of about a thousand.  So the
-norm and :func:`l1_distance` loop in Python while each vector they read
-stores fewer than ``ARRAY_MIN_ENTRIES`` entries, and take the array pass
-from there; both give the same bits.  ``len()`` and :func:`point_to_json`
-keep the dense length, trailing zeros and signed zeros, so the wire form
-lists every coordinate.
+Certify measures the distances of its sampled pairs a block at a time,
+in one array pass over their :func:`aligned_rows` (:func:`l1_distances`),
+yet still sums the norm of every sample, to check it against the domain;
+a run combines and measures states of about a thousand entries.  So the
+norm and :func:`l1_distance` loop in Python on a vector of fewer than
+``ARRAY_MIN_ENTRIES`` stored entries, such as a certify sample, and take
+the array pass from there; both give the same bits.  ``len()`` and
+:func:`point_to_json` keep the dense length, trailing zeros and signed
+zeros, so the wire form lists every coordinate.
 
 Distances are measured without building the difference.
 :func:`l1_distance` merges the two index lists and adds abs(a_i - b_i) in
@@ -79,7 +80,10 @@ WEIGHT_TOL = 1e-12
 # entries, and about 12 us for a distance between two vectors of 64-96
 # entries each; one cutoff serves both, at the cost of a few us for a
 # distance between vectors of 48-96 entries.  Certify samples hold at
-# most 8 entries, a run's state about a thousand.
+# most 8 entries, a run's state about a thousand.  With the cutoff at 0,
+# 10 alternated pairs of each benchmark workload (same machine) read 14%
+# slower on certify-mixed, whose sample norms then take the array pass,
+# and within noise on the other three.
 ARRAY_MIN_ENTRIES = 48
 
 
@@ -261,11 +265,22 @@ class AdmissibleSet:
         object.__setattr__(self, "ball_radius", float(self.ball_radius))
 
 
+def _left_sum(terms: np.ndarray) -> np.ndarray:
+    """The running total of the nonnegative ``terms`` along their last axis,
+    in order, from +0.0: the last entry of ``np.add.accumulate``, a left
+    fold, so each total is the loop's; +0.0 where that axis is empty.  The
+    first term needs no +0.0 added in front: +0.0 + t is t for t >= +0.0.
+    A total that overflows is inf; callers say whether numpy may warn."""
+    if terms.shape[-1] == 0:
+        return np.zeros(terms.shape[:-1])
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def _abs_sum(values: np.ndarray) -> float:
     """The running total of abs(c) over ``values``, in order, from +0.0."""
     if len(values) >= ARRAY_MIN_ENTRIES:
         with np.errstate(over="ignore"):
-            return float(np.add.accumulate(np.abs(values))[-1])
+            return float(_left_sum(np.abs(values)))
     total = 0.0
     for c in values.tolist():
         total += abs(c)
@@ -296,8 +311,7 @@ def l1_distance(a: L1Vector, b: L1Vector) -> float:
     if max(len(a.idx), len(b.idx)) >= ARRAY_MIN_ENTRIES:
         union = _union((a.idx, b.idx))
         with np.errstate(invalid="ignore", over="ignore"):
-            terms = np.abs(_on(union, a) - _on(union, b))
-            return float(np.add.accumulate(terms)[-1])
+            return float(_left_sum(np.abs(_on(union, a) - _on(union, b))))
     ai, av, bi, bv = a.idx.tolist(), a.val.tolist(), b.idx.tolist(), b.val.tolist()
     na, nb = len(ai), len(bi)
     total = 0.0
@@ -318,6 +332,47 @@ def l1_distance(a: L1Vector, b: L1Vector) -> float:
     for c in bv[j:]:
         total += abs(c)
     return total
+
+
+def aligned_rows(
+    a: Sequence[L1Vector], b: Sequence[L1Vector]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (a[r], b[r]) as two arrays of one shape, for row-wise passes.
+
+    Column c of every row is the coordinate at the c-th smallest index that
+    any of the vectors stores, x_1 first, stored or not, with +0.0 where a
+    vector stores nothing.  A row-wise left fold of abs(A - B) then adds,
+    in index order, the terms of :func:`l1_distance`'s merge of the pair
+    and some abs(+0.0 - +0.0), which leave a total started at +0.0
+    unchanged: each pair's distance, bit for bit.  The arrays hold a float
+    for every pair and every index the block stores, so a block is best
+    made of vectors that store entries at much the same indices.
+
+    :raises LengthMismatch: ``a`` and ``b`` differ in length.
+    """
+    if len(a) != len(b):
+        raise LengthMismatch(f"{len(a)} vectors paired with {len(b)}")
+    vectors = [*a, *b]
+    idx = np.concatenate([np.zeros(0, dtype=np.int64), *(v.idx for v in vectors)])
+    # a set, not numpy's sort: the indices of a block of short vectors are few
+    union = np.array(sorted({0, *idx.tolist()}), dtype=np.int64)
+    rows = np.zeros((len(vectors), len(union)))
+    owner = np.repeat(np.arange(len(vectors)), [len(v.idx) for v in vectors])
+    rows[owner, np.searchsorted(union, idx)] = np.concatenate(
+        [np.zeros(0), *(v.val for v in vectors)]
+    )
+    return rows[: len(a)], rows[len(a) :]
+
+
+def l1_distances(a: Sequence[L1Vector], b: Sequence[L1Vector]) -> np.ndarray:
+    """``l1_distance(a[r], b[r])`` for each r, bit for bit, in one array pass
+    over :func:`aligned_rows`.
+
+    :raises LengthMismatch: ``a`` and ``b`` differ in length.
+    """
+    rows_a, rows_b = aligned_rows(a, b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _left_sum(np.abs(rows_a - rows_b))
 
 
 def distance(p: ProductPoint, q: ProductPoint) -> float:

@@ -4,11 +4,15 @@ Every check produces an :class:`InequalityCheck` with explicit left and
 right sides, the signed slack ``rhs - lhs``, and a satisfied flag defined
 as ``slack >= -tolerance``.  Identities are encoded as a check of
 ``|lhs - rhs|`` against zero so the same satisfied/slack convention
-applies everywhere.  The plural checks, one pair at many powers, read the
-pair's gaps from ``Mapping.gaps``, never its images, and return a
-:class:`CheckColumn`: sides and slacks as columns, with a check built only
-when asked for.  A :class:`Tally` folds the columns of many pairs into a
-certificate's report.
+applies everywhere.  A singular check, one pair at one power, is
+evaluated on the pair's images; it is the reference.  The plural checks,
+a block of pairs at many powers, read the block's gaps from
+``Mapping.gaps``, never its images, and return a :class:`CheckColumn`:
+sides and slacks as 2-D arrays, pairs by powers, each formed in one array
+pass that makes the bits of the singular check, with a check built only
+when asked for.  A :class:`Tally` folds the columns of each block into a
+certificate's report, the report that folding the pairs one at a time
+would make.
 
 The module covers four layers:
 
@@ -33,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import NotAFixedPoint
 from .mappings import (
     Mapping,
@@ -52,6 +58,7 @@ from .space import (
     check_positive,
     distance,
     l1_distance,
+    l1_distances,
     product_norm,
 )
 
@@ -85,36 +92,45 @@ class InequalityCheck:
 
 @dataclass(frozen=True)
 class CheckColumn:
-    """Checks of one equation at several powers, held as columns.
+    """Checks of one equation over a block of pairs at several powers, held
+    as 2-D columns: row r is the r-th pair, column j the j-th power.
 
-    The i-th check has the sides ``lhs[i]`` and ``rhs[i]`` and the context
-    ``context`` plus the i-th value of each entry of ``per_check``.
-    ``slacks`` holds rhs[i] - lhs[i], the slack of each check, so that a
-    report can fold the column before building any check; :meth:`check`
-    builds one.
+    The check at ``(r, j)`` has the sides ``lhs[r, j]`` and ``rhs[r, j]``
+    and the context ``context`` plus the value at (r, j) of each entry of
+    ``per_check``, an array that broadcasts to the shape of ``lhs``, such
+    as the powers.  ``slacks`` holds rhs - lhs, the slack of each check, so
+    that a report can fold the column before building any check;
+    :meth:`check` builds one.
     """
 
-    lhs: Sequence[float]
-    rhs: Sequence[float]
+    lhs: np.ndarray
+    rhs: np.ndarray
     tolerance: float
     context: dict
     per_check: dict = field(default_factory=dict)
-    slacks: list[float] = field(init=False)
+    slacks: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slacks", [r - l for l, r in zip(self.lhs, self.rhs)])
+        lhs, rhs = np.asarray(self.lhs, dtype=np.float64), np.asarray(self.rhs, dtype=np.float64)
+        slacks = rhs - lhs
+        per_check = {k: np.broadcast_to(v, slacks.shape) for k, v in self.per_check.items()}
+        fields = {"lhs": lhs, "rhs": rhs, "per_check": per_check, "slacks": slacks}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
-    def check(self, i: int) -> InequalityCheck:
-        context = dict(self.context, **{k: v[i] for k, v in self.per_check.items()})
-        return InequalityCheck(self.lhs[i], self.rhs[i], self.tolerance, context)
+    def check(self, at: tuple[int, int]) -> InequalityCheck:
+        context = dict(self.context, **{k: v.item(at) for k, v in self.per_check.items()})
+        return InequalityCheck(self.lhs.item(at), self.rhs.item(at), self.tolerance, context)
 
 
 class Tally:
-    """Folds the check columns of many pairs into a certificate's report:
-    per equation, the count, the least slack and whether all held; per
-    (``map``, equation), the first check of strictly least slack; and a
-    row, a check's JSON with the keys given to :meth:`add`, for each
-    failure, or for every check under ``keep_all``, power-major."""
+    """Folds the check columns of blocks of pairs into a certificate's
+    report: per equation, the count, the least slack and whether all held;
+    per (``map``, equation), the first check of strictly least slack; and a
+    row, a check's JSON with ``map`` and ``sample``, for each check of a
+    failing pair, or for every check under ``keep_all``, pair by pair and
+    power-major.  The report is the one that adding the pairs one at a time,
+    in order, would make; a check is built only for a row or a new worst."""
 
     def __init__(self, keep_all: bool = False) -> None:
         self.keep_all = keep_all
@@ -123,32 +139,40 @@ class Tally:
         self.failures: list[dict] = []
         self.checks: list[dict] = []
 
-    def add(self, columns: Sequence[CheckColumn], **row) -> None:
-        """Fold one pair's columns, all over the same powers."""
-        failing = False
+    def add(self, columns: Sequence[CheckColumn], map: str, samples: Sequence[int]) -> None:
+        """Fold the columns of one block of pairs, all over the same pairs
+        and powers; row r of each column is the pair ``samples[r]`` of the
+        mapping named ``map``."""
+        failing = np.zeros(len(samples), dtype=bool)
         for column in columns:
             slacks, eq = column.slacks, column.context["equation"]
+            values = slacks.ravel().tolist()  # pair by pair, power by power
             new = {"checks": 0, "min_slack": math.inf, "satisfied": True}
             agg = self.by_equation.setdefault(eq, new)
-            agg["checks"] += len(slacks)
-            agg["min_slack"] = min(agg["min_slack"], *slacks)
-            satisfied = all(slack >= -column.tolerance for slack in slacks)
-            agg["satisfied"] = agg["satisfied"] and satisfied
-            failing = failing or not satisfied
+            agg["checks"] += len(values)
+            agg["min_slack"] = min(agg["min_slack"], *values)
+            with np.errstate(invalid="ignore"):
+                held = (slacks >= -column.tolerance).all(axis=1)
+            agg["satisfied"] = agg["satisfied"] and bool(held.all())
+            failing |= ~held
             # seeded with the worst slack so far, min returns that seed
             # unless a slack lies strictly below it, NaN or not
-            kept = self.worst.get((row["map"], eq))
-            low = min(slacks) if kept is None else min(kept["slack"], *slacks)
+            kept = self.worst.get((map, eq))
+            low = min(values) if kept is None else min(kept["slack"], *values)
             if kept is None or low < kept["slack"]:
-                check = column.check(slacks.index(low))
-                self.worst[row["map"], eq] = dict(check.to_json(), **row)
-        if failing or self.keep_all:
-            for check in (c.check(i) for i in range(len(columns[0].slacks)) for c in columns):
-                out = dict(check.to_json(), **row)
-                if not check.satisfied:
-                    self.failures.append(out)
-                if self.keep_all:
-                    self.checks.append(out)
+                r, j = divmod(values.index(low), slacks.shape[1])
+                check = column.check((r, j))
+                self.worst[map, eq] = dict(check.to_json(), map=map, sample=samples[r])
+        rows = range(len(samples)) if self.keep_all else np.flatnonzero(failing).tolist()
+        for r in rows:
+            for j in range(columns[0].slacks.shape[1]):
+                for column in columns:
+                    check = column.check((r, j))
+                    out = dict(check.to_json(), map=map, sample=samples[r])
+                    if not check.satisfied:
+                        self.failures.append(out)
+                    if self.keep_all:
+                        self.checks.append(out)
 
     def report(self) -> dict:
         """The summary, worst and failures entries, and checks under keep_all."""
@@ -182,44 +206,52 @@ def check_total_inequality(
         ||T^n x - T^n y|| <= d + mu_n * phi(d) + lam_n,
         d = ||I^n x - I^n y||
 
-    with I the identity when ``i_map`` is None.
+    with I the identity when ``i_map`` is None.  It is evaluated on the
+    images, from :func:`nth_power`, so it is the reference that the gaps
+    route of :func:`check_total_inequalities` matches bit for bit.
     """
-    gaps, mu, lam = t_map.gaps((n,))(x, y), [profile.mu(n)], [profile.lam(n)]
-    return check_total_inequalities(t_map, i_map, x, y, (n,), gaps, mu, lam, profile.phi).check(0)
+    base_x, base_y = (x, y) if i_map is None else (nth_power(i_map, n, x), nth_power(i_map, n, y))
+    d = distance(base_x, base_y)
+    lhs = distance(nth_power(t_map, n, x), nth_power(t_map, n, y))
+    rhs = d + profile.mu(n) * profile.phi(d) + profile.lam(n)
+    context = {"equation": "gradual-relaxation", "map": t_map.name,
+               "comparison": "identity" if i_map is None else i_map.name}
+    return InequalityCheck(lhs, rhs, CHECK_TOL, dict(context, n=n, base_distance=d))
 
 
 def check_total_inequalities(
     t_map: Mapping,
     i_map: Mapping | None,
-    x: ProductPoint,
-    y: ProductPoint,
+    xs: Sequence[ProductPoint],
+    ys: Sequence[ProductPoint],
     ns: Sequence[int],
-    gaps: tuple[Sequence[float], Sequence[float]],
+    gaps: tuple[np.ndarray, np.ndarray],
     mu: Sequence[float],
     lam: Sequence[float],
     phi: Callable[[float], float],
 ) -> CheckColumn:
-    """:func:`check_total_inequality` at each of the nondecreasing powers
-    ``ns``, given the scalar and vector gaps of x and y under
-    ``t_map.gaps(ns)`` and the profile's mu_n, lam_n at ``ns`` and its
-    phi.  The left side is the sum of the gaps, as ``distance`` adds them;
-    phi(d) is taken once when I is the identity."""
-    if i_map is None:
-        d = distance(x, y)
-        base, phis = [d] * len(ns), [phi(d)] * len(ns)
+    """:func:`check_total_inequality` for each pair (xs[r], ys[r]) at each
+    of the nondecreasing powers ``ns``, given the scalar and vector gaps of
+    the pairs under ``t_map.gaps(ns)`` and the profile's mu_n, lam_n at
+    ``ns`` and its phi.  The left side is the sum of the gaps, as
+    ``distance`` adds them; phi(d) is taken once per pair when I is the
+    identity."""
+    if i_map is None:  # distance(x, y) of each pair, one column for every power
+        scalar_gap = np.abs(np.array([x.scalar for x in xs]) - np.array([y.scalar for y in ys]))
+        base = (scalar_gap + l1_distances([x.vec for x in xs], [y.vec for y in ys]))[:, None]
     else:
-        base = [s + v for s, v in zip(*i_map.gaps(ns)(x, y))]
-        phis = list(map(phi, base))
+        base = np.add(*i_map.gaps(ns)(xs, ys))
+    phis = np.array([[phi(v) for v in row] for row in base.tolist()]).reshape(base.shape)
     return CheckColumn(
-        [s + v for s, v in zip(*gaps)],
-        [d + m * p + l for d, m, p, l in zip(base, mu, phis, lam)],
+        np.add(*gaps),
+        base + np.asarray(mu) * phis + np.asarray(lam),
         CHECK_TOL,
         {
             "equation": "gradual-relaxation",
             "map": t_map.name,
             "comparison": i_map.name if i_map is not None else "identity",
         },
-        {"n": ns, "base_distance": base},
+        {"n": np.asarray(ns), "base_distance": base},
     )
 
 
@@ -239,33 +271,46 @@ def check_iterate_difference_identity(
         ||T_a^k x - T_a^k y||_1 = a^k (||x - y||_1 + |rt(x_1) - rt(y_1)| - |x_1 - y_1|)
 
     with rt(s) = sqrt(|s|).  Encoded as |direct - formula| <= CHECK_TOL.
+    ``direct`` is taken from the images, so this is the reference that
+    :func:`check_iterate_difference_identities` matches bit for bit.
 
     :raises DomainViolation: x or y lies outside the unit ball.
     """
     direct = l1_distance(power_t_alpha(alpha, k, x), power_t_alpha(alpha, k, y))
-    return check_iterate_difference_identities(alpha, (k,), x, y, [direct]).check(0)
+    formula = alpha**k * iterate_difference_factor(x, y)
+    context = {"equation": "iterate-difference-identity", "alpha": alpha}
+    return InequalityCheck(
+        abs(direct - formula), 0.0, CHECK_TOL, dict(context, n=k, direct=direct, formula=formula)
+    )
 
 
 def check_iterate_difference_identities(
     alpha: float,
     ks: Sequence[int],
-    x: L1Vector,
-    y: L1Vector,
-    direct: Sequence[float],
+    xs: Sequence[L1Vector],
+    ys: Sequence[L1Vector],
+    direct: np.ndarray,
 ) -> CheckColumn:
     """:func:`check_iterate_difference_identity` for a checked a = ``alpha``
-    at each of the nondecreasing powers ``ks``, given the vector gaps
-    ``direct`` of x and y under T_a^k, as ``Mapping.gaps`` gives them; the
-    factor of a^k in the formula is computed once."""
-    factor = iterate_difference_factor(x, y)
-    formula = [alpha**k * factor for k in ks]
+    for each pair (xs[r], ys[r]) at each of the nondecreasing powers
+    ``ks``, given the vector gaps ``direct`` of the pairs under T_a^k, as
+    ``Mapping.gaps`` gives them; the factor of a^k in the formula is
+    computed once per pair, in one array pass over the block."""
+    x1, y1 = _firsts(xs), _firsts(ys)
+    root_gap = np.abs(np.sqrt(np.abs(x1)) - np.sqrt(np.abs(y1)))
+    factor = l1_distances(xs, ys) + root_gap - np.abs(x1 - y1)
+    formula = np.array([alpha**k for k in ks]) * factor[:, None]
     return CheckColumn(
-        [abs(d - f) for d, f in zip(direct, formula)],
-        [0.0] * len(formula),
+        np.abs(direct - formula),
+        np.zeros(formula.shape),
         CHECK_TOL,
         {"equation": "iterate-difference-identity", "alpha": alpha},
-        {"n": ks, "direct": direct, "formula": formula},
+        {"n": np.asarray(ks), "direct": direct, "formula": formula},
     )
+
+
+def _firsts(vs: Sequence[L1Vector]) -> np.ndarray:
+    return np.array([v.first for v in vs], dtype=np.float64)
 
 
 def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, InequalityCheck]:
@@ -273,12 +318,28 @@ def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, Ine
 
         |rt(x_1) - rt(y_1)| <= sqrt(| |x_1| - |y_1| |) <= sqrt(||x - y||_1).
     """
-    root_gap = abs(math.sqrt(abs(x.first)) - math.sqrt(abs(y.first)))
-    mid = math.sqrt(abs(abs(x.first) - abs(y.first)))
-    outer = math.sqrt(l1_distance(x, y))
+    inner, outer = check_root_gap_chains([x], [y], 1)
+    return inner.check((0, 0)), outer.check((0, 0))
+
+
+def check_root_gap_chains(
+    xs: Sequence[L1Vector], ys: Sequence[L1Vector], powers: int
+) -> tuple[CheckColumn, CheckColumn]:
+    """:func:`check_root_gap_chain` for each pair (xs[r], ys[r]), as two
+    columns.  The chain does not depend on n; each pair's checks are
+    repeated at each of ``powers`` powers, to sit beside the other columns
+    of a certificate."""
+    x1, y1 = _firsts(xs), _firsts(ys)
+    root_gap = np.abs(np.sqrt(np.abs(x1)) - np.sqrt(np.abs(y1)))
+    mid = np.sqrt(np.abs(np.abs(x1) - np.abs(y1)))
+    outer = np.sqrt(l1_distances(xs, ys))
+    shape = (len(xs), powers)
+    inner_side, mid_side, outer_side = (
+        np.broadcast_to(v[:, None], shape) for v in (root_gap, mid, outer)
+    )
     return (
-        InequalityCheck(root_gap, mid, CHECK_TOL, {"equation": "root-gap-inner"}),
-        InequalityCheck(mid, outer, CHECK_TOL, {"equation": "root-gap-outer"}),
+        CheckColumn(inner_side, mid_side, CHECK_TOL, {"equation": "root-gap-inner"}),
+        CheckColumn(mid_side, outer_side, CHECK_TOL, {"equation": "root-gap-outer"}),
     )
 
 

@@ -12,6 +12,7 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -331,10 +332,10 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_failed_certificates_exit_1(self, tmp_path, monkeypatch):
-        def doomed(t_map, i_map, x, y, ns, gaps, mu, lam, phi, tol=1e-12):
+        def doomed(t_map, i_map, xs, ys, ns, gaps, mu, lam, phi, tol=1e-12):
             return CheckColumn(
-                lhs=[1.0] * len(ns),
-                rhs=[0.0] * len(ns),
+                lhs=np.ones((len(xs), len(ns))),
+                rhs=np.zeros((len(xs), len(ns))),
                 tolerance=tol,
                 context={"equation": "gradual-relaxation"},
                 per_check={"n": ns},
@@ -360,9 +361,9 @@ class TestMainExitCodes:
     def test_identity_failing_at_one_power_exits_1(self, tmp_path, monkeypatch, full_checks):
         real = cli.check_iterate_difference_identities
 
-        def doomed_at_2(alpha, ks, x, y, direct):
-            column = real(alpha, ks, x, y, direct)
-            lhs = [1.0 if k == 2 else c for k, c in zip(ks, column.lhs)]
+        def doomed_at_2(alpha, ks, xs, ys, direct):
+            column = real(alpha, ks, xs, ys, direct)
+            lhs = np.where(np.asarray(ks) == 2, 1.0, column.lhs)
             return dataclasses.replace(column, lhs=lhs)
 
         monkeypatch.setattr(cli, "check_iterate_difference_identities", doomed_at_2)
@@ -554,14 +555,15 @@ class TestStrictConfigs:
                 {"kind": kind, "alpha": 0.5},
                 {"kind": "s_f", "kappa": 0.5, "alpha": 0.5},
             ],
-            "samples": 3,
+            "samples": cli.CERTIFY_BLOCK + 1,
             "powers": [1, 4],
             "output_dir": str(tmp_path),
         }
         assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 0
-        # no image is built: each pair's gaps are one merge per mapping, and
-        # the power range is checked once per mapping, not once per point
-        assert calls == {"_shift_gaps": 2 * 3, "check_powers": 2}
+        # no image is built: the gaps of each block of pairs are one array
+        # pass per mapping, and the power range is checked once per mapping,
+        # not once per block or point; the samples fill two blocks
+        assert calls == {"_shift_gaps": 2 * 2, "check_powers": 2}
 
 
 class TestDefectRoute:

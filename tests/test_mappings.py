@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from commonfix import mappings
-from commonfix.errors import DomainViolation
+from commonfix.errors import DomainViolation, LengthMismatch
 from commonfix.mappings import (
     DEFECT_GRID_SIZE,
     OSCILLATOR_DOMAIN,
@@ -224,6 +224,30 @@ class TestOscillator:
             out = apply_f_kappa(kappa, out)
         assert abs(out) <= kappa**n / math.pi + _TOL
 
+    _STEP_POINTS = st.one_of(
+        st.sampled_from(
+            [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 5.6e-309,
+             OSCILLATOR_HALF_WIDTH, -OSCILLATOR_HALF_WIDTH]
+        ),
+        st.floats(-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH),
+        st.floats(-1e-300, 1e-300),
+    )
+
+    @given(
+        xs=st.lists(_STEP_POINTS, max_size=40),
+        kappa=st.sampled_from([0.3, 0.5, 0.7]) | st.floats(0.01, 0.99),
+    )
+    @example(xs=[0.0, -0.0, 5e-324, -5e-324, OSCILLATOR_HALF_WIDTH, -OSCILLATOR_HALF_WIDTH],
+             kappa=0.5)
+    def test_array_step_is_the_scalar_step_bit_for_bit(self, xs, kappa):
+        got = mappings._f_step(kappa, np.array(xs, dtype=np.float64))
+        assert [v.hex() for v in got.tolist()] == [mappings._f_kappa(kappa, x).hex() for x in xs]
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5, -math.inf, np.nextafter(OSCILLATOR_HALF_WIDTH, 1)])
+    def test_array_step_rejects_a_nan_or_escaped_entry(self, bad):
+        with pytest.raises(DomainViolation):
+            mappings._f_step(0.5, np.array([0.1, 0.0, bad, -0.2]))
+
     def test_origin_fixed_under_combined_map(self):
         origin = ProductPoint(0.0, ())
         out = nth_power(make_s_f(0.5, 0.5), 40, origin)
@@ -288,12 +312,13 @@ class TestNthPower:
 
 @pytest.fixture
 def f_calls(monkeypatch):
-    """The arguments of the calls of f_k made inside the mappings module,
-    all of which reach the per-point kernel ``_f_kappa``."""
+    """The points at which the array step ``_f_step``, which the orbits of
+    ``Mapping.gaps`` and the grid walk advance by, applies f_k: one entry per
+    element of each array it is given."""
     calls = []
-    f_kappa = mappings._f_kappa
+    f_step = mappings._f_step
     monkeypatch.setattr(
-        mappings, "_f_kappa", lambda kappa, x: calls.append(x) or f_kappa(kappa, x)
+        mappings, "_f_step", lambda kappa, xs: calls.extend(xs.tolist()) or f_step(kappa, xs)
     )
     return calls
 
@@ -341,39 +366,51 @@ _GAP_KINDS = [
 ]
 
 
+_EMPTY = ProductPoint(0.0, ())
+
+
 class TestGaps:
     @given(
         spec=st.sampled_from(_GAP_KINDS),
-        pair=_gap_pairs(),
+        pairs=st.lists(_gap_pairs(), min_size=1, max_size=5),
         ks=st.sampled_from([(1, 3, 3, 40), range(1, 26), (7,)])
         | st.lists(st.integers(1, 60), min_size=1, max_size=5).map(sorted),
     )
-    @example(spec=_GAP_KINDS[2], pair=(ProductPoint(0.5, (0.0, 0.2)), ProductPoint(0.5, ())),
+    @example(spec=_GAP_KINDS[2], pairs=[(ProductPoint(0.5, (0.0, 0.2)), ProductPoint(0.5, ()))],
              ks=(1, 3, 3, 40))
-    @example(spec=_GAP_KINDS[1], pair=(ProductPoint(0.0, (-0.0, 5e-324, -0.0, 0.1)),
-                                       ProductPoint(0.0, (5e-324, 0.0, -5e-324))), ks=(1, 2))
-    @example(spec=_GAP_KINDS[3], pair=(ProductPoint(5e-324, ()), ProductPoint(-0.0, ())),
+    @example(spec=_GAP_KINDS[1], pairs=[(ProductPoint(0.0, (-0.0, 5e-324, -0.0, 0.1)),
+                                         ProductPoint(0.0, (5e-324, 0.0, -5e-324))),
+                                        (_EMPTY, _EMPTY)], ks=(1, 2))
+    @example(spec=_GAP_KINDS[3], pairs=[(ProductPoint(5e-324, ()), ProductPoint(-0.0, ())),
+                                        (ProductPoint(0.1, (0.0, 0.0, -0.0)), _EMPTY)],
              ks=(1, 3, 3, 40))
+    @example(spec=_GAP_KINDS[0], pairs=[(_EMPTY, ProductPoint(0.5, (0.0, -0.0, 0.1))),
+                                        (_EMPTY, _EMPTY)], ks=(2,))
     @settings(max_examples=300)
-    def test_equal_distances_of_images_bit_for_bit(self, spec, pair, ks):
+    def test_equal_distances_of_images_bit_for_bit(self, spec, pairs, ks):
         mapping = mapping_from_json(spec)
-        x, y = pair
-        assume(in_set(x, mapping.domain) and in_set(y, mapping.domain))
-        scalar, vec = mapping.gaps(ks)(x, y)
-        tx = [nth_power(mapping, k, x) for k in ks]
-        ty = [nth_power(mapping, k, y) for k in ks]
+        assume(all(in_set(p, mapping.domain) for pair in pairs for p in pair))
+        scalar, vec = mapping.gaps(ks)([x for x, _ in pairs], [y for _, y in pairs])
+        assert scalar.shape == vec.shape == (len(pairs), len(ks))
 
         def hexes(values):
             return [v.hex() for v in values]
 
-        assert hexes(vec) == hexes(map(l1_distance, [p.vec for p in tx], [p.vec for p in ty]))
-        assert hexes(scalar) == hexes(abs(p.scalar - q.scalar) for p, q in zip(tx, ty))
-        assert hexes(s + v for s, v in zip(scalar, vec)) == hexes(map(distance, tx, ty))
+        for (x, y), s_row, v_row in zip(pairs, scalar.tolist(), vec.tolist()):
+            tx = [nth_power(mapping, k, x) for k in ks]
+            ty = [nth_power(mapping, k, y) for k in ks]
+            assert hexes(v_row) == hexes(map(l1_distance, [p.vec for p in tx], [p.vec for p in ty]))
+            assert hexes(s_row) == hexes(abs(p.scalar - q.scalar) for p, q in zip(tx, ty))
+            assert hexes(s + v for s, v in zip(s_row, v_row)) == hexes(map(distance, tx, ty))
 
     def test_checks_each_point(self):
         gaps = make_s(0.5).gaps((1, 2))
         with pytest.raises(DomainViolation):
-            gaps(ProductPoint(0.5, (0.1,)), ProductPoint(0.5, (0.8, 0.8)))
+            gaps([_EMPTY, ProductPoint(0.5, (0.1,))], [_EMPTY, ProductPoint(0.5, (0.8, 0.8))])
+
+    def test_rejects_sides_of_unequal_length(self):
+        with pytest.raises(LengthMismatch):
+            make_s(0.5).gaps((1, 2))([_EMPTY, _EMPTY], [_EMPTY])
 
     @pytest.mark.parametrize(
         "ks",
@@ -384,7 +421,7 @@ class TestGaps:
             make_s_f(0.5, 0.5).gaps(ks)
 
     def test_scalar_orbits_walked_once(self, f_calls):
-        make_s_f(0.5, 0.5).gaps(range(1, 26))(ProductPoint(0.2, (0.1,)), ProductPoint(-0.1, ()))
+        make_s_f(0.5, 0.5).gaps(range(1, 26))([ProductPoint(0.2, (0.1,))], [ProductPoint(-0.1, ())])
         assert len(f_calls) == 2 * 25
 
 

@@ -86,3 +86,28 @@ def test_every_exported_function_and_class_has_a_docstring():
     exported = [getattr(commonfix, name) for name in commonfix.__all__]
     defined = [o for o in exported if inspect.isfunction(o) or inspect.isclass(o)]
     assert [o.__name__ for o in defined if not docs.get((o.__module__, o.__name__))] == []
+
+
+def _numpy_sines(tree: ast.Module) -> list[int]:
+    """Lines that name numpy's sine: ``np.sin``, ``numpy.sin`` or an import of it."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "sin"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            lines += [node.lineno for a in node.names if a.name == "sin"]
+    return sorted(lines)
+
+
+def test_numpy_sine_is_never_called():
+    # The oscillator's orbits, and so the certificate and defect bytes, take
+    # sin(1/x) from math.sin: numpy documents no rounding for its sine, and
+    # its bits may differ between the numpy versions the package supports.
+    assert _numpy_sines(ast.parse("import numpy as np\nnp.sin(1.0)\nfrom numpy import sin")) == [2, 3]
+    found = {p.name: _numpy_sines(ast.parse(p.read_text(encoding="utf-8"))) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -5,6 +5,7 @@ import math
 import struct
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from commonfix.space import (
     distance,
     in_set,
     l1_distance,
+    l1_distances,
     l1_norm,
     point_from_json,
     point_to_json,
@@ -438,6 +440,31 @@ class TestDistanceKernel:
         assert _same_float(l1_distance(v, u), l1_norm(v - u))
         assert _same_float(l1_distance(u, u), l1_norm(u - u))
 
+    @given(st.lists(st.tuples(_dense_wide, _dense_wide), max_size=4))
+    @example([(_ARRAY_A, _ARRAY_B), ((), ()), ((), (1.0, -0.0)), ((-0.0, 0.0, 0.5), (0.0, 2.0))])
+    @example([])
+    def test_l1_distances_are_each_pairs_distance(self, pairs):
+        us, vs = [L1Vector(a) for a, _ in pairs], [L1Vector(b) for _, b in pairs]
+        got = l1_distances(us, vs).tolist()
+        assert len(got) == len(pairs)
+        assert all(_same_float(g, l1_distance(u, v)) for g, u, v in zip(got, us, vs))
+        got_self = l1_distances(us, us).tolist()
+        assert all(_same_float(g, l1_distance(u, u)) for g, u in zip(got_self, us))
+
+    def test_l1_distances_need_sides_of_equal_length(self):
+        with pytest.raises(LengthMismatch):
+            l1_distances([L1Vector(())], [])
+
+    def test_array_branch_of_a_vector_with_no_stored_entry(self, monkeypatch):
+        # with no cutoff every norm and distance takes the array pass, which
+        # then meets an empty axis; its fold is +0.0, as the loop's
+        monkeypatch.setattr(space, "ARRAY_MIN_ENTRIES", 0)
+        empty, zeros = L1Vector(()), L1Vector((0.0, 0.0))
+        got = [l1_norm(empty), l1_norm(zeros), l1_distance(empty, zeros),
+               l1_distance(L1Vector((-0.0,)), empty), distance(ProductPoint(0.0), ProductPoint(-0.0))]
+        assert _bits(got) == _bits([0.0] * 5)
+        assert _bits([l1_distance(empty, L1Vector((0.0, -2.0)))]) == _bits([2.0])
+
     @given(_wide_scalar, _dense_wide, _wide_scalar, _dense_wide)
     @example(0.0, (), -0.0, ())
     @example(0.5, _ARRAY_A, -0.0, _ARRAY_B)
@@ -512,6 +539,7 @@ class TestPythonFloats:
         x, y = ProductPoint(0.5, a), ProductPoint(0.25, b)
         s = make_s(alpha)
         image = power_t_alpha(alpha, 3, x.vec)
-        scalar, vector = s.gaps([1, 3, 3])(x, y)
-        got = [*image.val.tolist(), *scalar, *vector, iterate_difference_factor(x.vec, y.vec)]
+        scalar, vector = s.gaps([1, 3, 3])([x], [y])
+        assert scalar.dtype == vector.dtype == np.float64
+        got = [*image.val.tolist(), iterate_difference_factor(x.vec, y.vec)]
         assert all(type(v) is float for v in got)

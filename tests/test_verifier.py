@@ -2,10 +2,13 @@
 
 import collections
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from commonfix.errors import DomainViolation, NotAFixedPoint
 from commonfix.mappings import (
@@ -112,12 +115,14 @@ class TestTotalInequality:
         ns = (1, 2, 2, 5, 13)
         p = s_f.profile
         mu, lam = [p.mu(n) for n in ns], [p.lam(n) for n in ns]
+        xs, ys = [x, y, x], [y, x, x]
         many = check_total_inequalities(
-            s_f, comparison, x, y, ns, s_f.gaps(ns)(x, y), mu, lam, p.phi
+            s_f, comparison, xs, ys, ns, s_f.gaps(ns)(xs, ys), mu, lam, p.phi
         )
-        checks = [many.check(i) for i in range(len(ns))]
-        assert checks == [check_total_inequality(s_f, comparison, p, x, y, n) for n in ns]
-        assert many.slacks == [c.slack for c in checks]
+        for r, (a, b) in enumerate(zip(xs, ys)):
+            checks = [many.check((r, i)) for i in range(len(ns))]
+            assert checks == [check_total_inequality(s_f, comparison, p, a, b, n) for n in ns]
+            assert many.slacks[r].tolist() == [c.slack for c in checks]
 
     def test_violation_reported_not_raised(self):
         # a profile with no slack at all turns the strict expansion of the
@@ -146,10 +151,12 @@ class TestExactIdentities:
         x, y = L1Vector((0.3, -0.1)), L1Vector((0.04, 0.2, 0.1))
         ks = range(1, 26)
         s_map = make_s(0.7)
-        _, direct = s_map.gaps(ks)(ProductPoint(0.5, x), ProductPoint(0.5, y))
-        many = check_iterate_difference_identities(0.7, ks, x, y, direct)
-        checks = [many.check(i) for i in range(len(ks))]
-        assert checks == [check_iterate_difference_identity(0.7, k, x, y) for k in ks]
+        xs, ys = [x, y, x], [y, x, x]
+        _, direct = s_map.gaps(ks)([ProductPoint(0.5, v) for v in xs], [ProductPoint(0.5, v) for v in ys])
+        many = check_iterate_difference_identities(0.7, ks, xs, ys, direct)
+        for r, (a, b) in enumerate(zip(xs, ys)):
+            checks = [many.check((r, i)) for i in range(len(ks))]
+            assert checks == [check_iterate_difference_identity(0.7, k, a, b) for k in ks]
 
     def test_identity_range_rejects_point_outside_ball(self):
         with pytest.raises(DomainViolation, match=r"\|\|v\|\|_1 = 1\.2 exceeds the unit ball"):
@@ -425,24 +432,31 @@ class TestSerialization:
 
 
 def _column(slacks, equation="demo"):
-    """A column whose i-th check, at n = i + 1, has exactly the slack
-    ``slacks[i]``: rhs - 0.0 keeps every float, -0.0 and NaN included."""
-    n = list(range(1, len(slacks) + 1))
-    return CheckColumn([0.0] * len(slacks), list(slacks), 0.0, {"equation": equation}, {"n": n})
+    """A column of one pair whose i-th check, at n = i + 1, has exactly the
+    slack ``slacks[i]``: rhs - 0.0 keeps every float, -0.0 and NaN included."""
+    return _block([slacks], equation)
+
+
+def _block(slacks, equation="demo"):
+    """A column of a block of pairs, row r holding the slacks ``slacks[r]``
+    at n = 1, 2, ..."""
+    n = list(range(1, len(slacks[0]) + 1))
+    lhs = [[0.0] * len(row) for row in slacks]
+    return CheckColumn(lhs, slacks, 0.0, {"equation": equation}, {"n": n})
 
 
 class TestTally:
     def test_a_tie_keeps_the_earlier_worst(self):
         tally = Tally()
-        tally.add([_column([1.0, 0.5, 0.5])], map="m", sample=0)
-        tally.add([_column([0.5, 0.75])], map="m", sample=1)
+        tally.add([_column([1.0, 0.5, 0.5])], map="m", samples=[0])
+        tally.add([_column([0.5, 0.75])], map="m", samples=[1])
         (worst,) = tally.report()["worst"]
         assert (worst["slack"], worst["n"], worst["sample"]) == (0.5, 2, 0)
 
     def test_a_nan_first_column_moves_the_worst_as_seeded_min_does(self):
         tally = Tally()
-        tally.add([_column([1.0])], map="m", sample=0)
-        tally.add([_column([math.nan, 0.5])], map="m", sample=1)
+        tally.add([_column([1.0])], map="m", samples=[0])
+        tally.add([_column([math.nan, 0.5])], map="m", samples=[1])
         report = tally.report()
         (worst,) = report["worst"]
         assert (worst["slack"], worst["n"], worst["sample"]) == (0.5, 2, 1)
@@ -453,11 +467,11 @@ class TestTally:
 
     def test_no_row_is_built_for_a_passing_column(self, monkeypatch):
         tally = Tally()
-        tally.add([_column([0.25, 0.5])], map="m", sample=0)
+        tally.add([_column([0.25, 0.5])], map="m", samples=[0])
         built = []
         real = CheckColumn.check
         monkeypatch.setattr(CheckColumn, "check", lambda self, i: built.append(i) or real(self, i))
-        tally.add([_column([0.5, 0.75])], map="m", sample=1)
+        tally.add([_column([0.5, 0.75])], map="m", samples=[1])
         assert built == []
         report = tally.report()
         assert report["failures"] == [] and "checks" not in report
@@ -470,7 +484,7 @@ class TestTally:
 
     def test_kept_rows_come_out_power_major(self):
         tally = Tally(keep_all=True)
-        tally.add([_column([1.0, -1.0, 2.0], "a"), _column([3.0, 4.0, 5.0], "b")], map="m", sample=7)
+        tally.add([_column([1.0, -1.0, 2.0], "a"), _column([3.0, 4.0, 5.0], "b")], map="m", samples=[7])
         report = tally.report()
         rows = report["checks"]
         assert [(row["n"], row["equation"]) for row in rows] == [
@@ -479,3 +493,80 @@ class TestTally:
         assert all((row["map"], row["sample"]) == ("m", 7) for row in rows)
         assert report["failures"] == [rows[2]]
         assert report["summary"]["failed"] == 1 and not report["summary"]["all_satisfied"]
+
+    def test_rows_hold_python_numbers(self):
+        # the JSON writer takes no numpy scalar: a row's sides are floats, n an int
+        tally = Tally(keep_all=True)
+        tally.add([_block([[0.5, -1.0], [0.25, 2.0]])], map="m", samples=range(2))
+        for row in tally.report()["checks"] + tally.report()["worst"]:
+            assert [type(row[k]) for k in ("lhs", "rhs", "slack", "satisfied", "n", "sample")] == [
+                float, float, float, bool, int, int
+            ]
+
+
+def _pair_by_pair(slacks, keep_all):
+    """The report, reduced to what decides it, of folding each pair's lists
+    of slacks on its own with Python's seeded min, as certify did before it
+    folded blocks of pairs: the reference for :class:`Tally`.  ``slacks``
+    maps each equation to its rows, one per pair; the tolerance is 0."""
+    by_equation, worst, failures, checks = {}, {}, [], []
+    for sample in range(len(next(iter(slacks.values())))):
+        failing = False
+        for eq, rows in slacks.items():
+            row = rows[sample]
+            agg = by_equation.setdefault(eq, {"checks": 0, "min_slack": math.inf, "satisfied": True})
+            agg["checks"] += len(row)
+            agg["min_slack"] = min(agg["min_slack"], *row)
+            satisfied = all(v >= 0.0 for v in row)
+            agg["satisfied"] = agg["satisfied"] and satisfied
+            failing = failing or not satisfied
+            kept = worst.get(eq)
+            low = min(row) if kept is None else min(kept[0], *row)
+            if kept is None or low < kept[0]:
+                worst[eq] = (low, row.index(low) + 1, sample)
+        if failing or keep_all:
+            for j in range(len(row)):
+                for eq, rows in slacks.items():
+                    if not rows[sample][j] >= 0.0:
+                        failures.append((eq, j + 1, sample))
+                    if keep_all:
+                        checks.append((eq, j + 1, sample))
+    return json.dumps([by_equation, sorted(worst.items()), failures, checks])
+
+
+_SLACKS = st.sampled_from([math.nan, -0.0, 0.0, 0.5, -0.5, 1.0, -1e-13, 2.0])
+
+
+@st.composite
+def _slack_blocks(draw):
+    """Slacks of two equations over 1-12 pairs at 1-4 powers, and the sizes
+    of the blocks that the pairs are folded in."""
+    pairs, powers = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rows = st.lists(st.lists(_SLACKS, min_size=powers, max_size=powers), min_size=pairs, max_size=pairs)
+    slacks = {"a": draw(rows), "b": draw(rows)}
+    sizes = []
+    while sum(sizes) < pairs:
+        sizes.append(draw(st.integers(1, pairs - sum(sizes))))
+    return slacks, sizes
+
+
+class TestTallyBlocks:
+    @given(_slack_blocks(), st.booleans())
+    @example(({"a": [[1.0], [-0.0], [0.0]], "b": [[math.nan], [0.5], [0.5]]}, [1, 2]), True)
+    @example(({"a": [[math.nan, 0.5], [0.5, -0.5]], "b": [[0.0, -0.0], [-0.0, 0.0]]}, [2]), False)
+    def test_a_block_folds_as_its_pairs_one_at_a_time(self, blocks, keep_all):
+        slacks, sizes = blocks
+        tally, start = Tally(keep_all=keep_all), 0
+        for size in sizes:
+            block = range(start, start + size)
+            columns = [_block([slacks[eq][r] for r in block], eq) for eq in ("a", "b")]
+            tally.add(columns, map="m", samples=block)
+            start += size
+        report = tally.report()
+        worst = sorted((row["equation"], (row["slack"], row["n"], row["sample"])) for row in report["worst"])
+
+        def rows(key):
+            return [(row["equation"], row["n"], row["sample"]) for row in report.get(key, [])]
+
+        got = json.dumps([report["summary"]["by_equation"], worst, rows("failures"), rows("checks")])
+        assert got == _pair_by_pair(slacks, keep_all)
