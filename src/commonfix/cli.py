@@ -625,7 +625,7 @@ def _counterexample_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, d
 
 def _defect_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
-    # the cached orbit behind lambda_n; an estimate above the envelope
+    # the cached grid orbit; an estimate above the envelope, the s_f lambda_n,
     # raises there, a runtime failure, so every row is within it
     rows = [
         [n, oscillator_defect(spec.kappa, n, spec.grid_size),

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from commonfix import cli, mappings
+from commonfix import cli, mappings, scheme
 from commonfix.errors import ParseError, ValidationError
 from commonfix.mappings import make_s_f
+from commonfix.space import point_from_json
 from commonfix.verifier import CheckColumn
 
 from helpers import read_trace_csv
@@ -567,10 +568,11 @@ class TestStrictConfigs:
 
 
 class TestDefectRoute:
-    """The defect table reads the cached orbit behind lambda_n."""
+    """The defect table reads the cached grid orbit; the s_f profile's
+    lambda_n is the table's envelope column, and certify walks no grid."""
 
     @pytest.mark.parametrize("kappa", [0.5, 0.7])
-    def test_estimates_equal_the_s_f_profile_term(self, tmp_path, kappa):
+    def test_envelope_column_is_the_s_f_profile_term(self, tmp_path, kappa):
         payload = {
             "name": "def",
             "mode": "defect_profile",
@@ -581,25 +583,19 @@ class TestDefectRoute:
         }
         assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 0
         lines = (tmp_path / "def_defects.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
         lam = make_s_f(kappa, 0.5).profile.lam
-        assert [line.split(",")[1] for line in lines] == [
-            repr(lam(n)) for n in range(1, 11)
+        assert [row[1] for row in rows] == [
+            repr(mappings.oscillator_defect(kappa, n, 2001)) for n in range(1, 11)
         ]
+        assert [row[2] for row in rows] == [repr(lam(n)) for n in range(1, 11)]
 
     # a kappa no other test uses, so each (kappa, grid size) walk starts
     # fresh here and takes the forced estimate
     @pytest.mark.parametrize(
         "payload",
-        [
-            {"mode": "defect_profile", "kappa": 0.4321, "powers": [1, 2, 3], "grid_size": 101},
-            {
-                "mode": "certify",
-                "mapping": {"kind": "s_f", "kappa": 0.4321, "alpha": 0.5},
-                "samples": 2,
-                "powers": [1, 3],
-            },
-        ],
-        ids=["defect_profile", "certify"],
+        [{"mode": "defect_profile", "kappa": 0.4321, "powers": [1, 2, 3], "grid_size": 101}],
+        ids=["defect_profile"],
     )
     def test_estimate_above_its_ceiling_exits_3(self, tmp_path, monkeypatch, capsys, payload):
         real, scans = mappings._sorted_grid_defect, []
@@ -614,6 +610,33 @@ class TestDefectRoute:
         err = capsys.readouterr().err
         assert "runtime error: ArithmeticError" in err and "ceiling" in err
         assert not (tmp_path / "out").exists()
+
+    def test_certify_walks_no_grid(self, tmp_path, monkeypatch):
+        scans = []
+        monkeypatch.setattr(mappings, "_sorted_grid_defect", lambda xs, u: scans.append(xs))
+        payload = {
+            "name": "cert",
+            "mode": "certify",
+            "mapping": {"kind": "s_f", "kappa": 0.4321, "alpha": 0.5},
+            "samples": 2,
+            "powers": [1, 3],
+            "output_dir": str(tmp_path),
+        }
+        assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 0
+        assert scans == []
+
+
+# The run_with_errors config of TestArtifacts' frozen digests.
+FROZEN_RUN_WITH_ERRORS = {
+    "mode": "run_with_errors",
+    "t_family": [{"kind": "s_f", "kappa": 0.5, "alpha": 0.5}],
+    "x0": {"scalar": 0.3, "vec": [0.5, -0.25]},
+    "error_u": {"scalar": 0.01, "vec": [0.02]},
+    "error_v": {"scalar": -0.01, "vec": [0.0, 0.01]},
+    "tol": 1e-12,
+    "max_steps": 30,
+    "dump_states": True,
+}
 
 
 class TestArtifacts:
@@ -659,13 +682,14 @@ class TestArtifacts:
         assert len(report["checks"]) == report["summary"]["total_checks"]
 
     # SHA-256 of the certificates of one small config over all four mapping
-    # kinds, recorded before certify streamed its rows; any change to a
-    # check, its order or its rounding shows here.
+    # kinds, recorded when the s_f profile took its lambda_n from the
+    # envelope 2 k^n / pi; any change to a check, its order or its rounding
+    # shows here.
     @pytest.mark.parametrize(
         "full_checks, digest",
         [
-            (False, "9f74e16b6015640dd4cd908babb9df4e3b65f2084869c59c31374f85d44a0b78"),
-            (True, "5dc9f0119f0f90a44dd5f05613891d57bdb11212eb924ad7ac80ee961236d899"),
+            (False, "1792c1b767e99bb12064155efbc6c60eb99eb0d0643437c641edc34ba61e4d1a"),
+            (True, "6e6681d57501106f0587ffbc28e9a1ce1ccefe1429cef534f1d927306f918aaa"),
         ],
     )
     def test_certify_artifact_frozen(self, tmp_path, full_checks, digest):
@@ -759,16 +783,7 @@ class TestArtifacts:
                 },
             ),
             (
-                {
-                    "mode": "run_with_errors",
-                    "t_family": [{"kind": "s_f", "kappa": 0.5, "alpha": 0.5}],
-                    "x0": {"scalar": 0.3, "vec": [0.5, -0.25]},
-                    "error_u": {"scalar": 0.01, "vec": [0.02]},
-                    "error_v": {"scalar": -0.01, "vec": [0.0, 0.01]},
-                    "tol": 1e-12,
-                    "max_steps": 30,
-                    "dump_states": True,
-                },
+                FROZEN_RUN_WITH_ERRORS,
                 {
                     "trace.csv": "16bd6a534a747025bcd0ab58217f846ac6fc0fbe60e17be682434972c802f37b",
                     "summary.json": "18f3fb4d9618ba16ca7587e942a99682ff1474e50a073e5232c3c07a73e9f893",
@@ -786,6 +801,25 @@ class TestArtifacts:
         for suffix, digest in digests.items():
             data = (out / f"frozen_{suffix}").read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+    def test_states_read_back_as_the_trace_points(self, tmp_path):
+        """Each line of the frozen dump reads back, by point_from_json, as the
+        step's x_n and y_n: the same stored entries, bit for bit, and length."""
+        config = write_config(tmp_path, dict(FROZEN_RUN_WITH_ERRORS, name="frozen"))
+        out = tmp_path / "out"
+        assert cli.main([config, "--output-dir", str(out), "--quiet"]) == 0
+        records = scheme.run(cli.parse_config(config).spec).records
+        lines = (out / "frozen_states.jsonl").read_text().splitlines()
+        assert len(lines) == len(records) == 30
+        for line, rec in zip(lines, records):
+            obj = json.loads(line)
+            assert obj["n"] == rec.n
+            for key, want in (("x", rec.x), ("y", rec.y)):
+                got = point_from_json(obj[key])
+                assert got.scalar.hex() == want.scalar.hex()
+                assert got.vec.idx.tolist() == want.vec.idx.tolist()
+                assert got.vec.val.tobytes() == want.vec.val.tobytes()
+                assert len(got.vec) == len(want.vec)
 
     def test_witness_table(self, tmp_path):
         payload = {

@@ -628,10 +628,23 @@ class TestProfiles:
         assert prof.mu(1) == 0.0 and prof.lam(1) == 0.0
         assert prof.phi(2.5) == 2.5
 
-    def test_oscillator_profile_lam_equals_defect_estimate(self):
+    def test_oscillator_profile_lam_is_the_envelope(self):
         prof = oscillator_product_profile(0.5, 0.5)
-        assert prof.lam(5) == oscillator_defect(0.5, 5)
+        for n in range(1, 26):
+            assert prof.lam(n) == oscillator_defect_envelope(0.5, n)
+            assert prof.lam(n) >= oscillator_defect(0.5, n)
         assert prof.mu(5) == 0.5**5
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.5, 0.7, 0.999])
+    def test_float_orbit_keeps_its_margin_under_the_envelope(self, kappa):
+        """|f_k^n x| <= 0.683 k^n / pi on the domain, float steps included:
+        the margin that lets the unpadded envelope bound the float orbit."""
+        xs = np.concatenate(
+            [np.linspace(-1 / math.pi, 1 / math.pi, 20001), [1 / 4.4934, -1 / 4.4934]]
+        )
+        for n in range(1, 61):
+            xs = mappings._f_step(kappa, xs)
+            assert np.abs(xs).max() <= 0.683 * oscillator_defect_envelope(kappa, n) / 2
 
 
 class TestGradualRelaxationSampled:

@@ -1,5 +1,6 @@
 """Tests for the ambient space R x l1: norms, combinations, membership."""
 
+import io
 import json
 import math
 import struct
@@ -26,6 +27,7 @@ from commonfix.space import (
     point_from_json,
     point_to_json,
     product_norm,
+    write_point_json,
 )
 
 _TOL = 1e-12
@@ -252,6 +254,44 @@ class TestJsonRoundTrip:
     def test_bad_shapes_rejected(self, bad):
         with pytest.raises(ValueError):
             point_from_json(bad)
+
+
+# Stored values the writer must spell as json does: -0.0, subnormals,
+# +-1e+-300, NaN and +-inf, and any other float.
+_stored_value = st.one_of(
+    st.sampled_from(
+        [-0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1e-300, -1e-300,
+         math.nan, math.inf, -math.inf]
+    ),
+    st.floats(),
+)
+
+
+@st.composite
+def _sparse_points(draw):
+    """Points built by ``L1Vector.from_sparse``: runs of stored entries after
+    gaps of unstored zeros (the first gap leading), then a short or a long
+    unstored tail; no run and no tail gives the empty vector."""
+    idx, val, end = [], [], 0
+    for gap, run in draw(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 6)), max_size=8)):
+        idx += range(end + gap, end + gap + run)
+        val += draw(st.lists(_stored_value, min_size=run, max_size=run))
+        end += gap + run
+    length = end + draw(st.one_of(st.integers(0, 3), st.integers(100, 2000)))
+    scalar = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats()))
+    return ProductPoint(scalar, L1Vector.from_sparse(idx, val, length))
+
+
+class TestWritePointJson:
+    @given(_sparse_points())
+    @example(ProductPoint(-0.0, L1Vector.from_sparse([], [], 0)))
+    @example(ProductPoint(0.0, L1Vector.from_sparse([], [], 5)))
+    @example(ProductPoint(0.5, L1Vector.from_sparse([0, 3, 4], [-0.0, math.nan, math.inf], 9)))
+    def test_bytes_are_the_dense_dump(self, p):
+        """The sparse writer spells exactly what json makes of the dense form."""
+        fh = io.StringIO()
+        write_point_json(fh, p)
+        assert fh.getvalue() == json.dumps(point_to_json(p), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from commonfix.mappings import (
     make_identity,
     make_s,
     make_s_f,
+    oscillator_defect,
 )
 from commonfix.scheme import IterationConfig, make_schedule, run
 from commonfix.space import L1Vector, ProductPoint, product_norm
@@ -136,6 +137,31 @@ class TestTotalInequality:
         chk = check_total_inequality(s_map, None, rigid, x, y, 1)
         assert not chk.satisfied
         assert chk.slack < -CHECK_TOL
+
+
+class TestOscillatorNearPair:
+    """A frozen near pair (x, x + delta * e_0) of S_f(0.5, 0.5) with vector
+    [0.1], delta ~ 1.3e-4: under the grid's lower estimate of lambda_n it
+    breaks the inequality at n = 5..7; the envelope holds it at every power."""
+
+    X = ProductPoint(0.2717126307708227, (0.1,))
+    Y = ProductPoint(0.2718419213314316, (0.1,))
+
+    def _failed(self, profile, powers):
+        mapping = make_s_f(0.5, 0.5)
+        return [
+            n for n in powers
+            if not check_total_inequality(mapping, None, profile, self.X, self.Y, n).satisfied
+        ]
+
+    def test_fails_under_the_grid_estimate(self):
+        grid = dataclasses.replace(
+            make_s_f(0.5, 0.5).profile, lam=lambda n: oscillator_defect(0.5, n)
+        )
+        assert self._failed(grid, range(5, 15)) == [5, 6, 7]
+
+    def test_holds_under_the_profile(self):
+        assert self._failed(make_s_f(0.5, 0.5).profile, range(1, 26)) == []
 
 
 class TestExactIdentities:
