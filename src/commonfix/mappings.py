@@ -78,7 +78,6 @@ from .space import (
     in_set,
     json_number,
     l1_distance,
-    l1_distances,
     l1_norm,
 )
 
@@ -195,28 +194,40 @@ class Mapping:
         |F^k x - F^k y| and the vector gap ||F^k x - F^k y||_1 of the pair
         x = xs[r], y = ys[r] at k = ks[j], the two terms that ``distance``
         adds for :func:`nth_power`'s images, bit for bit.  The powers are
-        checked, and a^k taken, once, here; each point is checked when the
-        function is called, and each side's scalar orbits advance together.
+        checked, and a^k taken, once, here.  A call builds the pairs'
+        :func:`aligned_rows` once, checks every point and takes the vector
+        gaps from them, and advances each side's scalar orbits together.
+        A row's left fold of abs is its vector's ``l1_norm``, bit for bit
+        (the padding adds abs(+0.0)), so a point passes exactly when
+        ``in_set`` holds.  When xs and ys differ in length,
+        ``LengthMismatch`` comes before any domain check.
 
         :raises ValueError: a power is not a positive integer, or the
             powers decrease.
         :raises LengthMismatch: (when called) xs and ys differ in length.
-        :raises DomainViolation: (when called) a point is outside the domain.
+        :raises DomainViolation: (when called) a point is outside the
+            domain; it names the first such point of ``(*xs, *ys)``.
         """
         ks = check_powers(ks)
         aks = None if self.alpha is None else [self.alpha**k for k in ks]
+        (lo, hi), radius = self.domain.scalar_interval, self.domain.ball_radius
 
         def gaps(
             xs: Sequence[ProductPoint], ys: Sequence[ProductPoint]
         ) -> tuple[np.ndarray, np.ndarray]:
-            for p in (*xs, *ys):
-                self._check_point(p)
-            xv, yv = [x.vec for x in xs], [y.vec for y in ys]
-            if aks is None:
-                vector = np.repeat(l1_distances(xv, yv)[:, None], len(ks), axis=1)
-            else:
-                vector = _shift_gaps(aks, xv, yv)
-            scalars = np.array([p.scalar for p in (*xs, *ys)])
+            rows_x, rows_y = aligned_rows([x.vec for x in xs], [y.vec for y in ys])
+            points = (*xs, *ys)
+            scalars = np.array([p.scalar for p in points])
+            with np.errstate(invalid="ignore", over="ignore"):
+                norms = np.concatenate([_left_sum(np.abs(rows_x)), _left_sum(np.abs(rows_y))])
+                inside = (lo <= scalars) & (scalars <= hi) & (norms <= radius)
+                if not inside.all():  # raise for the first point outside
+                    self._check_point(points[int(np.argmin(inside))])
+                if aks is None:
+                    gap = _left_sum(np.abs(rows_x - rows_y))
+                    vector = np.repeat(gap[:, None], len(ks), axis=1)
+                else:
+                    vector = _shift_gaps(aks, rows_x, rows_y)
             if self.kappa is None:
                 scalars = np.repeat(scalars[:, None], len(ks), axis=1)
             else:
@@ -278,49 +289,41 @@ def power_t_alpha(alpha: float, k: int, v: L1Vector) -> L1Vector:
     return _shift_power(alpha, k, v)
 
 
-def _head_tail(v: L1Vector) -> tuple[float, np.ndarray, np.ndarray]:
-    """The head sqrt(|x_1|) of v and the stored entries of its tail
-    x_2, x_3, ...: T_a^k scales both by a^k, puts the head at position k
-    and moves the tail k places right."""
-    if len(v.idx) and v.idx[0] == 0:  # x_1 is stored: it gives way to the head
-        return math.sqrt(abs(v.first)), v.idx[1:], v.val[1:]
-    return 0.0, v.idx, v.val
-
-
 def _shift_power(alpha: float, k: int, v: L1Vector) -> L1Vector:
     """T_a^k(v), trusting a checked alpha and k.
 
-    The k zeros are not stored, so the cost is independent of k.  a^k is
-    alpha**k, a Python float power; a product a * a^(k-1) rounds differently.
+    Every stored index moves k places right, so a stored x_1 lands at
+    position k, where it gives way to the head sqrt(|x_1|).  The k zeros
+    are not stored, so the cost is independent of k.  a^k is alpha**k, a
+    Python float power; a product a * a^(k-1) rounds differently.
     """
-    root, indices, values = _head_tail(v)
     ak = alpha**k
-    return L1Vector.from_sparse(
-        np.concatenate(([k], indices + k)),
-        np.concatenate(([ak * root], ak * values)),
-        k + max(len(v), 1),
-    )
+    values = ak * v.val
+    if len(v.idx) and v.idx[0] == 0:
+        values[0] = ak * math.sqrt(abs(v.first))
+    return L1Vector.from_sparse(v.idx + k, values, k + max(len(v), 1))
 
 
 def _shift_gaps(
-    aks: Sequence[float], xs: Sequence[L1Vector], ys: Sequence[L1Vector]
+    aks: Sequence[float], rows_x: np.ndarray, rows_y: np.ndarray
 ) -> np.ndarray:
-    """||T_a^k x - T_a^k y||_1 for each pair (xs[r], ys[r]) and each a^k of
-    ``aks``, as an array of shape (pairs, powers), bit for bit the
-    ``l1_distance`` of :func:`_shift_power`'s images, in one array pass.
+    """||T_a^k x - T_a^k y||_1 for each pair of rows (rows_x[r], rows_y[r])
+    of :func:`aligned_rows` and each a^k of ``aks``, as an array of shape
+    (pairs, powers), bit for bit the ``l1_distance`` of
+    :func:`_shift_power`'s images, in one array pass.  Column 0 of the
+    rows, x_1, gives way to its head sqrt(|x_1|) in place.
 
     Shifting both images by k keeps their entries aligned, so each gap is
     the sum, in index order, of abs(a^k cx - a^k cy) over the pair's merged
     [sqrt(|x_1|), x_2, x_3, ...], with 0.0 where one side stores nothing:
     the :func:`aligned_rows` of the pair with x_1 given way to its head.
-    Those are the terms the merge of the images adds: a^k * 0.0 is +0.0,
+    Those are the terms ``l1_distance`` of the images adds: a^k * 0.0 is +0.0,
     and an entry the image drops as +0.0, or the padding of a row, adds
     abs(+0.0), which leaves a running total that starts at +0.0 unchanged.
     """
-    rows_x, rows_y = aligned_rows(xs, ys)
     for rows in (rows_x, rows_y):
         rows[:, 0] = np.sqrt(np.abs(rows[:, 0]))
-    out = np.empty((len(xs), len(aks)))
+    out = np.empty((len(rows_x), len(aks)))
     with np.errstate(invalid="ignore", over="ignore"):
         for j, ak in enumerate(aks):
             out[:, j] = _left_sum(np.abs(ak * rows_x - ak * rows_y))

@@ -22,38 +22,37 @@ never becomes -0.0, so the terms a sparse pass skips, abs(+0.0) or
 w * (+0.0), could not have changed it.  An entry stored on one side only
 meets +0.0 on the other, and x - 0.0 = x: its term is the dense loop's.
 
-Numpy's fixed cost per call outweighs a loop over a handful of entries.
-Certify measures the distances of its sampled pairs a block at a time,
-in one array pass over their :func:`aligned_rows` (:func:`l1_distances`),
-yet still sums the norm of every sample, to check it against the domain;
-a run combines and measures states of about a thousand entries.  So the
-norm and :func:`l1_distance` loop in Python on a vector of fewer than
-``ARRAY_MIN_ENTRIES`` stored entries, such as a certify sample, and take
-the array pass from there; both give the same bits.  ``len()`` and
-:func:`point_to_json` keep the dense length, trailing zeros and signed
-zeros, so the wire form lists every coordinate.  :func:`write_point_json`
-writes that form from the stored runs and repeats ``0.0`` for the rest;
-a run's states dump still grows as N^3 in its step count N (11.8 MB at
-160 steps, 121 MB at 400).
+``len()`` and :func:`point_to_json` keep the dense length, trailing zeros
+and signed zeros, so the wire form lists every coordinate.
+:func:`write_point_json` writes that form from the stored runs and
+repeats ``0.0`` for the rest; a run's states dump still grows as N^3 in
+its step count N (11.8 MB at 160 steps, 121 MB at 400).
 
 Distances are measured without building the difference.
-:func:`l1_distance` merges the two index lists and adds abs(a_i - b_i) in
-index order; an entry c stored on one side only adds abs(c), which equals
-abs(c - 0.0) and abs(0.0 - c), the terms the subtraction would form.
+:func:`l1_distance` sorts the two index lists together, one slot per
+entry, and adds each entry, a's as they are and b's negated, into the
+first slot of its index, from +0.0 (``np.bincount``, in input order, a's
+entries first).  A shared index then holds (+0.0 + a_i) + (-b_i), which
+is a_i - b_i up to the sign of a zero; an entry c stored on one side only
+holds c or -c, and every other slot +0.0.  The left fold of their abs
+adds abs(a_i - b_i) in index order, abs(c) for a one-sided entry, which
+equals abs(c - 0.0) and abs(0.0 - c), the terms the subtraction would
+form, and some abs(+0.0).
 That is the same sequence of additions that ``l1_norm(a - b)`` makes,
 except for the terms where a_i - b_i is +0.0, which the subtraction drops;
 adding abs(+0.0) to a running total that starts at +0.0 never changes it,
 so the two give the same bits, and with an infinite or NaN coordinate both
 are inf or both NaN.  :func:`distance` adds |p.s - q.s| in front, as
 ``product_norm(p - q)`` does.  Against a vector with no stored entry, such
-as a point of a scalar fixed set, the merge adds exactly the terms of
+as a point of a scalar fixed set, the pass adds exactly the terms of
 ``l1_norm(a)``, so it returns a's kept norm; against itself, with a finite
-norm, every term is abs(c - c) = +0.0, so it returns 0.0 without merging.
+norm, every term is abs(c - c) = +0.0, so it returns 0.0 without a pass.
 
 A vector is immutable, so it sums its l1 norm once, on first use, and
 keeps it: :func:`l1_norm` on an :class:`L1Vector` is a lookup after the
-first call.  The kept value is the one the loop gives, so repeated domain
-checks of the same point return the same bits while summing only once.
+first call.  The kept value is the one the dense loop gives, so repeated
+domain checks of the same point return the same bits while summing only
+once.
 
 Trailing zeros in a stored vector are representational only: appending or
 dropping them never changes a norm, an arithmetic result, or membership in
@@ -76,19 +75,6 @@ from .errors import LengthMismatch, WeightSumViolation
 
 # Convex weights must sum to 1 within this tolerance.
 WEIGHT_TOL = 1e-12
-
-# The norm and l1_distance loop in Python while each vector they read
-# stores fewer entries than this, and take the array pass from here on.
-# Measured with numpy 2.4.6 on a 2-core x86-64 machine, one process: the
-# loop and the array pass cost the same, about 2.2 us, for a norm of 48-56
-# entries, and about 12 us for a distance between two vectors of 64-96
-# entries each; one cutoff serves both, at the cost of a few us for a
-# distance between vectors of 48-96 entries.  Certify samples hold at
-# most 8 entries, a run's state about a thousand.  With the cutoff at 0,
-# 10 alternated pairs of each benchmark workload (same machine) read 14%
-# slower on certify-mixed, whose sample norms then take the array pass,
-# and within noise on the other three.
-ARRAY_MIN_ENTRIES = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +268,8 @@ def _left_sum(terms: np.ndarray) -> np.ndarray:
 
 def _abs_sum(values: np.ndarray) -> float:
     """The running total of abs(c) over ``values``, in order, from +0.0."""
-    if len(values) >= ARRAY_MIN_ENTRIES:
-        with np.errstate(over="ignore"):
-            return float(_left_sum(np.abs(values)))
-    total = 0.0
-    for c in values.tolist():
-        total += abs(c)
-    return total
+    with np.errstate(over="ignore"):
+        return float(_left_sum(np.abs(values)))
 
 
 def l1_norm(v: L1Vector) -> float:
@@ -306,36 +287,19 @@ def product_norm(p: ProductPoint) -> float:
 
 
 def l1_distance(a: L1Vector, b: L1Vector) -> float:
-    """||a - b||_1 in one merge of the stored entries, bit-identical to
-    ``l1_norm(a - b)`` and without building a - b (see the module note)."""
+    """||a - b||_1 in one array pass over the stored entries of both,
+    bit-identical to ``l1_norm(a - b)`` and without building a - b (see the
+    module note)."""
     if a is b and a._norm < math.inf:
         return 0.0  # abs(c - c) is +0.0 for every finite c
     if not len(b.idx):
-        return l1_norm(a)  # the kept sum of the terms the merge would add
-    if max(len(a.idx), len(b.idx)) >= ARRAY_MIN_ENTRIES:
-        union = _union((a.idx, b.idx))
-        with np.errstate(invalid="ignore", over="ignore"):
-            return float(_left_sum(np.abs(_on(union, a) - _on(union, b))))
-    ai, av, bi, bv = a.idx.tolist(), a.val.tolist(), b.idx.tolist(), b.val.tolist()
-    na, nb = len(ai), len(bi)
-    total = 0.0
-    i = j = 0
-    while i < na and j < nb:
-        if ai[i] == bi[j]:
-            total += abs(av[i] - bv[j])
-            i += 1
-            j += 1
-        elif ai[i] < bi[j]:
-            total += abs(av[i])
-            i += 1
-        else:
-            total += abs(bv[j])
-            j += 1
-    for c in av[i:]:
-        total += abs(c)
-    for c in bv[j:]:
-        total += abs(c)
-    return total
+        return l1_norm(a)  # the kept sum of the terms the pass would add
+    idx = np.concatenate((a.idx, b.idx))
+    slots = idx.copy()
+    slots.sort()
+    terms = np.bincount(slots.searchsorted(idx), weights=np.concatenate((a.val, -b.val)))
+    with np.errstate(over="ignore"):
+        return float(_left_sum(np.abs(terms)))
 
 
 def aligned_rows(
@@ -346,7 +310,7 @@ def aligned_rows(
     Column c of every row is the coordinate at the c-th smallest index that
     any of the vectors stores, x_1 first, stored or not, with +0.0 where a
     vector stores nothing.  A row-wise left fold of abs(A - B) then adds,
-    in index order, the terms of :func:`l1_distance`'s merge of the pair
+    in index order, the terms of :func:`l1_distance`'s pass over the pair
     and some abs(+0.0 - +0.0), which leave a total started at +0.0
     unchanged: each pair's distance, bit for bit.  The arrays hold a float
     for every pair and every index the block stores, so a block is best
@@ -358,8 +322,7 @@ def aligned_rows(
         raise LengthMismatch(f"{len(a)} vectors paired with {len(b)}")
     vectors = [*a, *b]
     idx = np.concatenate([np.zeros(0, dtype=np.int64), *(v.idx for v in vectors)])
-    # a set, not numpy's sort: the indices of a block of short vectors are few
-    union = np.array(sorted({0, *idx.tolist()}), dtype=np.int64)
+    union = _union((np.zeros(1, dtype=np.int64), idx))
     rows = np.zeros((len(vectors), len(union)))
     owner = np.repeat(np.arange(len(vectors)), [len(v.idx) for v in vectors])
     rows[owner, np.searchsorted(union, idx)] = np.concatenate(

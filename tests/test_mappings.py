@@ -1,6 +1,7 @@
 """Tests for the operator zoo: shift-and-root, product embeddings, oscillator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -404,9 +405,35 @@ class TestGaps:
             assert hexes(s + v for s, v in zip(s_row, v_row)) == hexes(map(distance, tx, ty))
 
     def test_checks_each_point(self):
-        gaps = make_s(0.5).gaps((1, 2))
-        with pytest.raises(DomainViolation):
-            gaps([_EMPTY, ProductPoint(0.5, (0.1,))], [_EMPTY, ProductPoint(0.5, (0.8, 0.8))])
+        # gaps raises when some point of (*xs, *ys) fails in_set, with the
+        # message _check_point gives the first such point
+        for spec in _GAP_KINDS:
+            mapping = mapping_from_json(spec)
+            lo, hi = mapping.domain.scalar_interval
+            ok = ProductPoint(hi / 2, (0.1,))
+            cases = [  # (xs, ys, some point is outside)
+                ([_EMPTY, ok], [_EMPTY, ProductPoint(hi / 2, (0.8, 0.8))], True),
+                # norms of exactly the radius, scalars at both ends of the interval
+                ([ProductPoint(lo, (0.25, -0.75)), ProductPoint(hi, (1.0,))],
+                 [ProductPoint(hi, (0.0, -0.5, 0.5)), ProductPoint(lo, ())], False),
+                ([ok], [ProductPoint(hi / 2, (math.nextafter(1.0, 2.0),))], True),
+                ([ProductPoint(math.nan, ())], [ok], True),
+                ([ok, ProductPoint(hi / 2, (0.1, math.nan))], [ok, ok], True),
+                ([ProductPoint(math.nextafter(lo, -2.0), ())], [ok], True),
+                ([ok, ok], [ok, ProductPoint(math.nextafter(hi, 2.0), ())], True),
+                ([ok, ProductPoint(hi / 2, (0.6, 0.6))], [ProductPoint(math.nan, ()), ok], True),
+                ([ok], [ProductPoint(hi / 2, (1e308, 1e308, -math.inf))], True),
+            ]
+            for xs, ys, outside in cases:
+                bad = [p for p in (*xs, *ys) if not in_set(p, mapping.domain)]
+                assert bool(bad) == outside
+                if not bad:
+                    mapping.gaps((1, 2))(xs, ys)
+                    continue
+                with pytest.raises(DomainViolation) as want:
+                    mapping._check_point(bad[0])
+                with pytest.raises(DomainViolation, match=f"^{re.escape(str(want.value))}$"):
+                    mapping.gaps((1, 2))(xs, ys)
 
     def test_rejects_sides_of_unequal_length(self):
         with pytest.raises(LengthMismatch):

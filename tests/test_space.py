@@ -360,9 +360,8 @@ _oracle_coord = st.one_of(
 @st.composite
 def _mostly_zeros(draw, coord):
     """100 to 400 coordinates, +0.0 but for up to 80 drawn from ``coord``
-    at drawn positions: vectors that store more and fewer than
-    ``ARRAY_MIN_ENTRIES`` entries, on either side of the kernels' choice
-    between the loop and the array pass."""
+    at drawn positions: long vectors, mostly zeros like a run's state, that
+    store from none to 80 entries."""
     dense = [0.0] * draw(st.integers(100, 400))
     k = draw(st.integers(0, 80))
     positions = st.integers(0, len(dense) - 1)
@@ -451,9 +450,9 @@ _dense_wide = _short_or_long(_wide_coord, 10)
 _wide_scalar = st.one_of(scalars, st.sampled_from([math.inf, -math.inf, math.nan, -0.0]))
 
 
-# 80 and 60 stored entries: the array pass, with inf - inf and NaN.  Each
-# property over _dense_wide runs this pair first, so a fault on the array
-# pass fails at once instead of after a long shrink of a drawn example.
+# 80 and 60 stored entries, with inf - inf and NaN.  Each property over
+# _dense_wide runs this pair first, so a fault on long vectors fails at once
+# instead of after a long shrink of a drawn example.
 _ARRAY_A = (0.5, -0.0, math.inf, 5e-324) * 20
 _ARRAY_B = (0.0, 0.25, math.inf, math.nan) * 20
 
@@ -495,10 +494,9 @@ class TestDistanceKernel:
         with pytest.raises(LengthMismatch):
             l1_distances([L1Vector(())], [])
 
-    def test_array_branch_of_a_vector_with_no_stored_entry(self, monkeypatch):
-        # with no cutoff every norm and distance takes the array pass, which
-        # then meets an empty axis; its fold is +0.0, as the loop's
-        monkeypatch.setattr(space, "ARRAY_MIN_ENTRIES", 0)
+    def test_array_branch_of_a_vector_with_no_stored_entry(self):
+        # a vector that stores nothing gives the array pass an empty axis,
+        # whose fold is +0.0, as the dense loop's
         empty, zeros = L1Vector(()), L1Vector((0.0, 0.0))
         got = [l1_norm(empty), l1_norm(zeros), l1_distance(empty, zeros),
                l1_distance(L1Vector((-0.0,)), empty), distance(ProductPoint(0.0), ProductPoint(-0.0))]
