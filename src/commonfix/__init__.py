@@ -69,6 +69,8 @@ from .verifier import (
     RecursionBound,
     WitnessResult,
     antipodal_pair_counterexample,
+    check_iterate_difference_identity,
+    check_root_gap_chain,
     check_run_bound,
     check_total_inequality,
     compute_recursion_bound,
@@ -102,6 +104,8 @@ __all__ = [
     "antipodal_pair_counterexample",
     "apply_f_kappa",
     "apply_t_alpha",
+    "check_iterate_difference_identity",
+    "check_root_gap_chain",
     "check_run_bound",
     "check_total_inequality",
     "compute_recursion_bound",

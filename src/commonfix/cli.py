@@ -100,8 +100,7 @@ from .verifier import (
     antipodal_norm,
     antipodal_pair_counterexample,
     check_horizon,
-    check_iterate_difference_identities,
-    check_root_gap_chains,
+    check_shift_identities,
     check_total_inequalities,
     witness_non_asymptotic,
     witness_start,
@@ -540,7 +539,7 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
                     {"map": mapping.name, "sample": i, "x": point_to_json(x), "y": point_to_json(y)}
                     for i, (x, y) in zip(block, pairs)
                 ]
-            # every check reads the block's gaps; no image is built
+            # every check reads the block's gaps, one alignment of it; no image is built
             block_gaps = gaps(xs, ys)
             columns = [
                 check_total_inequalities(
@@ -549,9 +548,7 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
             ]
             if shift is not None:
                 xv, yv = [x.vec for x in xs], [y.vec for y in ys]
-                direct = block_gaps[1]
-                columns.append(check_iterate_difference_identities(shift, ns, xv, yv, direct))
-                columns += check_root_gap_chains(xv, yv, len(ns))
+                columns += check_shift_identities(shift, ns, xv, yv, *block_gaps[1:])
             tally.add(columns, map=mapping.name, samples=block)
 
     report = {"seed": seed, "samples": spec.samples, "powers": [ns[0], ns[-1]], **tally.report()}

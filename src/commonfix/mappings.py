@@ -35,16 +35,17 @@ stay at or below 4/5.
 
 A mapping has one route to an image, :func:`nth_power`, which applies
 one power to one point, and one route to the distances between orbits,
-``Mapping.gaps(ks)(xs, ys)``, which gives the scalar and the vector gap of
-each pair (xs[r], ys[r]) at each power without building an image.  Both
-take the closed form a^k for the vector factor and walk the scalar
-oscillator's orbit.  An image takes one point through f_k a step at a
-time; the gaps check the powers once, advance the orbits of all the
-pairs together, as one array, from one requested power to the next, and
-take the vector gaps of all the pairs in one array pass over their
-aligned rows [sqrt(|x_1|), x_2, ...].  That pass adds, row by row and in
-index order, the very terms that ``l1_distance`` adds for
-:func:`nth_power`'s images, so each gap has the bits of the image route.
+``Mapping.gaps(ks)(xs, ys)``, which gives the scalar and the vector gap
+of each pair (xs[r], ys[r]) at each power, and the pair's own distance
+||x - y||_1, without building an image.  Both take the closed form a^k
+for the vector factor and walk the scalar oscillator's orbit.  An image
+takes one point through f_k a step at a time; the gaps check the powers
+once, advance the orbits of all the pairs together, as one array, from
+one requested power to the next, and take the vector gaps of all the
+pairs in one array pass over their aligned rows [sqrt(|x_1|), x_2, ...].
+That pass adds, row by row and in index order, the very terms that
+``l1_distance`` adds for :func:`nth_power`'s images, so each gap has the
+bits of the image route.
 
 The array step of f_k, ``_f_step``, is the scalar step applied entry by
 entry, bit for bit: it takes sin(1/x) from ``math.sin`` for each entry,
@@ -185,7 +186,8 @@ class Mapping:
     def gaps(
         self, ks: Sequence[int]
     ) -> Callable[
-        [Sequence[ProductPoint], Sequence[ProductPoint]], tuple[np.ndarray, np.ndarray]
+        [Sequence[ProductPoint], Sequence[ProductPoint]],
+        tuple[np.ndarray, np.ndarray, np.ndarray],
     ]:
         """The gaps of pairs of orbits at the powers ``ks``, without their images.
 
@@ -193,10 +195,12 @@ class Mapping:
         two arrays of shape (pairs, powers): at [r, j], the scalar gap
         |F^k x - F^k y| and the vector gap ||F^k x - F^k y||_1 of the pair
         x = xs[r], y = ys[r] at k = ks[j], the two terms that ``distance``
-        adds for :func:`nth_power`'s images, bit for bit.  The powers are
-        checked, and a^k taken, once, here.  A call builds the pairs'
-        :func:`aligned_rows` once, checks every point and takes the vector
-        gaps from them, and advances each side's scalar orbits together.
+        adds for :func:`nth_power`'s images, bit for bit; and a third array,
+        each pair's own ``l1_distance(x.vec, y.vec)``, bit for bit.  The
+        powers are checked, and a^k taken, once, here.  A call builds the
+        pairs' :func:`aligned_rows` once, checks every point and takes all
+        the vector distances from them, and advances each side's scalar
+        orbits together.
         A row's left fold of abs is its vector's ``l1_norm``, bit for bit
         (the padding adds abs(+0.0)), so a point passes exactly when
         ``in_set`` holds.  When xs and ys differ in length,
@@ -214,7 +218,7 @@ class Mapping:
 
         def gaps(
             xs: Sequence[ProductPoint], ys: Sequence[ProductPoint]
-        ) -> tuple[np.ndarray, np.ndarray]:
+        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rows_x, rows_y = aligned_rows([x.vec for x in xs], [y.vec for y in ys])
             points = (*xs, *ys)
             scalars = np.array([p.scalar for p in points])
@@ -223,16 +227,16 @@ class Mapping:
                 inside = (lo <= scalars) & (scalars <= hi) & (norms <= radius)
                 if not inside.all():  # raise for the first point outside
                     self._check_point(points[int(np.argmin(inside))])
+                own = _left_sum(np.abs(rows_x - rows_y))  # before _shift_gaps edits the rows
                 if aks is None:
-                    gap = _left_sum(np.abs(rows_x - rows_y))
-                    vector = np.repeat(gap[:, None], len(ks), axis=1)
+                    vector = np.repeat(own[:, None], len(ks), axis=1)
                 else:
                     vector = _shift_gaps(aks, rows_x, rows_y)
             if self.kappa is None:
                 scalars = np.repeat(scalars[:, None], len(ks), axis=1)
             else:
                 scalars = _f_orbits(self.kappa, ks, scalars)
-            return np.abs(scalars[: len(xs)] - scalars[len(xs) :]), vector
+            return np.abs(scalars[: len(xs)] - scalars[len(xs) :]), vector, own
 
         return gaps
 

@@ -331,17 +331,6 @@ def aligned_rows(
     return rows[: len(a)], rows[len(a) :]
 
 
-def l1_distances(a: Sequence[L1Vector], b: Sequence[L1Vector]) -> np.ndarray:
-    """``l1_distance(a[r], b[r])`` for each r, bit for bit, in one array pass
-    over :func:`aligned_rows`.
-
-    :raises LengthMismatch: ``a`` and ``b`` differ in length.
-    """
-    rows_a, rows_b = aligned_rows(a, b)
-    with np.errstate(invalid="ignore", over="ignore"):
-        return _left_sum(np.abs(rows_a - rows_b))
-
-
 def distance(p: ProductPoint, q: ProductPoint) -> float:
     """||p - q|| = |p.s - q.s| + ||p.v - q.v||_1, bit-identical to
     ``product_norm(p - q)``."""

@@ -5,12 +5,13 @@ right sides, the signed slack ``rhs - lhs``, and a satisfied flag defined
 as ``slack >= -tolerance``.  Identities are encoded as a check of
 ``|lhs - rhs|`` against zero so the same satisfied/slack convention
 applies everywhere.  A singular check, one pair at one power, is
-evaluated on the pair's images; it is the reference.  The plural checks,
-a block of pairs at many powers, read the block's gaps from
-``Mapping.gaps``, never its images, and return a :class:`CheckColumn`:
-sides and slacks as 2-D arrays, pairs by powers, each formed in one array
-pass that makes the bits of the singular check, with a check built only
-when asked for.  A :class:`Tally` folds the columns of each block into a
+evaluated on the pair's images, or on the pair itself; it is the
+reference.  The plural checks, a block of pairs at many powers, read the
+block's gaps and each pair's own distance from one call of
+``Mapping.gaps``, never its images, and return :class:`CheckColumn`
+objects: sides and slacks as 2-D arrays, pairs by powers, each formed in
+one array pass that makes the bits of the singular check, with a check
+built only when asked for.  A :class:`Tally` folds the columns of each block into a
 certificate's report, the report that folding the pairs one at a time
 would make.
 
@@ -58,7 +59,6 @@ from .space import (
     check_positive,
     distance,
     l1_distance,
-    l1_distances,
     product_norm,
 )
 
@@ -225,25 +225,27 @@ def check_total_inequalities(
     xs: Sequence[ProductPoint],
     ys: Sequence[ProductPoint],
     ns: Sequence[int],
-    gaps: tuple[np.ndarray, np.ndarray],
+    gaps: tuple[np.ndarray, np.ndarray, np.ndarray],
     mu: Sequence[float],
     lam: Sequence[float],
     phi: Callable[[float], float],
 ) -> CheckColumn:
     """:func:`check_total_inequality` for each pair (xs[r], ys[r]) at each
-    of the nondecreasing powers ``ns``, given the scalar and vector gaps of
-    the pairs under ``t_map.gaps(ns)`` and the profile's mu_n, lam_n at
-    ``ns`` and its phi.  The left side is the sum of the gaps, as
-    ``distance`` adds them; phi(d) is taken once per pair when I is the
-    identity."""
+    of the nondecreasing powers ``ns``, given the pairs' gaps under
+    ``t_map.gaps(ns)``, the three arrays it returns, and the profile's
+    mu_n, lam_n at ``ns`` and its phi.  The left side is the sum of the
+    scalar and vector gaps, as ``distance`` adds them; when I is the
+    identity, the base distance is |x.s - y.s| plus the pair's own vector
+    distance, the third array, and phi(d) is taken once per pair."""
+    scalar, vector, own = gaps
     if i_map is None:  # distance(x, y) of each pair, one column for every power
         scalar_gap = np.abs(np.array([x.scalar for x in xs]) - np.array([y.scalar for y in ys]))
-        base = (scalar_gap + l1_distances([x.vec for x in xs], [y.vec for y in ys]))[:, None]
+        base = (scalar_gap + own)[:, None]
     else:
-        base = np.add(*i_map.gaps(ns)(xs, ys))
+        base = np.add(*i_map.gaps(ns)(xs, ys)[:2])
     phis = np.array([[phi(v) for v in row] for row in base.tolist()]).reshape(base.shape)
     return CheckColumn(
-        np.add(*gaps),
+        scalar + vector,
         base + np.asarray(mu) * phis + np.asarray(lam),
         CHECK_TOL,
         {
@@ -272,7 +274,8 @@ def check_iterate_difference_identity(
 
     with rt(s) = sqrt(|s|).  Encoded as |direct - formula| <= CHECK_TOL.
     ``direct`` is taken from the images, so this is the reference that
-    :func:`check_iterate_difference_identities` matches bit for bit.
+    the identity column of :func:`check_shift_identities` matches bit for
+    bit.
 
     :raises DomainViolation: x or y lies outside the unit ball.
     """
@@ -284,60 +287,53 @@ def check_iterate_difference_identity(
     )
 
 
-def check_iterate_difference_identities(
+def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, InequalityCheck]:
+    """Certify the square-root gap chain used to dominate the identity:
+
+        |rt(x_1) - rt(y_1)| <= sqrt(| |x_1| - |y_1| |) <= sqrt(||x - y||_1).
+
+    The reference that :func:`check_shift_identities` matches bit for bit.
+    """
+    root_gap = abs(math.sqrt(abs(x.first)) - math.sqrt(abs(y.first)))
+    mid = math.sqrt(abs(abs(x.first) - abs(y.first)))
+    outer = math.sqrt(l1_distance(x, y))
+    return (
+        InequalityCheck(root_gap, mid, CHECK_TOL, {"equation": "root-gap-inner"}),
+        InequalityCheck(mid, outer, CHECK_TOL, {"equation": "root-gap-outer"}),
+    )
+
+
+def check_shift_identities(
     alpha: float,
     ks: Sequence[int],
     xs: Sequence[L1Vector],
     ys: Sequence[L1Vector],
     direct: np.ndarray,
-) -> CheckColumn:
-    """:func:`check_iterate_difference_identity` for a checked a = ``alpha``
-    for each pair (xs[r], ys[r]) at each of the nondecreasing powers
-    ``ks``, given the vector gaps ``direct`` of the pairs under T_a^k, as
-    ``Mapping.gaps`` gives them; the factor of a^k in the formula is
-    computed once per pair, in one array pass over the block."""
-    x1, y1 = _firsts(xs), _firsts(ys)
+    dist: np.ndarray,
+) -> tuple[CheckColumn, CheckColumn, CheckColumn]:
+    """:func:`check_iterate_difference_identity` and :func:`check_root_gap_chain`
+    for a checked a = ``alpha``, for each pair (xs[r], ys[r]) at each of the
+    nondecreasing powers ``ks``, as three columns: the identity, then the
+    chain's inner and outer sides.  ``direct`` and ``dist`` are the last two
+    arrays of ``Mapping.gaps`` for the pairs under T_a.  The chain does not
+    depend on k; each pair's chain checks repeat at every power, to sit
+    beside the other columns of a certificate."""
+    x1 = np.array([v.first for v in xs], dtype=np.float64)
+    y1 = np.array([v.first for v in ys], dtype=np.float64)
     root_gap = np.abs(np.sqrt(np.abs(x1)) - np.sqrt(np.abs(y1)))
-    factor = l1_distances(xs, ys) + root_gap - np.abs(x1 - y1)
-    formula = np.array([alpha**k for k in ks]) * factor[:, None]
-    return CheckColumn(
-        np.abs(direct - formula),
-        np.zeros(formula.shape),
-        CHECK_TOL,
-        {"equation": "iterate-difference-identity", "alpha": alpha},
-        {"n": np.asarray(ks), "direct": direct, "formula": formula},
-    )
-
-
-def _firsts(vs: Sequence[L1Vector]) -> np.ndarray:
-    return np.array([v.first for v in vs], dtype=np.float64)
-
-
-def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, InequalityCheck]:
-    """Certify the square-root gap chain used to dominate the identity:
-
-        |rt(x_1) - rt(y_1)| <= sqrt(| |x_1| - |y_1| |) <= sqrt(||x - y||_1).
-    """
-    inner, outer = check_root_gap_chains([x], [y], 1)
-    return inner.check((0, 0)), outer.check((0, 0))
-
-
-def check_root_gap_chains(
-    xs: Sequence[L1Vector], ys: Sequence[L1Vector], powers: int
-) -> tuple[CheckColumn, CheckColumn]:
-    """:func:`check_root_gap_chain` for each pair (xs[r], ys[r]), as two
-    columns.  The chain does not depend on n; each pair's checks are
-    repeated at each of ``powers`` powers, to sit beside the other columns
-    of a certificate."""
-    x1, y1 = _firsts(xs), _firsts(ys)
-    root_gap = np.abs(np.sqrt(np.abs(x1)) - np.sqrt(np.abs(y1)))
+    formula = np.array([alpha**k for k in ks]) * (dist + root_gap - np.abs(x1 - y1))[:, None]
     mid = np.sqrt(np.abs(np.abs(x1) - np.abs(y1)))
-    outer = np.sqrt(l1_distances(xs, ys))
-    shape = (len(xs), powers)
     inner_side, mid_side, outer_side = (
-        np.broadcast_to(v[:, None], shape) for v in (root_gap, mid, outer)
+        np.broadcast_to(v[:, None], direct.shape) for v in (root_gap, mid, np.sqrt(dist))
     )
     return (
+        CheckColumn(
+            np.abs(direct - formula),
+            np.zeros(formula.shape),
+            CHECK_TOL,
+            {"equation": "iterate-difference-identity", "alpha": alpha},
+            {"n": np.asarray(ks), "direct": direct, "formula": formula},
+        ),
         CheckColumn(inner_side, mid_side, CHECK_TOL, {"equation": "root-gap-inner"}),
         CheckColumn(mid_side, outer_side, CHECK_TOL, {"equation": "root-gap-outer"}),
     )

@@ -360,14 +360,14 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("full_checks", [False, True])
     def test_identity_failing_at_one_power_exits_1(self, tmp_path, monkeypatch, full_checks):
-        real = cli.check_iterate_difference_identities
+        real = cli.check_shift_identities
 
-        def doomed_at_2(alpha, ks, xs, ys, direct):
-            column = real(alpha, ks, xs, ys, direct)
-            lhs = np.where(np.asarray(ks) == 2, 1.0, column.lhs)
-            return dataclasses.replace(column, lhs=lhs)
+        def doomed_at_2(alpha, ks, xs, ys, direct, dist):
+            identity, *chain = real(alpha, ks, xs, ys, direct, dist)
+            lhs = np.where(np.asarray(ks) == 2, 1.0, identity.lhs)
+            return (dataclasses.replace(identity, lhs=lhs), *chain)
 
-        monkeypatch.setattr(cli, "check_iterate_difference_identities", doomed_at_2)
+        monkeypatch.setattr(cli, "check_shift_identities", doomed_at_2)
         payload = {
             "name": "doomed",
             "mode": "certify",

@@ -391,12 +391,14 @@ class TestGaps:
     def test_equal_distances_of_images_bit_for_bit(self, spec, pairs, ks):
         mapping = mapping_from_json(spec)
         assume(all(in_set(p, mapping.domain) for pair in pairs for p in pair))
-        scalar, vec = mapping.gaps(ks)([x for x, _ in pairs], [y for _, y in pairs])
+        scalar, vec, own = mapping.gaps(ks)([x for x, _ in pairs], [y for _, y in pairs])
         assert scalar.shape == vec.shape == (len(pairs), len(ks))
+        assert own.shape == (len(pairs),)
 
         def hexes(values):
             return [v.hex() for v in values]
 
+        assert hexes(own.tolist()) == hexes(l1_distance(x.vec, y.vec) for x, y in pairs)
         for (x, y), s_row, v_row in zip(pairs, scalar.tolist(), vec.tolist()):
             tx = [nth_power(mapping, k, x) for k in ks]
             ty = [nth_power(mapping, k, y) for k in ks]

@@ -1,7 +1,8 @@
 """Static checks of the package source: every import and every private
-module-level name of a ``commonfix`` module is used in that module, the
-package exports exactly what its ``__init__`` imports, and every exported
-function and class has a docstring."""
+module-level name of a ``commonfix`` module is used in that module, every
+public module-level function and class is read somewhere in the package
+or exported, the package exports exactly what its ``__init__`` imports,
+and every exported function and class has a docstring."""
 
 import ast
 import inspect
@@ -38,6 +39,15 @@ def _imported(tree: ast.Module) -> list[str]:
     return names
 
 
+def _public_definitions(tree: ast.Module) -> list[str]:
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
 def _private_definitions(tree: ast.Module) -> list[str]:
     names = []
     for node in tree.body:
@@ -61,6 +71,19 @@ def test_every_private_name_is_referenced(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     loaded = _loaded_names(tree)
     assert [n for n in _private_definitions(tree) if n not in loaded] == []
+
+
+def test_every_public_definition_is_read_or_exported():
+    # a public function or class that no module reads and ``__init__`` does
+    # not export has lost its last caller: dead code, or a reference that
+    # only the tests call and the package should export
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in MODULES}
+    read = set().union(*(_loaded_names(tree) for tree in trees.values()))
+    unread = [
+        f"{stem}.{name}" for stem, tree in trees.items()
+        for name in _public_definitions(tree) if name not in read
+    ]
+    assert unread == []
 
 
 def test_modules_found():

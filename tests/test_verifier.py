@@ -28,10 +28,10 @@ from commonfix.verifier import (
     InequalityCheck,
     Tally,
     antipodal_pair_counterexample,
-    check_iterate_difference_identities,
     check_iterate_difference_identity,
     check_root_gap_chain,
     check_run_bound,
+    check_shift_identities,
     check_total_inequalities,
     check_total_inequality,
     compute_recursion_bound,
@@ -175,14 +175,22 @@ class TestExactIdentities:
 
     def test_identity_range_matches_single_powers(self):
         x, y = L1Vector((0.3, -0.1)), L1Vector((0.04, 0.2, 0.1))
+        unstored = L1Vector((0.0, 0.25))  # x_1 = +0.0 is not stored
+        neg_zero, tiny = L1Vector((-0.0, 0.5)), L1Vector((5e-324, -0.125))
+        unit, unit_b = L1Vector((0.25, -0.75)), L1Vector((-1.0,))  # norm exactly 1
         ks = range(1, 26)
         s_map = make_s(0.7)
-        xs, ys = [x, y, x], [y, x, x]
-        _, direct = s_map.gaps(ks)([ProductPoint(0.5, v) for v in xs], [ProductPoint(0.5, v) for v in ys])
-        many = check_iterate_difference_identities(0.7, ks, xs, ys, direct)
+        xs = [x, y, x, unstored, neg_zero, tiny, unit, unstored, neg_zero, tiny]
+        ys = [y, x, x, y, unstored, neg_zero, unit_b, unstored, tiny, unit]
+        _, direct, dist = s_map.gaps(ks)(
+            [ProductPoint(0.5, v) for v in xs], [ProductPoint(0.5, v) for v in ys]
+        )
+        identity, inner, outer = check_shift_identities(0.7, ks, xs, ys, direct, dist)
         for r, (a, b) in enumerate(zip(xs, ys)):
-            checks = [many.check((r, i)) for i in range(len(ks))]
+            checks = [identity.check((r, i)) for i in range(len(ks))]
             assert checks == [check_iterate_difference_identity(0.7, k, a, b) for k in ks]
+            chain = [(inner.check((r, i)), outer.check((r, i))) for i in range(len(ks))]
+            assert chain == [check_root_gap_chain(a, b)] * len(ks)
 
     def test_identity_range_rejects_point_outside_ball(self):
         with pytest.raises(DomainViolation, match=r"\|\|v\|\|_1 = 1\.2 exceeds the unit ball"):
