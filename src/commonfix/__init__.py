@@ -38,6 +38,7 @@ from .mappings import (
     make_s_f,
     mapping_from_json,
     nth_power,
+    oscillator_defect,
     power_t_alpha,
 )
 from .scheme import (
@@ -122,6 +123,7 @@ __all__ = [
     "make_schedule",
     "mapping_from_json",
     "nth_power",
+    "oscillator_defect",
     "point_from_json",
     "point_to_json",
     "power_t_alpha",

@@ -64,8 +64,8 @@ from .mappings import (
     check_power,
     make_identity,
     mapping_from_json,
-    oscillator_defect,
     oscillator_defect_envelope,
+    oscillator_defects,
 )
 from .sampling import sample_pair
 from .scheme import (
@@ -622,12 +622,11 @@ def _counterexample_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, d
 
 def _defect_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
     spec = cfg.spec
-    # the cached grid orbit; an estimate above the envelope, the s_f lambda_n,
-    # raises there, a runtime failure, so every row is within it
+    # one walk of the grid serves every power; an estimate above the envelope,
+    # the s_f lambda_n, raises there, a runtime failure, so every row is within it
     rows = [
-        [n, oscillator_defect(spec.kappa, n, spec.grid_size),
-         oscillator_defect_envelope(spec.kappa, n), True]
-        for n in spec.powers
+        [n, est, oscillator_defect_envelope(spec.kappa, n), True]
+        for n, est in zip(spec.powers, oscillator_defects(spec.kappa, spec.powers, spec.grid_size))
     ]
     files = {
         "defects.csv": functools.partial(

@@ -51,11 +51,11 @@ The array step of f_k, ``_f_step``, is the scalar step applied entry by
 entry, bit for bit: it takes sin(1/x) from ``math.sin`` for each entry,
 never from numpy, whose sine may round otherwise.
 
-The oscillator's grid defect has one route too, :func:`oscillator_defect`: one
-cached ``_GridWalk`` per (kappa, grid size) walks the orbit of the whole grid, an
-array step per power, only as far as a power is asked for, and serves the defect
-table, held to its ceiling.  The grid gives a lower estimate, so the profile of
-S_f takes its lam_n from the ceiling, :func:`oscillator_defect_envelope`, instead.
+The oscillator's grid defects have one route too, :func:`oscillator_defects`:
+one walk of the grid's orbit by :func:`_orbit`, the walker of the gaps' orbits
+too, serves every power of a defect table, each held to its ceiling.  The grid
+gives a lower estimate, so the profile of S_f takes its lam_n from the
+ceiling, :func:`oscillator_defect_envelope`, instead.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,7 +91,7 @@ OSCILLATOR_DOMAIN = AdmissibleSet(
     (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH), 1.0
 )
 
-# Grid resolution used when a profile needs a defect estimate of f_k.
+# Grid resolution of a defect estimate of f_k when none is given.
 DEFECT_GRID_SIZE = 2001
 
 # Rounding slack allowed above the analytic ceiling of a defect estimate.
@@ -235,7 +235,8 @@ class Mapping:
             if self.kappa is None:
                 scalars = np.repeat(scalars[:, None], len(ks), axis=1)
             else:
-                scalars = _f_orbits(self.kappa, ks, scalars)
+                step = functools.partial(_f_step, self.kappa)
+                scalars = np.stack(list(_orbit(step, ks, scalars)), axis=1)
             return np.abs(scalars[: len(xs)] - scalars[len(xs) :]), vector, own
 
         return gaps
@@ -398,17 +399,17 @@ def _f_step(kappa: float, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f_orbits(kappa: float, ks: Sequence[int], s: np.ndarray) -> np.ndarray:
-    """f_k^k(s) for each entry of ``s`` and each k of ``ks``, as an array of
-    shape (entries, powers): the orbits advance together, from each power
-    to the next, so ``max(ks)`` array steps in all."""
-    done, out = 0, []
+def _orbit(
+    step: Callable[[np.ndarray], np.ndarray], ks: Sequence[int], s: np.ndarray
+) -> Iterator[np.ndarray]:
+    """step^k(s) for each k of the nondecreasing ``ks``, in turn: the orbit
+    advances from each power to the next, so ``max(ks)`` steps in all."""
+    done = 0
     for k in ks:
         for _ in range(k - done):
-            s = _f_step(kappa, s)
+            s = step(s)
         done = k
-        out.append(s)
-    return np.stack(out, axis=1)
+        yield s
 
 
 # ---------------------------------------------------------------------------
@@ -464,35 +465,27 @@ def estimate_intermediate_defect(
     ``grid_size * n`` evaluations in all.
     """
     n = check_power(n)
-    walk = _GridWalk(lambda xs: np.array([float(f(v)) for v in xs.tolist()]), interval, grid_size)
-    return walk.defect(n)
+    return _grid_defects(
+        lambda xs: np.array([float(f(v)) for v in xs.tolist()]), interval, [n], grid_size
+    )[0]
 
 
-class _GridWalk:
-    """The grid defects of f^1, f^2, ... on a checked grid: ``defect(n)`` walks the
-    orbit on from the highest power reached and keeps each defect it finds.  ``step``
-    applies f to the whole orbit, an array; n is checked by the caller."""
-
-    def __init__(
-        self,
-        step: Callable[[np.ndarray], np.ndarray],
-        interval: tuple[float, float],
-        grid_size: int,
-    ):
-        check_grid_size(grid_size)
-        lo, hi = interval
-        if not lo < hi:
-            raise ValueError(f"degenerate interval [{lo}, {hi}]")
-        self.step = step
-        self.xs = np.linspace(lo, hi, grid_size)
-        self.orbit = self.xs
-        self.defects: list[float] = []
-
-    def defect(self, n: int) -> float:
-        while len(self.defects) < n:
-            self.orbit = self.step(self.orbit)
-            self.defects.append(_sorted_grid_defect(self.xs, self.orbit))
-        return self.defects[n - 1]
+def _grid_defects(
+    step: Callable[[np.ndarray], np.ndarray],
+    interval: tuple[float, float],
+    powers: Sequence[int],
+    grid_size: int,
+) -> list[float]:
+    """The grid defect of f^n for each n of ``powers``, in their order, from
+    one walk of the grid's orbit up to the highest of them.  ``step`` applies
+    f to the whole orbit, an array; the powers are checked by the caller."""
+    check_grid_size(grid_size)
+    lo, hi = interval
+    if not lo < hi:
+        raise ValueError(f"degenerate interval [{lo}, {hi}]")
+    xs = np.linspace(lo, hi, grid_size)
+    defects = [_sorted_grid_defect(xs, u) for u in _orbit(step, range(1, max(powers) + 1), xs)]
+    return [defects[n - 1] for n in powers]
 
 
 def _sorted_grid_defect(xs: np.ndarray, u: np.ndarray) -> float:
@@ -504,37 +497,39 @@ def _sorted_grid_defect(xs: np.ndarray, u: np.ndarray) -> float:
     return max(0.0, float(down.max()), float(up.max()))
 
 
-# typed, so that n = True misses the entry of n = 1 and is rejected
-@functools.lru_cache(maxsize=None, typed=True)
-def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -> float:
-    """Cached defect estimate for f_k on its interval, with envelope check.
-
-    The value is :func:`estimate_intermediate_defect`'s, bit for bit, but
-    one :class:`_GridWalk` per (kappa, grid_size) serves every n, so the
-    powers 1..N cost ``grid_size * N`` calls of f_k in all.
+def oscillator_defects(
+    kappa: float, powers: Sequence[int], grid_size: int = DEFECT_GRID_SIZE
+) -> list[float]:
+    """Defect estimates for f_k on its interval, one per entry of ``powers`` in
+    their order: :func:`estimate_intermediate_defect`'s, bit for bit, from one
+    walk of the grid, so ``grid_size * max(powers)`` calls of f_k in all.
 
     The analytic ceiling :func:`oscillator_defect_envelope` must dominate
     any grid estimate, up to ``ENVELOPE_TOL``; a violation would mean the
     estimator is broken, so it raises rather than returning a bad term.
+
+    :raises ValueError: a bad kappa, power or grid size, or no powers.
+    :raises ArithmeticError: an estimate exceeds its ceiling.
     """
     kappa = check_factor(kappa)
-    check_power(n)
-    est = _oscillator_walk(kappa, grid_size).defect(n)
-    ceiling = oscillator_defect_envelope(kappa, n)
-    if not est <= ceiling + ENVELOPE_TOL:
-        raise ArithmeticError(
-            f"defect estimate {est!r} exceeds analytic ceiling {ceiling!r}"
-        )
-    return est
-
-
-# typed, so that grid_size = 257.0 misses the walk of 257 and is rejected
-@functools.lru_cache(maxsize=None, typed=True)
-def _oscillator_walk(kappa: float, grid_size: int) -> _GridWalk:
-    """The one grid walk of f_k per (kappa, grid_size)."""
+    powers = [check_power(n) for n in powers]
+    if not powers:
+        raise ValueError("no powers given")
     interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
-    # oscillator_defect has checked kappa
-    return _GridWalk(lambda xs: _f_step(kappa, xs), interval, grid_size)
+    estimates = _grid_defects(functools.partial(_f_step, kappa), interval, powers, grid_size)
+    for n, est in zip(powers, estimates):
+        ceiling = oscillator_defect_envelope(kappa, n)
+        if not est <= ceiling + ENVELOPE_TOL:
+            raise ArithmeticError(f"defect estimate {est!r} exceeds analytic ceiling {ceiling!r}")
+    return estimates
+
+
+# cached because bench/child.py reads its cache_info() under --trace; typed,
+# so that n = True and grid_size = 257.0 miss the entries of 1 and 257, and raise
+@functools.lru_cache(maxsize=None, typed=True)
+def oscillator_defect(kappa: float, n: int, grid_size: int = DEFECT_GRID_SIZE) -> float:
+    """The one-power form of :func:`oscillator_defects`, cached."""
+    return oscillator_defects(kappa, [n], grid_size)[0]
 
 
 def oscillator_defect_envelope(kappa: float, n: int) -> float:

@@ -18,10 +18,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @pytest.fixture(autouse=True)
 def empty_oscillator_caches():
-    """Each test starts with empty oscillator caches and leaves none behind,
-    so no test sees another's grid walks or holds a large one past its end."""
+    """Each test starts with an empty ``oscillator_defect`` cache and leaves
+    it empty, so no test sees another's cached estimates or counts."""
     mappings.oscillator_defect.cache_clear()
-    mappings._oscillator_walk.cache_clear()
     yield
     mappings.oscillator_defect.cache_clear()
-    mappings._oscillator_walk.cache_clear()

@@ -568,8 +568,9 @@ class TestStrictConfigs:
 
 
 class TestDefectRoute:
-    """The defect table reads the cached grid orbit; the s_f profile's
-    lambda_n is the table's envelope column, and certify walks no grid."""
+    """The defect table walks the grid once for all its powers; the s_f
+    profile's lambda_n is the table's envelope column, and certify walks no
+    grid."""
 
     @pytest.mark.parametrize("kappa", [0.5, 0.7])
     def test_envelope_column_is_the_s_f_profile_term(self, tmp_path, kappa):
@@ -590,8 +591,29 @@ class TestDefectRoute:
         ]
         assert [row[2] for row in rows] == [repr(lam(n)) for n in range(1, 11)]
 
-    # a kappa no other test uses, so each (kappa, grid size) walk starts
-    # fresh here and takes the forced estimate
+    @pytest.mark.parametrize(
+        "powers, ns", [([5, 1, 3, 5], [5, 1, 3, 5]), ({"min": 2, "max": 6}, [2, 3, 4, 5, 6])]
+    )
+    def test_one_walk_serves_every_row(self, tmp_path, monkeypatch, powers, ns):
+        entries, f_step = [], mappings._f_step
+        monkeypatch.setattr(
+            mappings, "_f_step", lambda kappa, xs: entries.append(len(xs)) or f_step(kappa, xs)
+        )
+        payload = {
+            "name": "def",
+            "mode": "defect_profile",
+            "kappa": 0.5,
+            "powers": powers,
+            "grid_size": 101,
+            "output_dir": str(tmp_path),
+        }
+        assert cli.main([write_config(tmp_path, payload), "--quiet"]) == 0
+        assert sum(entries) == max(ns) * 101
+        lines = (tmp_path / "def_defects.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[:2] for line in lines] == [
+            [str(n), repr(mappings.oscillator_defect(0.5, n, 101))] for n in ns
+        ]
+
     @pytest.mark.parametrize(
         "payload",
         [{"mode": "defect_profile", "kappa": 0.4321, "powers": [1, 2, 3], "grid_size": 101}],

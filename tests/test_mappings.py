@@ -28,6 +28,7 @@ from commonfix.mappings import (
     nth_power,
     oscillator_defect,
     oscillator_defect_envelope,
+    oscillator_defects,
     oscillator_product_profile,
     power_t_alpha,
     shift_root_profile,
@@ -503,26 +504,31 @@ class TestDefectEstimator:
 
 
 class TestOscillatorDefectOrbit:
-    # conftest empties the oscillator caches before each test, so the orbit starts fresh
     GRID = 257
 
     def test_one_orbit_serves_every_power(self, f_calls):
-        before = oscillator_defect.cache_info()
-        got = {n: oscillator_defect(0.5, n, self.GRID) for n in (25, 3, 7)}
+        got = oscillator_defects(0.5, (25, 3, 7), self.GRID)
         assert len(f_calls) == 25 * self.GRID
-        assert oscillator_defect(0.5, 7, self.GRID) == got[7]
-        after = oscillator_defect.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (3, 1)
         interval = (-OSCILLATOR_HALF_WIDTH, OSCILLATOR_HALF_WIDTH)
-        for n, value in got.items():
+        for n, value in zip((25, 3, 7), got):
             direct = estimate_intermediate_defect(
                 lambda x: apply_f_kappa(0.5, x), interval, n, self.GRID
             )
             assert value.hex() == direct.hex()
+        # the one-power form is cached; conftest empties the cache before each test
+        assert oscillator_defect(0.5, 7, self.GRID) == got[2]
+        assert oscillator_defect(0.5, 7, self.GRID) == got[2]
+        info = oscillator_defect.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
-    def test_bad_arguments_raise_and_leave_no_walk(self):
+    @pytest.mark.parametrize("powers", [[], range(3, 1)])
+    def test_no_powers_raise(self, powers):
+        with pytest.raises(ValueError):
+            oscillator_defects(0.5, powers, self.GRID)
+
+    def test_bad_arguments_raise_and_are_not_cached(self):
         oscillator_defect(0.3, 1, self.GRID)
-        # True must not hit the cached n = 1, nor 257.0 the walk of 257;
+        # True must not hit the cached n = 1, nor 257.0 the entries of 257;
         # each bad call raises again
         g = self.GRID
         bad = [(1.5, 2, g), (0.3, 0, g), (0.3, True, g), (0.5, 2, 1), (0.3, 2, float(g))]
