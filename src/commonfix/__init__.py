@@ -55,6 +55,7 @@ from .scheme import (
 from .space import (
     AdmissibleSet,
     L1Vector,
+    PairBlock,
     ProductPoint,
     convex_combine,
     distance,
@@ -92,6 +93,7 @@ __all__ = [
     "LengthMismatch",
     "Mapping",
     "NotAFixedPoint",
+    "PairBlock",
     "ParseError",
     "ProductPoint",
     "RecursionBound",

@@ -67,7 +67,7 @@ from .mappings import (
     oscillator_defect_envelope,
     oscillator_defects,
 )
-from .sampling import sample_pair
+from .sampling import sample_pairs
 from .scheme import (
     IterationConfig,
     check_fixed_set,
@@ -530,26 +530,24 @@ def _certify_mode(cfg: ExperimentConfig, seed: int) -> tuple[bool, str, dict]:
         gaps = mapping.gaps(ns)
         mu, lam = [mapping.profile.mu(n) for n in ns], [mapping.profile.lam(n) for n in ns]
         for start in range(0, spec.samples, CERTIFY_BLOCK):
-            block = range(start, min(start + CERTIFY_BLOCK, spec.samples))
-            # drawn pair by pair: the generator's stream fixes the bytes
-            pairs = [sample_pair(rng, mapping.domain) for _ in block]
-            xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+            samples = range(start, min(start + CERTIFY_BLOCK, spec.samples))
+            # drawn as arrays, bit for bit the generator's per-point stream
+            block = sample_pairs(rng, mapping.domain, len(samples))
             if spec.full_checks:
                 samples_dump += [
                     {"map": mapping.name, "sample": i, "x": point_to_json(x), "y": point_to_json(y)}
-                    for i, (x, y) in zip(block, pairs)
+                    for i, (x, y) in zip(samples, block.pairs())
                 ]
-            # every check reads the block's gaps, one alignment of it; no image is built
-            block_gaps = gaps(xs, ys)
+            # every check reads the block's gaps and rows: no image, and no point, is built
+            block_gaps = gaps(block)
             columns = [
                 check_total_inequalities(
-                    mapping, None, xs, ys, ns, block_gaps, mu, lam, mapping.profile.phi
+                    mapping, None, block, ns, block_gaps, mu, lam, mapping.profile.phi
                 )
             ]
             if shift is not None:
-                xv, yv = [x.vec for x in xs], [y.vec for y in ys]
-                columns += check_shift_identities(shift, ns, xv, yv, *block_gaps[1:])
-            tally.add(columns, map=mapping.name, samples=block)
+                columns += check_shift_identities(shift, ns, block, *block_gaps[1:])
+            tally.add(columns, map=mapping.name, samples=samples)
 
     report = {"seed": seed, "samples": spec.samples, "powers": [ns[0], ns[-1]], **tally.report()}
     if spec.full_checks:

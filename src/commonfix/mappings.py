@@ -35,14 +35,15 @@ stay at or below 4/5.
 
 A mapping has one route to an image, :func:`nth_power`, which applies
 one power to one point, and one route to the distances between orbits,
-``Mapping.gaps(ks)(xs, ys)``, which gives the scalar and the vector gap
-of each pair (xs[r], ys[r]) at each power, and the pair's own distance
-||x - y||_1, without building an image.  Both take the closed form a^k
-for the vector factor and walk the scalar oscillator's orbit.  An image
-takes one point through f_k a step at a time; the gaps check the powers
-once, advance the orbits of all the pairs together, as one array, from
-one requested power to the next, and take the vector gaps of all the
-pairs in one array pass over their aligned rows [sqrt(|x_1|), x_2, ...].
+``Mapping.gaps(ks)(block)``, which gives the scalar and the vector gap
+of each pair (x_r, y_r) of a :class:`~commonfix.space.PairBlock` at each
+power, and the pair's own distance ||x - y||_1, without building an
+image.  Both take the closed form a^k for the vector factor and walk the
+scalar oscillator's orbit.  An image takes one point through f_k a step
+at a time; the gaps check the powers once, advance the orbits of all the
+pairs together, as one array, from one requested power to the next, and
+take the vector gaps of all the pairs in one array pass over the block's
+rows [sqrt(|x_1|), x_2, ...].
 That pass adds, row by row and in index order, the very terms that
 ``l1_distance`` adds for :func:`nth_power`'s images, so each gap has the
 bits of the image route.
@@ -72,9 +73,9 @@ from .errors import DomainViolation
 from .space import (
     AdmissibleSet,
     L1Vector,
+    PairBlock,
     ProductPoint,
     _left_sum,
-    aligned_rows,
     check_int,
     in_set,
     json_number,
@@ -185,59 +186,51 @@ class Mapping:
 
     def gaps(
         self, ks: Sequence[int]
-    ) -> Callable[
-        [Sequence[ProductPoint], Sequence[ProductPoint]],
-        tuple[np.ndarray, np.ndarray, np.ndarray],
-    ]:
+    ) -> Callable[[PairBlock], tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The gaps of pairs of orbits at the powers ``ks``, without their images.
 
-        Returns a function of two sequences of points, xs and ys, that gives
-        two arrays of shape (pairs, powers): at [r, j], the scalar gap
-        |F^k x - F^k y| and the vector gap ||F^k x - F^k y||_1 of the pair
-        x = xs[r], y = ys[r] at k = ks[j], the two terms that ``distance``
-        adds for :func:`nth_power`'s images, bit for bit; and a third array,
-        each pair's own ``l1_distance(x.vec, y.vec)``, bit for bit.  The
-        powers are checked, and a^k taken, once, here.  A call builds the
-        pairs' :func:`aligned_rows` once, checks every point and takes all
-        the vector distances from them, and advances each side's scalar
-        orbits together.
+        Returns a function of a :class:`PairBlock` that gives two arrays of
+        shape (pairs, powers): at [r, j], the scalar gap |F^k x - F^k y| and
+        the vector gap ||F^k x - F^k y||_1 of the block's pair (x, y) = r at
+        k = ks[j], the two terms that ``distance`` adds for
+        :func:`nth_power`'s images, bit for bit; and a third array, each
+        pair's own ``l1_distance(x.vec, y.vec)``, bit for bit.  The powers
+        are checked, and a^k taken, once, here.  A call checks every point
+        and takes all the vector distances from the block's rows, which it
+        leaves as they are, and advances each side's scalar orbits together.
         A row's left fold of abs is its vector's ``l1_norm``, bit for bit
         (the padding adds abs(+0.0)), so a point passes exactly when
-        ``in_set`` holds.  When xs and ys differ in length,
-        ``LengthMismatch`` comes before any domain check.
+        ``in_set`` holds.
 
         :raises ValueError: a power is not a positive integer, or the
             powers decrease.
-        :raises LengthMismatch: (when called) xs and ys differ in length.
         :raises DomainViolation: (when called) a point is outside the
-            domain; it names the first such point of ``(*xs, *ys)``.
+            domain; it names the first such point of the x's, then the y's.
         """
         ks = check_powers(ks)
         aks = None if self.alpha is None else [self.alpha**k for k in ks]
         (lo, hi), radius = self.domain.scalar_interval, self.domain.ball_radius
 
-        def gaps(
-            xs: Sequence[ProductPoint], ys: Sequence[ProductPoint]
-        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            rows_x, rows_y = aligned_rows([x.vec for x in xs], [y.vec for y in ys])
-            points = (*xs, *ys)
-            scalars = np.array([p.scalar for p in points])
+        def gaps(block: PairBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            rows_x, rows_y = block.rows
+            scalars = block.scalars.ravel()
             with np.errstate(invalid="ignore", over="ignore"):
-                norms = np.concatenate([_left_sum(np.abs(rows_x)), _left_sum(np.abs(rows_y))])
+                norms = _left_sum(np.abs(block.rows)).ravel()
                 inside = (lo <= scalars) & (scalars <= hi) & (norms <= radius)
                 if not inside.all():  # raise for the first point outside
-                    self._check_point(points[int(np.argmin(inside))])
-                own = _left_sum(np.abs(rows_x - rows_y))  # before _shift_gaps edits the rows
+                    side, r = divmod(int(np.argmin(inside)), len(block))
+                    self._check_point(block.pairs()[r][side])
+                own = _left_sum(np.abs(rows_x - rows_y))
                 if aks is None:
                     vector = np.repeat(own[:, None], len(ks), axis=1)
                 else:
-                    vector = _shift_gaps(aks, rows_x, rows_y)
+                    vector = _shift_gaps(aks, block.rows)
             if self.kappa is None:
                 scalars = np.repeat(scalars[:, None], len(ks), axis=1)
             else:
                 step = functools.partial(_f_step, self.kappa)
                 scalars = np.stack(list(_orbit(step, ks, scalars)), axis=1)
-            return np.abs(scalars[: len(xs)] - scalars[len(xs) :]), vector, own
+            return np.abs(scalars[: len(block)] - scalars[len(block) :]), vector, own
 
         return gaps
 
@@ -309,26 +302,24 @@ def _shift_power(alpha: float, k: int, v: L1Vector) -> L1Vector:
     return L1Vector.from_sparse(v.idx + k, values, k + max(len(v), 1))
 
 
-def _shift_gaps(
-    aks: Sequence[float], rows_x: np.ndarray, rows_y: np.ndarray
-) -> np.ndarray:
-    """||T_a^k x - T_a^k y||_1 for each pair of rows (rows_x[r], rows_y[r])
-    of :func:`aligned_rows` and each a^k of ``aks``, as an array of shape
+def _shift_gaps(aks: Sequence[float], rows: np.ndarray) -> np.ndarray:
+    """||T_a^k x - T_a^k y||_1 for each pair of rows (rows[0, r], rows[1, r])
+    of a :class:`PairBlock` and each a^k of ``aks``, as an array of shape
     (pairs, powers), bit for bit the ``l1_distance`` of
     :func:`_shift_power`'s images, in one array pass.  Column 0 of the
-    rows, x_1, gives way to its head sqrt(|x_1|) in place.
+    rows, x_1, gives way to its head sqrt(|x_1|) in a new array; ``rows``
+    is left as it is.
 
     Shifting both images by k keeps their entries aligned, so each gap is
     the sum, in index order, of abs(a^k cx - a^k cy) over the pair's merged
     [sqrt(|x_1|), x_2, x_3, ...], with 0.0 where one side stores nothing:
-    the :func:`aligned_rows` of the pair with x_1 given way to its head.
+    the aligned rows of the pair with x_1 given way to its head.
     Those are the terms ``l1_distance`` of the images adds: a^k * 0.0 is +0.0,
     and an entry the image drops as +0.0, or the padding of a row, adds
     abs(+0.0), which leaves a running total that starts at +0.0 unchanged.
     """
-    for rows in (rows_x, rows_y):
-        rows[:, 0] = np.sqrt(np.abs(rows[:, 0]))
-    out = np.empty((len(rows_x), len(aks)))
+    rows_x, rows_y = np.concatenate((np.sqrt(np.abs(rows[..., :1])), rows[..., 1:]), axis=-1)
+    out = np.empty((rows.shape[1], len(aks)))
     with np.errstate(invalid="ignore", over="ignore"):
         for j, ak in enumerate(aks):
             out[:, j] = _left_sum(np.abs(ak * rows_x - ak * rows_y))

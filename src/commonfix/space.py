@@ -305,16 +305,19 @@ def l1_distance(a: L1Vector, b: L1Vector) -> float:
 def aligned_rows(
     a: Sequence[L1Vector], b: Sequence[L1Vector]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (a[r], b[r]) as two arrays of one shape, for row-wise passes.
+    """The pairs (a[r], b[r]) as one array of rows, for row-wise passes:
+    the column positions, then the rows, of shape (2, pairs, columns), with
+    ``rows[0]`` the a's and ``rows[1]`` the b's.
 
     Column c of every row is the coordinate at the c-th smallest index that
-    any of the vectors stores, x_1 first, stored or not, with +0.0 where a
-    vector stores nothing.  A row-wise left fold of abs(A - B) then adds,
-    in index order, the terms of :func:`l1_distance`'s pass over the pair
-    and some abs(+0.0 - +0.0), which leave a total started at +0.0
-    unchanged: each pair's distance, bit for bit.  The arrays hold a float
-    for every pair and every index the block stores, so a block is best
-    made of vectors that store entries at much the same indices.
+    any of the vectors stores, ``columns[c]``, x_1 first, stored or not,
+    with +0.0 where a vector stores nothing.  A row-wise left fold of
+    abs(A - B) then adds, in index order, the terms of :func:`l1_distance`'s
+    pass over the pair and some abs(+0.0 - +0.0), which leave a total
+    started at +0.0 unchanged: each pair's distance, bit for bit.  The
+    arrays hold a float for every pair and every index the block stores, so
+    a block is best made of vectors that store entries at much the same
+    indices.
 
     :raises LengthMismatch: ``a`` and ``b`` differ in length.
     """
@@ -328,7 +331,62 @@ def aligned_rows(
     rows[owner, np.searchsorted(union, idx)] = np.concatenate(
         [np.zeros(0), *(v.val for v in vectors)]
     )
-    return rows[: len(a)], rows[len(a) :]
+    return union, rows.reshape(2, len(a), len(union))
+
+
+@dataclass(frozen=True)
+class PairBlock:
+    """Pairs of points (x_r, y_r) of R x l1 as arrays, the form in which
+    ``Mapping.gaps`` and the certify checks read them.
+
+    ``scalars`` has shape (2, pairs), the x's then the y's; ``rows`` has
+    shape (2, pairs, columns), each vector's coordinates at the positions
+    ``columns``, x_1 first, with +0.0 where it stores nothing, as
+    :func:`aligned_rows` lays them out; ``lengths`` has shape (2, pairs),
+    each vector's dense length.  The arrays are read-only.
+    :meth:`from_points` builds a block from points,
+    :func:`commonfix.sampling.sample_pairs` draws one.
+    """
+
+    scalars: np.ndarray
+    columns: np.ndarray
+    rows: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self) -> None:
+        # read-only, as a vector's entries are: no pass may edit a block in place
+        for array in (self.scalars, self.columns, self.rows, self.lengths):
+            array.setflags(write=False)
+
+    @classmethod
+    def from_points(
+        cls, xs: Sequence[ProductPoint], ys: Sequence[ProductPoint]
+    ) -> "PairBlock":
+        """The block of the pairs (xs[r], ys[r]).
+
+        :raises LengthMismatch: ``xs`` and ``ys`` differ in length.
+        """
+        columns, rows = aligned_rows([x.vec for x in xs], [y.vec for y in ys])
+        points = (*xs, *ys)
+        scalars = np.array([p.scalar for p in points], dtype=np.float64)
+        lengths = np.array([len(p.vec) for p in points], dtype=np.int64)
+        return cls(scalars.reshape(2, -1), columns, rows, lengths.reshape(2, -1))
+
+    def __len__(self) -> int:
+        return self.scalars.shape[1]
+
+    def pairs(self) -> list[tuple[ProductPoint, ProductPoint]]:
+        """The pairs as points: each vector stores exactly what its row
+        holds other than +0.0, so a block from points gives them back."""
+        points = [
+            ProductPoint(s, L1Vector.from_sparse(self.columns, row, n))
+            for s, row, n in zip(
+                self.scalars.ravel().tolist(),
+                self.rows.reshape(-1, len(self.columns)),
+                self.lengths.ravel().tolist(),
+            )
+        ]
+        return list(zip(points[: len(self)], points[len(self) :]))
 
 
 def distance(p: ProductPoint, q: ProductPoint) -> float:

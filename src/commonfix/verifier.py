@@ -54,6 +54,7 @@ from .mappings import (
 from .scheme import IterationConfig, Trace
 from .space import (
     L1Vector,
+    PairBlock,
     ProductPoint,
     check_int,
     check_positive,
@@ -222,16 +223,15 @@ def check_total_inequality(
 def check_total_inequalities(
     t_map: Mapping,
     i_map: Mapping | None,
-    xs: Sequence[ProductPoint],
-    ys: Sequence[ProductPoint],
+    block: PairBlock,
     ns: Sequence[int],
     gaps: tuple[np.ndarray, np.ndarray, np.ndarray],
     mu: Sequence[float],
     lam: Sequence[float],
     phi: Callable[[float], float],
 ) -> CheckColumn:
-    """:func:`check_total_inequality` for each pair (xs[r], ys[r]) at each
-    of the nondecreasing powers ``ns``, given the pairs' gaps under
+    """:func:`check_total_inequality` for each pair (x, y) of the block at
+    each of the nondecreasing powers ``ns``, given the pairs' gaps under
     ``t_map.gaps(ns)``, the three arrays it returns, and the profile's
     mu_n, lam_n at ``ns`` and its phi.  The left side is the sum of the
     scalar and vector gaps, as ``distance`` adds them; when I is the
@@ -239,10 +239,9 @@ def check_total_inequalities(
     distance, the third array, and phi(d) is taken once per pair."""
     scalar, vector, own = gaps
     if i_map is None:  # distance(x, y) of each pair, one column for every power
-        scalar_gap = np.abs(np.array([x.scalar for x in xs]) - np.array([y.scalar for y in ys]))
-        base = (scalar_gap + own)[:, None]
+        base = (np.abs(block.scalars[0] - block.scalars[1]) + own)[:, None]
     else:
-        base = np.add(*i_map.gaps(ns)(xs, ys)[:2])
+        base = np.add(*i_map.gaps(ns)(block)[:2])
     phis = np.array([[phi(v) for v in row] for row in base.tolist()]).reshape(base.shape)
     return CheckColumn(
         scalar + vector,
@@ -306,20 +305,18 @@ def check_root_gap_chain(x: L1Vector, y: L1Vector) -> tuple[InequalityCheck, Ine
 def check_shift_identities(
     alpha: float,
     ks: Sequence[int],
-    xs: Sequence[L1Vector],
-    ys: Sequence[L1Vector],
+    block: PairBlock,
     direct: np.ndarray,
     dist: np.ndarray,
 ) -> tuple[CheckColumn, CheckColumn, CheckColumn]:
     """:func:`check_iterate_difference_identity` and :func:`check_root_gap_chain`
-    for a checked a = ``alpha``, for each pair (xs[r], ys[r]) at each of the
-    nondecreasing powers ``ks``, as three columns: the identity, then the
-    chain's inner and outer sides.  ``direct`` and ``dist`` are the last two
-    arrays of ``Mapping.gaps`` for the pairs under T_a.  The chain does not
-    depend on k; each pair's chain checks repeat at every power, to sit
+    for a checked a = ``alpha``, for each pair (x, y) of the block at each
+    of the nondecreasing powers ``ks``, as three columns: the identity, then
+    the chain's inner and outer sides.  ``direct`` and ``dist`` are the last
+    two arrays of ``Mapping.gaps`` for the block under T_a.  The chain does
+    not depend on k; each pair's chain checks repeat at every power, to sit
     beside the other columns of a certificate."""
-    x1 = np.array([v.first for v in xs], dtype=np.float64)
-    y1 = np.array([v.first for v in ys], dtype=np.float64)
+    x1, y1 = block.rows[..., 0]  # column 0 is x_1, stored or not
     root_gap = np.abs(np.sqrt(np.abs(x1)) - np.sqrt(np.abs(y1)))
     formula = np.array([alpha**k for k in ks]) * (dist + root_gap - np.abs(x1 - y1))[:, None]
     mid = np.sqrt(np.abs(np.abs(x1) - np.abs(y1)))

@@ -28,7 +28,7 @@ from commonfix.mappings import (
     make_s_f,
     power_t_alpha,
 )
-from commonfix.sampling import sample_pair, sample_vector
+from commonfix.sampling import sample_pairs
 from commonfix.scheme import IterationConfig, make_schedule, run
 from commonfix.space import ProductPoint, l1_norm, product_norm
 from commonfix.verifier import (
@@ -40,6 +40,8 @@ from commonfix.verifier import (
     compute_recursion_bound,
     witness_non_asymptotic,
 )
+
+from helpers import sample_vector
 
 BOUNDS = (0.05, 0.95)
 
@@ -107,7 +109,7 @@ def test_criterion_2_counterexample_reproduction():
 def test_criterion_3_certificate_sweep():
     start = time.perf_counter()
     rng = np.random.default_rng(20250819)
-    pairs = [sample_pair(rng, UNIT_DOMAIN) for _ in range(500)]
+    pairs = sample_pairs(rng, UNIT_DOMAIN, 500).pairs()
     for alpha in (0.3, 0.5, 0.9):
         mapping = make_s(alpha)
         profile = mapping.profile

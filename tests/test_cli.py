@@ -333,10 +333,10 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_failed_certificates_exit_1(self, tmp_path, monkeypatch):
-        def doomed(t_map, i_map, xs, ys, ns, gaps, mu, lam, phi, tol=1e-12):
+        def doomed(t_map, i_map, block, ns, gaps, mu, lam, phi, tol=1e-12):
             return CheckColumn(
-                lhs=np.ones((len(xs), len(ns))),
-                rhs=np.zeros((len(xs), len(ns))),
+                lhs=np.ones((len(block), len(ns))),
+                rhs=np.zeros((len(block), len(ns))),
                 tolerance=tol,
                 context={"equation": "gradual-relaxation"},
                 per_check={"n": ns},
@@ -362,8 +362,8 @@ class TestMainExitCodes:
     def test_identity_failing_at_one_power_exits_1(self, tmp_path, monkeypatch, full_checks):
         real = cli.check_shift_identities
 
-        def doomed_at_2(alpha, ks, xs, ys, direct, dist):
-            identity, *chain = real(alpha, ks, xs, ys, direct, dist)
+        def doomed_at_2(alpha, ks, block, direct, dist):
+            identity, *chain = real(alpha, ks, block, direct, dist)
             lhs = np.where(np.asarray(ks) == 2, 1.0, identity.lhs)
             return (dataclasses.replace(identity, lhs=lhs), *chain)
 

@@ -33,9 +33,9 @@ from commonfix.mappings import (
     power_t_alpha,
     shift_root_profile,
 )
-from commonfix.sampling import sample_pair, sample_point
 from commonfix.space import (
     L1Vector,
+    PairBlock,
     ProductPoint,
     distance,
     in_set,
@@ -43,6 +43,8 @@ from commonfix.space import (
     l1_norm,
     product_norm,
 )
+
+from helpers import sample_pair, sample_point
 
 _TOL = 1e-12
 
@@ -392,7 +394,8 @@ class TestGaps:
     def test_equal_distances_of_images_bit_for_bit(self, spec, pairs, ks):
         mapping = mapping_from_json(spec)
         assume(all(in_set(p, mapping.domain) for pair in pairs for p in pair))
-        scalar, vec, own = mapping.gaps(ks)([x for x, _ in pairs], [y for _, y in pairs])
+        block = PairBlock.from_points([x for x, _ in pairs], [y for _, y in pairs])
+        scalar, vec, own = mapping.gaps(ks)(block)
         assert scalar.shape == vec.shape == (len(pairs), len(ks))
         assert own.shape == (len(pairs),)
 
@@ -431,16 +434,28 @@ class TestGaps:
                 bad = [p for p in (*xs, *ys) if not in_set(p, mapping.domain)]
                 assert bool(bad) == outside
                 if not bad:
-                    mapping.gaps((1, 2))(xs, ys)
+                    mapping.gaps((1, 2))(PairBlock.from_points(xs, ys))
                     continue
                 with pytest.raises(DomainViolation) as want:
                     mapping._check_point(bad[0])
                 with pytest.raises(DomainViolation, match=f"^{re.escape(str(want.value))}$"):
-                    mapping.gaps((1, 2))(xs, ys)
+                    mapping.gaps((1, 2))(PairBlock.from_points(xs, ys))
+
+    @pytest.mark.parametrize("spec", _GAP_KINDS, ids=lambda spec: spec["kind"])
+    def test_leaves_the_rows_as_they_are(self, spec):
+        # x_1 gives way to its head in a new array, so a caller that reads the
+        # block's x_1 column after the gaps reads x_1 itself
+        xs = [ProductPoint(0.1, (0.25, -0.5)), ProductPoint(0.2, (-0.0,))]
+        ys = [ProductPoint(0.3, (0.04,)), _EMPTY]
+        block = PairBlock.from_points(xs, ys)
+        before = block.rows.copy()
+        mapping_from_json(spec).gaps((1, 3))(block)
+        assert block.rows.tobytes() == before.tobytes()
+        assert block.rows[..., 0].tolist() == [[0.25, -0.0], [0.04, 0.0]]
 
     def test_rejects_sides_of_unequal_length(self):
         with pytest.raises(LengthMismatch):
-            make_s(0.5).gaps((1, 2))([_EMPTY, _EMPTY], [_EMPTY])
+            make_s(0.5).gaps((1, 2))(PairBlock.from_points([_EMPTY, _EMPTY], [_EMPTY]))
 
     @pytest.mark.parametrize(
         "ks",
@@ -451,7 +466,8 @@ class TestGaps:
             make_s_f(0.5, 0.5).gaps(ks)
 
     def test_scalar_orbits_walked_once(self, f_calls):
-        make_s_f(0.5, 0.5).gaps(range(1, 26))([ProductPoint(0.2, (0.1,))], [ProductPoint(-0.1, ())])
+        block = PairBlock.from_points([ProductPoint(0.2, (0.1,))], [ProductPoint(-0.1, ())])
+        make_s_f(0.5, 0.5).gaps(range(1, 26))(block)
         assert len(f_calls) == 2 * 25
 
 

@@ -17,6 +17,7 @@ from commonfix.mappings import iterate_difference_factor, make_s, power_t_alpha
 from commonfix.space import (
     AdmissibleSet,
     L1Vector,
+    PairBlock,
     ProductPoint,
     aligned_rows,
     convex_combine,
@@ -486,7 +487,7 @@ class TestDistanceKernel:
         # the fold Mapping.gaps takes for each pair's own distance
 
         def row_fold(us, vs):
-            rows_u, rows_v = aligned_rows(us, vs)
+            _, (rows_u, rows_v) = aligned_rows(us, vs)
             with np.errstate(invalid="ignore", over="ignore"):
                 return space._left_sum(np.abs(rows_u - rows_v)).tolist()
 
@@ -580,7 +581,7 @@ class TestPythonFloats:
         x, y = ProductPoint(0.5, a), ProductPoint(0.25, b)
         s = make_s(alpha)
         image = power_t_alpha(alpha, 3, x.vec)
-        scalar, vector, own = s.gaps([1, 3, 3])([x], [y])
+        scalar, vector, own = s.gaps([1, 3, 3])(PairBlock.from_points([x], [y]))
         assert scalar.dtype == vector.dtype == own.dtype == np.float64
         got = [*image.val.tolist(), iterate_difference_factor(x.vec, y.vec)]
         assert all(type(v) is float for v in got)

@@ -21,7 +21,7 @@ from commonfix.mappings import (
     oscillator_defect,
 )
 from commonfix.scheme import IterationConfig, make_schedule, run
-from commonfix.space import L1Vector, ProductPoint, product_norm
+from commonfix.space import L1Vector, PairBlock, ProductPoint, product_norm
 from commonfix.verifier import (
     CHECK_TOL,
     CheckColumn,
@@ -117,8 +117,9 @@ class TestTotalInequality:
         p = s_f.profile
         mu, lam = [p.mu(n) for n in ns], [p.lam(n) for n in ns]
         xs, ys = [x, y, x], [y, x, x]
+        block = PairBlock.from_points(xs, ys)
         many = check_total_inequalities(
-            s_f, comparison, xs, ys, ns, s_f.gaps(ns)(xs, ys), mu, lam, p.phi
+            s_f, comparison, block, ns, s_f.gaps(ns)(block), mu, lam, p.phi
         )
         for r, (a, b) in enumerate(zip(xs, ys)):
             checks = [many.check((r, i)) for i in range(len(ns))]
@@ -182,10 +183,11 @@ class TestExactIdentities:
         s_map = make_s(0.7)
         xs = [x, y, x, unstored, neg_zero, tiny, unit, unstored, neg_zero, tiny]
         ys = [y, x, x, y, unstored, neg_zero, unit_b, unstored, tiny, unit]
-        _, direct, dist = s_map.gaps(ks)(
+        block = PairBlock.from_points(
             [ProductPoint(0.5, v) for v in xs], [ProductPoint(0.5, v) for v in ys]
         )
-        identity, inner, outer = check_shift_identities(0.7, ks, xs, ys, direct, dist)
+        _, direct, dist = s_map.gaps(ks)(block)
+        identity, inner, outer = check_shift_identities(0.7, ks, block, direct, dist)
         for r, (a, b) in enumerate(zip(xs, ys)):
             checks = [identity.check((r, i)) for i in range(len(ks))]
             assert checks == [check_iterate_difference_identity(0.7, k, a, b) for k in ks]
