@@ -202,8 +202,8 @@ class Mapping:
         (the padding adds abs(+0.0)), so a point passes exactly when
         ``in_set`` holds.
 
-        :raises ValueError: a power is not a positive integer, or the
-            powers decrease.
+        :raises ValueError: no powers, a power is not a positive integer,
+            or the powers decrease.
         :raises DomainViolation: (when called) a point is outside the
             domain; it names the first such point of the x's, then the y's.
         """
@@ -253,9 +253,11 @@ def check_power(k: int) -> int:
 
 
 def check_powers(ks: Sequence[int]) -> list[int]:
-    """``ks`` as a list if it holds positive integers (never bool) in
-    nondecreasing order; else ValueError."""
+    """``ks`` as a list if it holds at least one positive integer (never
+    bool), in nondecreasing order; else ValueError."""
     ks = [check_power(k) for k in ks]
+    if not ks:
+        raise ValueError("no powers given")
     if any(a > b for a, b in zip(ks, ks[1:])):
         raise ValueError(f"powers must be nondecreasing, got {ks!r}")
     return ks
@@ -311,9 +313,9 @@ def _shift_gaps(aks: Sequence[float], rows: np.ndarray) -> np.ndarray:
     is left as it is.
 
     Shifting both images by k keeps their entries aligned, so each gap is
-    the sum, in index order, of abs(a^k cx - a^k cy) over the pair's merged
+    the sum, in index order, of abs(a^k cx - a^k cy) over the pair's
     [sqrt(|x_1|), x_2, x_3, ...], with 0.0 where one side stores nothing:
-    the aligned rows of the pair with x_1 given way to its head.
+    the pair's rows, column c holding index c, with x_1 given way to its head.
     Those are the terms ``l1_distance`` of the images adds: a^k * 0.0 is +0.0,
     and an entry the image drops as +0.0, or the padding of a row, adds
     abs(+0.0), which leaves a running total that starts at +0.0 unchanged.

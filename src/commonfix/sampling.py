@@ -110,7 +110,6 @@ def _block(words: np.ndarray, walk: _Walk, domain: AdmissibleSet) -> PairBlock:
     rows[zero] = 0.0
     return PairBlock(
         (lo + (hi - lo) * d[scalar_at]).reshape(2, -1),
-        columns,
         rows.reshape(2, -1, MAX_SUPPORT),
         np.where(zero, 1, ks).reshape(2, -1),
     )

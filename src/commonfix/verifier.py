@@ -316,7 +316,7 @@ def check_shift_identities(
     two arrays of ``Mapping.gaps`` for the block under T_a.  The chain does
     not depend on k; each pair's chain checks repeat at every power, to sit
     beside the other columns of a certificate."""
-    x1, y1 = block.rows[..., 0]  # column 0 is x_1, stored or not
+    x1, y1 = block.rows[..., 0]  # column c holds index c, so column 0 is x_1, stored or not
     root_gap = np.abs(np.sqrt(np.abs(x1)) - np.sqrt(np.abs(y1)))
     formula = np.array([alpha**k for k in ks]) * (dist + root_gap - np.abs(x1 - y1))[:, None]
     mid = np.sqrt(np.abs(np.abs(x1) - np.abs(y1)))

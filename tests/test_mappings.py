@@ -330,7 +330,9 @@ def f_calls(monkeypatch):
 class TestPowers:
     """check_powers, which validates the list of powers given to Mapping.gaps."""
 
-    @pytest.mark.parametrize("ks", [(3, 2), (1, 5, 4), (True,), (1, True), (0, 1), (1.0,)])
+    @pytest.mark.parametrize(
+        "ks", [(), [], (3, 2), (1, 5, 4), (True,), (1, True), (0, 1), (1.0,)]
+    )
     def test_rejects_bad_powers(self, ks):
         with pytest.raises(ValueError):
             check_powers(ks)
@@ -453,13 +455,24 @@ class TestGaps:
         assert block.rows.tobytes() == before.tobytes()
         assert block.rows[..., 0].tolist() == [[0.25, -0.0], [0.04, 0.0]]
 
+    @pytest.mark.parametrize("spec", _GAP_KINDS, ids=lambda spec: spec["kind"])
+    def test_empty_block(self, spec):
+        block = PairBlock.from_points([], [])
+        assert block.rows.shape == (2, 0, 1)
+        scalar, vector, own = mapping_from_json(spec).gaps((1, 3, 3))(block)
+        assert scalar.shape == vector.shape == (0, 3)
+        assert own.shape == (0,)
+
     def test_rejects_sides_of_unequal_length(self):
         with pytest.raises(LengthMismatch):
             make_s(0.5).gaps((1, 2))(PairBlock.from_points([_EMPTY, _EMPTY], [_EMPTY]))
 
     @pytest.mark.parametrize(
         "ks",
-        [(3, 2), (True,), (0, 1), range(0, 3), range(3, 0, -1), (1, 5, 4), (1, True), (1.0,)],
+        [
+            (), [], (3, 2), (True,), (0, 1), range(0, 3), range(3, 0, -1), (1, 5, 4),
+            (1, True), (1.0,),
+        ],
     )
     def test_rejects_bad_powers_before_any_pair(self, ks):
         with pytest.raises(ValueError):

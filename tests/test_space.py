@@ -19,7 +19,6 @@ from commonfix.space import (
     L1Vector,
     PairBlock,
     ProductPoint,
-    aligned_rows,
     convex_combine,
     distance,
     in_set,
@@ -483,11 +482,12 @@ class TestDistanceKernel:
     @given(st.lists(st.tuples(_dense_wide, _dense_wide), max_size=4))
     @example([(_ARRAY_A, _ARRAY_B), ((), ()), ((), (1.0, -0.0)), ((-0.0, 0.0, 0.5), (0.0, 2.0))])
     @example([])
-    def test_row_fold_of_aligned_rows_is_each_pairs_distance(self, pairs):
+    def test_row_fold_of_block_rows_is_each_pairs_distance(self, pairs):
         # the fold Mapping.gaps takes for each pair's own distance
 
         def row_fold(us, vs):
-            _, (rows_u, rows_v) = aligned_rows(us, vs)
+            to_points = [[ProductPoint(0.0, v) for v in side] for side in (us, vs)]
+            rows_u, rows_v = PairBlock.from_points(*to_points).rows
             with np.errstate(invalid="ignore", over="ignore"):
                 return space._left_sum(np.abs(rows_u - rows_v)).tolist()
 
@@ -513,6 +513,30 @@ class TestDistanceKernel:
     def test_distance_is_the_product_norm_of_the_difference(self, s, a, t, b):
         p, q = ProductPoint(s, a), ProductPoint(t, b)
         assert _same_float(distance(p, q), product_norm(p - q))
+
+
+class TestPairBlock:
+    """PairBlock.from_points, and pairs(), its way back."""
+
+    @given(st.lists(st.tuples(_wide_scalar, _dense_wide, _wide_scalar, _dense_wide), max_size=4))
+    @example([(0.5, _ARRAY_A, -0.0, _ARRAY_B), (math.nan, (), 5e-324, (0.0, -0.0, 0.0, 0.0))])
+    @example([(-0.0, (0.0, 0.0, -5e-324, 0.0, 1.0, 0.0), 1.0, (-0.0,)), (0.0, (), 0.0, ())])
+    @example([])
+    def test_points_round_trip_bit_for_bit(self, pairs):
+        xs = [ProductPoint(s, a) for s, a, _, _ in pairs]
+        ys = [ProductPoint(t, b) for _, _, t, b in pairs]
+        block = PairBlock.from_points(xs, ys)
+        # column c holds index c, up to the largest stored, and at least one
+        stored = [int(p.vec.idx[-1]) for p in (*xs, *ys) if len(p.vec.idx)]
+        assert block.rows.shape == (2, len(pairs), 1 + max(stored, default=0))
+        got = [p for pair in block.pairs() for p in pair]
+        want = [p for pair in zip(xs, ys) for p in pair]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert _bits([g.scalar]) == _bits([w.scalar])
+            assert g.vec.idx.tolist() == w.vec.idx.tolist()
+            assert g.vec.val.tobytes() == w.vec.val.tobytes()
+            assert len(g.vec) == len(w.vec)
 
 
 class TestNormMemo:
