@@ -244,20 +244,22 @@ def _power_range(lo, hi) -> range:
 def _iteration(
     raw: dict, violations: _Violations, with_errors: bool = False
 ) -> IterationConfig | None:
+    # without a family size m, only the checks that need m or the domain are skipped
     t_specs = raw.get("t_family")
     if not isinstance(t_specs, list) or not t_specs:
         violations.append(f"'t_family': expected a non-empty list, got {t_specs!r}")
-        return None
+        t_specs = []
     m = len(t_specs)
     t_family = [_mapping(violations, f"t_family[{i}]", spec) for i, spec in enumerate(t_specs)]
     domain = None
-    if None not in t_family:
+    if m and None not in t_family:
         domain = violations.read("t_family", common_domain, t_family)
     i_specs = raw.get("i_family")
     if i_specs is None:
         i_specs = [{"kind": "identity"}] * m
-    if not isinstance(i_specs, list) or len(i_specs) != m:
-        violations.append(f"'i_family': expected a list of {m} mappings, got {i_specs!r}")
+    if not isinstance(i_specs, list) or (m and len(i_specs) != m):
+        size = f"{m} " if m else ""
+        violations.append(f"'i_family': expected a list of {size}mappings, got {i_specs!r}")
         i_specs = []
     i_family = [_mapping(violations, f"i_family[{i}]", spec) for i, spec in enumerate(i_specs)]
     # identity partners take the domain of the family
@@ -313,7 +315,7 @@ def _schedule(raw: dict, key: str, m: int, with_errors: bool, violations: _Viola
     weights = spec.get("weights")
     if weights is not None:
         weights = violations.read(f"{key}.weights", json_numbers, weights)
-    if len(violations) > count:
+    if len(violations) > count or not m:  # no slot count without m
         return None
     make = functools.partial(make_schedule, weights=weights, includes_error_term=with_errors)
     return violations.read(key, make, kind, m, bounds)

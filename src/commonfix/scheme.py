@@ -8,9 +8,9 @@ weight schedules alpha and beta, one step at index n computes
 
 with the n-th step using the n-th powers of the maps.  Step indices start
 at n = 1, so the supplied start point is x_1.  A stage's weights are the
-same at every step and are checked once, when its ``WeightSchedule`` is
-built.  With schedules carrying m + 2 weights, each stage takes one
-fixed perturbation point: u in the x-stage, v in the y-stage.
+same at every step.  Schedules and configs are checked once, when built.
+With schedules carrying m + 2 weights, each stage takes one fixed
+perturbation point: u in the x-stage, v in the y-stage.
 
 ``step(x, n, cfg)`` is that step: it returns x_{n+1} together with x_n's
 record, which holds the auxiliary point, the step norm, the displacement
@@ -23,7 +23,7 @@ the step budget runs out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -56,19 +56,19 @@ class WeightSchedule:
     slot m + 1, when present, multiplies the stage's perturbation point.
     The weights are checked once, here: each is positive, they sum to 1
     within ``WEIGHT_TOL``, and each lies in the closed box ``bounds``,
-    a pair with 0 < lo < hi < 1.
+    a pair with 0 < lo < hi < 1 that is read here and not kept.
 
     :raises InfeasibleSchedule: bad bounds, or a weight outside them.
     :raises WeightSumViolation: the simplex constraint is broken.
     """
 
     weights: tuple[float, ...]
-    bounds: tuple[float, float]
+    bounds: InitVar[tuple[float, float]]
 
-    def __post_init__(self) -> None:
-        if len(self.bounds) != 2:
-            raise InfeasibleSchedule(f"bounds must be a pair (lo, hi), got {self.bounds!r}")
-        lo, hi = float(self.bounds[0]), float(self.bounds[1])
+    def __post_init__(self, bounds: tuple[float, float]) -> None:
+        if len(bounds) != 2:
+            raise InfeasibleSchedule(f"bounds must be a pair (lo, hi), got {bounds!r}")
+        lo, hi = float(bounds[0]), float(bounds[1])
         if not 0.0 < lo < hi < 1.0:
             raise InfeasibleSchedule(
                 f"bounds must satisfy 0 < lo < hi < 1, got ({lo}, {hi})"
@@ -81,7 +81,6 @@ class WeightSchedule:
             if not lo <= x <= hi:
                 raise InfeasibleSchedule(f"weight {x!r} (slot {j}) outside [{lo}, {hi}]")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bounds", (lo, hi))
 
 
 def make_schedule(
@@ -123,8 +122,14 @@ class IterationConfig:
 
     ``errors``, when present, is the pair (u, v) of fixed perturbation
     points of the x-stage and the y-stage respectively; both schedules
-    must then carry the extra weight slot.  ``run`` checks both points
-    against the common domain once, before the first step.
+    must then carry the extra weight slot.  A config is checked once, when
+    it is built, so ``step``, ``run`` and the recursion bound read only
+    checked ones.
+
+    :raises LengthMismatch: the families or the schedules do not match.
+    :raises ValueError: a bad tolerance or step budget.
+    :raises DomainViolation: the domains disagree, or x0, u, v or the
+        fixed set leaves their common domain.
     """
 
     t_family: tuple[Mapping, ...]
@@ -140,6 +145,24 @@ class IterationConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_family", tuple(self.t_family))
         object.__setattr__(self, "i_family", tuple(self.i_family))
+        m = len(self.t_family)
+        if m == 0 or len(self.i_family) != m:
+            raise LengthMismatch(f"t_family has {m} members, i_family has {len(self.i_family)}")
+        want = m + 1 + (self.errors is not None)
+        for label, sched in (("alpha", self.alpha), ("beta", self.beta)):
+            if len(sched.weights) != want:
+                raise LengthMismatch(
+                    f"{label} schedule has {len(sched.weights)} weights, the config needs {want}"
+                )
+        check_tol(self.tol)
+        check_max_steps(self.max_steps)
+        domain = common_domain(self.t_family + self.i_family)
+        check_in_domain(self.x0, domain, "start point")
+        if self.errors is not None:
+            for name, p in zip("uv", self.errors):
+                check_in_domain(p, domain, f"perturbation point {name}")
+        if self.fixed_set is not None:
+            check_fixed_set(self.fixed_set, domain)
 
     @cached_property
     def reference(self) -> ProductPoint | None:
@@ -207,39 +230,16 @@ def check_in_domain(p: ProductPoint, domain: AdmissibleSet, what: str) -> None:
         raise DomainViolation(f"{what} lies outside the common domain")
 
 
-def _validate_config(cfg: IterationConfig) -> None:
-    m = len(cfg.t_family)
-    if m == 0 or len(cfg.i_family) != m:
-        raise LengthMismatch(
-            f"t_family has {m} members, i_family has {len(cfg.i_family)}"
-        )
-    want = m + 1 + (cfg.errors is not None)
-    for label, sched in (("alpha", cfg.alpha), ("beta", cfg.beta)):
-        if len(sched.weights) != want:
-            raise LengthMismatch(
-                f"{label} schedule has {len(sched.weights)} weights, the config needs {want}"
-            )
-    check_tol(cfg.tol)
-    check_max_steps(cfg.max_steps)
-    domain = common_domain(cfg.t_family + cfg.i_family)
-    check_in_domain(cfg.x0, domain, "start point")
-    if cfg.errors is not None:
-        for name, p in zip("uv", cfg.errors):
-            check_in_domain(p, domain, f"perturbation point {name}")
-    if cfg.fixed_set is not None:
-        check_fixed_set(cfg.fixed_set, domain)
-
-
 def step(x: ProductPoint, n: int, cfg: IterationConfig) -> tuple[ProductPoint, TraceRecord]:
     """One iteration step at index n >= 1.  Returns x_{n+1} and x_n's record.
 
     Each I_i^n(x_n) is computed once and serves both y_n and its defect.
     With ``cfg.errors``, u joins the x-stage and v the y-stage as one
-    extra weighted point each.  The weights and the perturbation points
-    were checked once, by ``WeightSchedule`` and by ``run``; the step
-    checks only what it computes.  Intermediates are never clamped: if
-    y_n or x_{n+1} leaves the common admissible set, the configuration is
-    broken and ``DomainViolation`` is raised.
+    extra weighted point each.  ``cfg`` and its schedules were checked
+    when they were built; the step checks only what it computes.
+    Intermediates are never clamped: if y_n or x_{n+1} leaves the common
+    admissible set, the configuration is broken and ``DomainViolation``
+    is raised.
     """
     domain = cfg.t_family[0].domain
     images = [nth_power(im, n, x) for im in cfg.i_family]
@@ -281,12 +281,12 @@ def check_fixed_set(descriptor: FixedSetDescriptor, domain: AdmissibleSet) -> No
 def run(cfg: IterationConfig) -> Trace:
     """Run the iteration from cfg.x0 with steps n = 1, 2, ...
 
+    ``cfg`` was checked when it was built, so the first step comes first.
     Stops when ||x_{n+1} - x_n|| < cfg.tol (terminated_by "tolerance") or
     after cfg.max_steps steps (terminated_by "max_steps").  Every record
     carries the pre-step state x_n, so the state after the last step is
     returned separately as ``Trace.final``.
     """
-    _validate_config(cfg)
     x = cfg.x0
     records: list[TraceRecord] = []
     for n in range(1, cfg.max_steps + 1):

@@ -479,17 +479,12 @@ def antipodal_pair_counterexample(
     check_horizon(horizon)
     antipodal_norm(x)
     minus_x = x * -1.0
+    difference = distance(x, minus_x)  # the same pair at every n
     rows: list[CounterexampleRow] = []
     for n in range(1, horizon + 1):
         t = 1.0 / n
         combined = x * t + minus_x * (1.0 - t)
-        rows.append(
-            CounterexampleRow(
-                n=n,
-                combined_norm=product_norm(combined),
-                difference_norm=distance(x, minus_x),
-            )
-        )
+        rows.append(CounterexampleRow(n, product_norm(combined), difference))
     return rows
 
 
@@ -541,7 +536,8 @@ def compute_recursion_bound(cfg: IterationConfig) -> RecursionBound:
         c_n = sum_i alpha_i ((1 + u_i)((1 + v_i) C + e_i) + g_i),
 
     each summed term by term, so that terms below an ulp of 1 survive.
-    The weights are the same at every step, so they are read once.
+    The weights are the same at every step, so they are read once.  A
+    config is checked when built, so each T_i has its I_i, alpha_i, beta_i.
 
     :raises ValueError: the config has perturbation points, whose terms
         this bound does not carry.
@@ -584,7 +580,8 @@ def check_run_bound(
     a_n = ||x_n - p||.
 
     The reference point must be a common fixed point: it may move under
-    each family member by at most ``FIXED_POINT_TOL``.
+    each family member by at most ``FIXED_POINT_TOL``.  The trace's config
+    was checked when it was built.
 
     :raises NotAFixedPoint: p moves under some family member.
     """

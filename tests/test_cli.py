@@ -465,6 +465,26 @@ class TestStrictConfigs:
         ]
         assert not (tmp_path / "out").exists()
 
+    def test_bad_t_family_hides_no_other_violation(self, tmp_path):
+        payload = {
+            "mode": "run", "t_family": [], "x0": {"scalar": "a"}, "tol": -1,
+            "max_steps": True, "alpha_schedule": {"kind": "custom", "weights": "x"},
+            "output_dir": str(tmp_path / "out"),
+        }
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2 and "Traceback" not in err, err
+        for field in ("t_family", "alpha_schedule.weights", "tol", "max_steps", "x0"):
+            assert _names(field, violations), (field, violations)
+        # the same violations as with one valid map, besides t_family's own
+        payload["t_family"] = [{"kind": "s", "alpha": 0.5}]
+        assert _main_on(payload, tmp_path)[1] == violations[1:]
+        # a non-list i_family is named even when there is no family size
+        payload.update(t_family=[], i_family=5)
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2 and "Traceback" not in err, err
+        assert _names("i_family", violations), violations
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "mode, path",
         [

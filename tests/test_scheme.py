@@ -158,17 +158,12 @@ class TestStepWithErrors:
             errors=(u, v),
         )
 
-    def test_perturbation_points_must_be_admissible(self, monkeypatch):
-        """``run`` checks u and v once, before the first step."""
-
-        def no_step(*args):
-            raise AssertionError("step called with an out-of-domain perturbation point")
-
-        monkeypatch.setattr(scheme, "step", no_step)
+    def test_perturbation_points_must_be_admissible(self):
+        """The config checks u and v when it is built, so no step sees them."""
         bad, good = ProductPoint(2.0, ()), ProductPoint(0.0, ())
-        for name, cfg in (("u", self._cfg(bad, good)), ("v", self._cfg(good, bad))):
+        for name, points in (("u", (bad, good)), ("v", (good, bad))):
             with pytest.raises(DomainViolation, match=f"perturbation point {name}"):
-                run(cfg)
+                self._cfg(*points)
 
     def test_error_terms_absorbed_when_equal_to_iterate(self):
         """With u_n = v_n = x_n and the error weight folded back into the
@@ -204,51 +199,43 @@ class TestStepWithErrors:
 
 class TestConfigValidation:
     def test_family_size_mismatch(self):
-        cfg = _pair_config(i_family=(make_identity(), make_identity()))
         with pytest.raises(LengthMismatch):
-            run(cfg)
+            _pair_config(i_family=(make_identity(), make_identity()))
 
     def test_schedule_size_mismatch(self):
         wrong = make_schedule("constant", 2, BOUNDS)
-        cfg = _pair_config(alpha=wrong, beta=wrong)
         with pytest.raises(LengthMismatch):
-            run(cfg)
+            _pair_config(alpha=wrong, beta=wrong)
         # three weights for one map and no perturbation points, on one stage
-        cfg = _pair_config(beta=WeightSchedule((0.25, 0.25, 0.5), BOUNDS))
         with pytest.raises(LengthMismatch, match="beta schedule has 3 weights, the config needs 2"):
-            run(cfg)
+            _pair_config(beta=WeightSchedule((0.25, 0.25, 0.5), BOUNDS))
 
     def test_error_sequences_require_error_slots(self):
-        cfg = _pair_config(errors=(ProductPoint(0, ()), ProductPoint(0, ())))
         with pytest.raises(LengthMismatch):
-            run(cfg)
+            _pair_config(errors=(ProductPoint(0, ()), ProductPoint(0, ())))
 
     def test_error_slots_require_error_sequences(self):
         sched = make_schedule("constant", 1, BOUNDS, includes_error_term=True)
-        cfg = _pair_config(alpha=sched, beta=sched)
         with pytest.raises(LengthMismatch):
-            run(cfg)
+            _pair_config(alpha=sched, beta=sched)
 
     def test_error_slot_needed_on_both_stages(self):
         with_slot = make_schedule("constant", 1, BOUNDS, includes_error_term=True)
         without = make_schedule("constant", 1, BOUNDS)
-        cfg = _pair_config(
-            alpha=with_slot,
-            beta=without,
-            errors=(ProductPoint(0, ()), ProductPoint(0, ())),
-        )
         with pytest.raises(LengthMismatch):
-            run(cfg)
+            _pair_config(
+                alpha=with_slot,
+                beta=without,
+                errors=(ProductPoint(0, ()), ProductPoint(0, ())),
+            )
 
     def test_mixed_domains_rejected(self):
-        cfg = _pair_config(i_family=(make_s_f(0.5, 0.5),))
         with pytest.raises(DomainViolation, match="domains disagree"):
-            run(cfg)
+            _pair_config(i_family=(make_s_f(0.5, 0.5),))
 
     def test_start_point_outside_domain(self):
-        cfg = _pair_config(x0=ProductPoint(-0.5, ()))
         with pytest.raises(DomainViolation, match="start point"):
-            run(cfg)
+            _pair_config(x0=ProductPoint(-0.5, ()))
 
     @pytest.mark.parametrize(
         "fixed_set",
@@ -267,14 +254,12 @@ class TestConfigValidation:
             FixedSetDescriptor("scalar_line", interval=(0.0, 0.5, 1.0))
 
     def test_nonpositive_tolerance(self):
-        cfg = _pair_config(tol=0.0)
         with pytest.raises(ValueError):
-            run(cfg)
+            _pair_config(tol=0.0)
 
     def test_bad_step_budget(self):
-        cfg = _pair_config(max_steps=0)
         with pytest.raises(ValueError):
-            run(cfg)
+            _pair_config(max_steps=0)
 
 
 class TestRun:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from commonfix.errors import DomainViolation, NotAFixedPoint
+from commonfix.errors import DomainViolation, LengthMismatch, NotAFixedPoint
 from commonfix.mappings import (
     OSCILLATOR_DOMAIN,
     TotalAsymptoticProfile,
@@ -312,6 +312,24 @@ class TestRecursionBound:
         # identity partners: b_n = c_n = (2/3)(0.5^n + 0.3^n), bit for bit
         for n, value in ((2, 0.22666666666666666), (5, 0.022453333333333332)):
             assert bound.coeffs(n) == (value, value)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(i_family=(make_identity(),)),
+            dict(alpha=make_schedule("constant", 1, BOUNDS)),
+        ],
+        ids=["one-partner", "two-slot-alpha"],
+    )
+    def test_mismatched_config_cannot_be_bounded(self, kw):
+        # zip would drop the second pair's terms: b_1 = c_1 = 1/3 with one
+        # identity partner and 1/2 with alpha = (1/2, 1/2), not 0.533...
+        with pytest.raises(LengthMismatch):
+            _two_family_config(**kw)
+
+    def test_replaced_config_is_checked(self):
+        with pytest.raises(DomainViolation, match="start point"):
+            dataclasses.replace(_two_family_config(), x0=ProductPoint(-0.5, ()))
 
     def test_coefficients_compose_the_stage_bounds(self):
         # the cross term B * sum_i alpha_in u_i v_i is not 0 with s partners
