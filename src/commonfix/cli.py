@@ -70,10 +70,13 @@ from .mappings import (
 from .sampling import sample_pairs
 from .scheme import (
     IterationConfig,
+    check_bounds,
     check_fixed_set,
     check_in_domain,
+    check_kind,
     check_max_steps,
     check_tol,
+    check_weights,
     common_domain,
     distance_to_fixset,
     make_schedule,
@@ -310,11 +313,15 @@ def _schedule(raw: dict, key: str, m: int, with_errors: bool, violations: _Viola
     known = ("kind", "bounds") if kind == "constant" else ("kind", "bounds", "weights")
     violations.unknown(f"{key}.", spec, known)
     count = len(violations)
-    bounds = spec.get("bounds", list(DEFAULT_BOUNDS))
-    bounds = violations.read(f"{key}.bounds", json_numbers, bounds)
+    # every check but the slot count's runs without a family size
     weights = spec.get("weights")
+    violations.read(f"{key}.kind", check_kind, kind, weights)
+    bounds = spec.get("bounds", list(DEFAULT_BOUNDS))
+    bounds = violations.read(f"{key}.bounds", lambda b: check_bounds(json_numbers(b)), bounds)
     if weights is not None:
-        weights = violations.read(f"{key}.weights", json_numbers, weights)
+        weights = violations.read(
+            f"{key}.weights", lambda w: check_weights(json_numbers(w), bounds), weights
+        )
     if len(violations) > count or not m:  # no slot count without m
         return None
     make = functools.partial(make_schedule, weights=weights, includes_error_term=with_errors)

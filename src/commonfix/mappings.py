@@ -425,11 +425,16 @@ def nth_power(mapping: Mapping, k: int, p: ProductPoint) -> ProductPoint:
     if mapping.kappa is None and mapping.alpha is None:  # the identity gives p itself
         return p
     vec = p.vec if mapping.alpha is None else _shift_power(mapping.alpha, k, p.vec)
-    scalar = p.scalar
+    return ProductPoint(scalar_power(mapping, k, p.scalar), vec)
+
+
+def scalar_power(mapping: Mapping, k: int, s: float) -> float:
+    """The scalar factor of the k-th power at s, for a checked k: s itself,
+    or f_kappa applied k times, each step checked as it is taken."""
     if mapping.kappa is not None:  # one point: the array step's fixed cost would dominate
         for _ in range(k):
-            scalar = _f_kappa(mapping.kappa, scalar)
-    return ProductPoint(scalar, vec)
+            s = _f_kappa(mapping.kappa, s)
+    return s
 
 
 def estimate_intermediate_defect(

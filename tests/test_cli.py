@@ -486,6 +486,32 @@ class TestStrictConfigs:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "schedule, named",
+        [
+            ({"kind": "custom", "weights": [0.2, 0.9], "bounds": [0.9, 0.1]},
+             ["'alpha_schedule.bounds': bounds must satisfy 0 < lo < hi < 1, got (0.9, 0.1)",
+              "'alpha_schedule.weights': weights (0.2, 0.9) sum to 1.1"]),
+            ({"kind": "custom", "weights": [0.05, 0.95], "bounds": [0.1, 0.9]},
+             ["'alpha_schedule.weights': weight 0.05 (slot 0) outside [0.1, 0.9]"]),
+            ({"kind": "bogus", "bounds": [0.5, 0.5]},
+             ["'alpha_schedule.kind': unknown schedule kind 'bogus'",
+              "'alpha_schedule.bounds': bounds must satisfy 0 < lo < hi < 1, got (0.5, 0.5)"]),
+        ],
+        ids=["bounds-and-sum", "box", "kind"],
+    )
+    def test_bad_t_family_hides_no_schedule_violation(self, tmp_path, schedule, named):
+        """Only a schedule's slot count needs the family size."""
+        payload = {
+            "mode": "run", "t_family": [], "alpha_schedule": schedule,
+            "x0": {"scalar": 0.5, "vec": []}, "output_dir": str(tmp_path / "out"),
+        }
+        code, violations, err = _main_on(payload, tmp_path)
+        assert code == 2 and "Traceback" not in err, err
+        assert violations[1:] == named
+        payload["t_family"] = [{"kind": "s", "alpha": 0.5}]
+        assert _main_on(payload, tmp_path)[1] == named
+
+    @pytest.mark.parametrize(
         "mode, path",
         [
             ("run", ("t_family", 0)),

@@ -5,6 +5,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commonfix import scheme
 from commonfix.errors import (
@@ -14,11 +16,13 @@ from commonfix.errors import (
     WeightSumViolation,
 )
 from commonfix.mappings import (
+    OSCILLATOR_DOMAIN,
+    UNIT_DOMAIN,
     FixedSetDescriptor,
     make_identity,
     make_s,
     make_s_f,
-    nth_power,
+    mapping_from_json,
     power_t_alpha,
 )
 from commonfix.scheme import (
@@ -33,7 +37,7 @@ from commonfix.scheme import (
 )
 from commonfix.space import L1Vector, ProductPoint, l1_norm, product_norm
 
-from helpers import read_trace_csv
+from helpers import read_trace_csv, reference_step
 
 BOUNDS = (0.05, 0.95)
 
@@ -144,6 +148,118 @@ class TestStep:
         cfg = _pair_config(factor=0.9, x0=ProductPoint(0.0, (0.25, 0.75)))
         with pytest.raises(DomainViolation, match="step 1"):
             step(cfg.x0, 1, cfg)
+
+
+# The frame step against the composed reference_step: random families over
+# the four map kinds, with and without u and v, stored -0.0 and 5e-324, and
+# any start index, so that x may lack index 0 while u stores it.  A case is
+# plain data, built into a config by _frame_case.
+
+_MAKERS = {
+    "identity": lambda a, k, domain: make_identity(domain),
+    "s": lambda a, k, domain: make_s(a),
+    "t_alpha": lambda a, k, domain: mapping_from_json({"kind": "t_alpha", "alpha": a}),
+    "s_f": lambda a, k, domain: make_s_f(k, a),
+}
+_ENTRIES = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324]), st.floats(-0.2, 0.2))
+
+
+@st.composite
+def _frame_specs(draw):
+    """{"osc", "t", "i", "alpha", "beta", "x0", "errors", "n0", "x", "count"}:
+    maps as (kind, alpha, kappa), weights as integer shares, points as
+    (scalar, indices, values, length)."""
+    osc = draw(st.booleans())
+    kinds = ("identity", "s_f") if osc else ("identity", "s", "t_alpha")
+    lo, hi = (OSCILLATOR_DOMAIN if osc else UNIT_DOMAIN).scalar_interval
+    factor = st.floats(0.05, 0.99)
+    m = draw(st.integers(1, 3))
+    perturbed = draw(st.booleans())
+
+    def family():
+        return [(draw(st.sampled_from(kinds)), draw(factor), draw(factor)) for _ in range(m)]
+
+    def shares():
+        return [draw(st.integers(1, 20)) for _ in range(m + 1 + perturbed)]
+
+    def point(past=0.0):
+        idx = sorted(draw(st.sets(st.integers(0, 12), max_size=5)))
+        length = (idx[-1] + 1 if idx else 0) + draw(st.integers(0, 2))
+        return draw(st.floats(lo, hi + past)), idx, [draw(_ENTRIES) for _ in idx], length
+
+    return dict(
+        osc=osc, t=family(), i=family(), alpha=shares(), beta=shares(), x0=point(),
+        errors=[point(), point()] if perturbed else None,
+        n0=draw(st.integers(1, 5)), x=point(past=0.5), count=draw(st.integers(1, 40)),
+    )
+
+
+def _spec_point(scalar, idx, values, length):
+    return ProductPoint(scalar, L1Vector.from_sparse(idx, values, length))
+
+
+def _frame_case(spec):
+    """(config, first step index, start point, step count) of a spec."""
+    domain = OSCILLATOR_DOMAIN if spec["osc"] else UNIT_DOMAIN
+    t_family, i_family = (
+        tuple(_MAKERS[kind](a, k, domain) for kind, a, k in spec[key]) for key in "ti"
+    )
+    alpha, beta = (
+        WeightSchedule(tuple(c / sum(spec[key]) for c in spec[key]), (1e-3, 1 - 1e-3))
+        for key in ("alpha", "beta")
+    )
+    errors = spec["errors"] and tuple(_spec_point(*p) for p in spec["errors"])
+    cfg = IterationConfig(
+        t_family, i_family, alpha, beta, _spec_point(*spec["x0"]), errors=errors
+    )
+    return cfg, spec["n0"], _spec_point(*spec["x"]), spec["count"]
+
+
+def _point_bits(p):
+    return p.scalar.hex(), p.vec.idx.tobytes(), p.vec.val.tobytes(), len(p.vec)
+
+
+def _record_bits(r):
+    floats = (r.step_norm, *r.t_defects, *r.i_defects, r.dist_to_fixset, r.dist_to_ref)
+    return r.n, _point_bits(r.x), _point_bits(r.y), [None if f is None else f.hex() for f in floats]
+
+
+def _steps(stepper, cfg, n0, x, count):
+    """The records of ``count`` steps from x at n0 and the final point, or
+    the records up to an exception and its type and message."""
+    records = []
+    for n in range(n0, n0 + count):
+        try:
+            x, record = stepper(x, n, cfg)
+        except Exception as exc:
+            return records, (type(exc), str(exc))
+        records.append(_record_bits(record))
+    return records, _point_bits(x)
+
+
+# s(0.5) with an identity partner, weighted 1/2, 1/2, from (0.5, (0, -0.0))
+_SIGNED_ZERO = dict(
+    osc=False, t=[("s", 0.5, 0.5)], i=[("identity", 0.5, 0.5)], alpha=[1, 1], beta=[1, 1],
+    x0=(0.5, [1], [-0.0], 2), errors=None, n0=1, x=(0.5, [1], [-0.0], 2), count=3,
+)
+
+
+class TestFrameStep:
+    @given(_frame_specs())
+    @settings(max_examples=150)
+    # y_1 = x_1 / 2 + x_1 / 2 sums -0.0 from +0.0, so it stores nothing there
+    @example(_SIGNED_ZERO)
+    # at n = 2 the frame holds index 0 (u) and 3 (v moved) but not 2, where
+    # a stored x_1 would head; x stores index 5 only
+    @example(dict(_SIGNED_ZERO, alpha=[1, 1, 1], beta=[1, 1, 1], n0=2, x=(0.5, [5], [0.3], 6),
+                  errors=[(0.5, [0], [0.1], 1), (0.5, [1], [0.2], 2)]))
+    def test_equals_the_composed_step_bit_for_bit(self, spec):
+        cfg, n0, x, count = _frame_case(spec)
+        want = _steps(reference_step, cfg, 1, cfg.x0, count)
+        assert _steps(step, cfg, 1, cfg.x0, count) == want
+        # any start point at any step, inside the domain or not
+        want = _steps(reference_step, cfg, n0, x, count)
+        assert _steps(step, cfg, n0, x, count) == want
 
 
 class TestStepWithErrors:
@@ -311,14 +427,15 @@ class TestRun:
     @pytest.mark.parametrize("perturbed", [False, True])
     def test_each_power_is_evaluated_once_per_step(self, monkeypatch, perturbed):
         """I_i^n(x_n) serves both y_n and the defects, T_i^n is taken at
-        y_n and at x_n: 3m power evaluations per step."""
+        y_n and at x_n: 3m power evaluations on the step's frame per step."""
         calls = []
+        power = scheme._Frame.power
 
-        def counted(mapping, k, p):
-            calls.append(k)
-            return nth_power(mapping, k, p)
+        def counted(frame, mapping, p):
+            calls.append(frame.n)
+            return power(frame, mapping, p)
 
-        monkeypatch.setattr(scheme, "nth_power", counted)
+        monkeypatch.setattr(scheme._Frame, "power", counted)
         trace = run(self._two_member_config(perturbed))
         assert len(calls) == 6 * len(trace.records)
 
